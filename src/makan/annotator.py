@@ -88,15 +88,14 @@ def annotate(
     doc_id: str = "",
 ) -> AnnotatedDocument:
     """Run the full cascade over `text` and return standoff annotations."""
+    # The grammar was validated against its own map; another map must hold every rule output.
+    unresolved = [] if smap is grammar.smap else [r.output for r in grammar.rules if r.output not in smap]
+    if unresolved:
+        raise ValueError(f"category {unresolved[0]} does not resolve in the given map")
     tokens = tokenize(text, lexicon, variants)
-    raw = engine.apply(grammar, tokens, lexicon)
-    guard_map = {rule.name: rule.guards for rule in grammar.rules}
     annotations = []
-    for match in raw:
-        if semmap.resolve(smap, match.output) is None:
-            # grammar compiled against a different map than the one given
-            raise ValueError(f"category {match.output} does not resolve in the given map")
-        vetoed, alternates = guards.run_guards(guard_map[match.rule], tokens, match, lexicon)
+    for match in engine.apply(grammar, tokens, lexicon):
+        vetoed, alternates = guards.run_guards(match.guards, tokens, match, lexicon)
         if vetoed:
             continue
         annotations.append(_convert(match, tokens, alternates))
@@ -111,7 +110,7 @@ def _span_json(span: OffsetSpan) -> dict:
     return {"start": span.start, "end": span.end}
 
 
-def _ann_json(a: SpatialAnnotation, include_rule: bool = True) -> dict:
+def _ann_json(a: SpatialAnnotation) -> dict:
     obj = {
         "start": a.span.start,
         "end": a.span.end,
@@ -126,16 +125,16 @@ def _ann_json(a: SpatialAnnotation, include_rule: bool = True) -> dict:
         obj["attributes"] = a.attributes
     if a.alternates:
         obj["alternates"] = list(a.alternates)
-    if include_rule and a.rule is not None:
+    if a.rule is not None:
         obj["rule"] = a.rule
     return obj
 
 
-def document_to_json(doc: AnnotatedDocument, include_rule: bool = True) -> str:
+def document_to_json(doc: AnnotatedDocument) -> str:
     obj = {
         "doc_id": doc.doc_id,
         "text": doc.text,
-        "annotations": [_ann_json(a, include_rule) for a in doc.annotations],
+        "annotations": [_ann_json(a) for a in doc.annotations],
     }
     return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
 
@@ -151,7 +150,8 @@ def write_annotations(doc: AnnotatedDocument, sink) -> None:
 
 
 def _parse_span(obj, text_len: int, where: str) -> OffsetSpan:
-    if not isinstance(obj, dict) or not isinstance(obj.get("start"), int) or not isinstance(obj.get("end"), int):
+    # JSON true/false load as bool, a subclass of int: not a span bound.
+    if not isinstance(obj, dict) or type(obj.get("start")) is not int or type(obj.get("end")) is not int:
         raise AnnotationFormatError(f"{where}: span must be an object with integer start/end")
     start, end = obj["start"], obj["end"]
     if not (0 <= start < end <= text_len):
@@ -166,17 +166,22 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
         data, name = source.read(), getattr(source, "name", "<stream>")
     else:
         name = str(source)
-        with open(source, encoding="utf-8") as fh:
-            data = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                data = fh.read()
+        except UnicodeDecodeError as exc:
+            raise AnnotationFormatError(f"{name}: not UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise AnnotationFormatError(f"{name}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str) or not isinstance(obj.get("text"), str):
         raise AnnotationFormatError(f"{name}: document must have string doc_id and text")
-    text = obj["text"]
+    text, raw_anns = obj["text"], obj.get("annotations", [])
+    if not isinstance(raw_anns, list):
+        raise AnnotationFormatError(f"{name}: annotations must be a list")
     anns = []
-    for idx, raw in enumerate(obj.get("annotations", [])):
+    for idx, raw in enumerate(raw_anns):
         where = f"{name}: annotation {idx}"
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{where}: must be an object")
@@ -190,9 +195,16 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
         site = _parse_span(raw["site"], len(text), where + " (site)") if "site" in raw else None
         target = _parse_span(raw["target"], len(text), where + " (target)") if "target" in raw else None
         alternates = raw.get("alternates", [])
+        if not isinstance(alternates, list):
+            raise AnnotationFormatError(f"{where}: alternates must be a list")
         for alt in alternates:
-            if semmap.resolve(smap, alt) is None:
+            if not isinstance(alt, str) or semmap.resolve(smap, alt) is None:
                 raise AnnotationFormatError(f"{where}: unknown alternate category {alt!r}")
+        attributes, rule = raw.get("attributes", {}), raw.get("rule")
+        if not isinstance(attributes, dict):
+            raise AnnotationFormatError(f"{where}: attributes must be an object")
+        if rule is not None and not isinstance(rule, str):
+            raise AnnotationFormatError(f"{where}: rule must be a string")
         anns.append(
             SpatialAnnotation(
                 span=span,
@@ -200,9 +212,9 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
                 trigger=trigger,
                 site=site,
                 target=target,
-                attributes=raw.get("attributes", {}),
+                attributes=attributes,
                 alternates=tuple(alternates),
-                rule=raw.get("rule"),
+                rule=rule,
             )
         )
     return AnnotatedDocument(doc_id=obj["doc_id"], text=text, annotations=tuple(anns))

@@ -12,12 +12,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import engine, evaluate, lexicon as lexicon_mod, rulepack, semmap
+from . import evaluate, rulepack, semmap
 from .annotator import AnnotationFormatError, annotate, document_to_json, read_annotations
 from .engine import GrammarError
-from .guards import KNOWN_GUARDS
 from .lexicon import LexiconError
-from .textnorm import load_variant_table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,44 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_resources(args):
-    """Load and validate all configured resources before touching any document."""
-    smap = semmap.default_map()
-    lexicon_paths = [Path(p) for p in args.lexicon] or [lexicon_mod.seed_lexicon_path()]
-    rule_paths = [Path(p) for p in args.rules] or [rulepack.rule_pack_path()]
-    variants_path = Path(args.variants) if args.variants else rulepack.variants_path()
-    for path in [*lexicon_paths, *rule_paths, variants_path]:
-        if not _exists(path):
-            raise LexiconError(f"resource file not found: {path}")
-    entries = []
-    for path in lexicon_paths:
-        entries.extend(lexicon_mod.load(path, smap).entries)
-    lexicon = lexicon_mod.Lexicon(entries, smap)
-    source = "\n".join(_read_text(p) for p in rule_paths)
-    grammar = engine.compile(source, lexicon, smap)
-    unknown = [
-        f"rule {rule.name}: unknown guard {name}"
-        for rule in grammar.rules
-        for name in rule.guards
-        if name not in KNOWN_GUARDS
-    ]
-    if unknown:
-        raise GrammarError("; ".join(unknown))
-    variants = load_variant_table(variants_path)
-    return smap, lexicon, grammar, variants
-
-
-def _exists(path) -> bool:
-    try:
-        return Path(path).exists()
-    except TypeError:  # importlib traversable
-        return path.is_file()
-
-
-def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _atomic_write(path: Path, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
     try:
@@ -120,18 +80,24 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def cmd_annotate(args) -> int:
-    smap, lexicon, grammar, variants = _load_resources(args)
-    inputs = [Path(p) for p in sorted(args.inputs)]
-    for path in inputs:
-        if not path.exists():
-            print(f"input file not found: {path}", file=sys.stderr)
+    smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
+    # Read every input before writing: a bad or clashing one leaves no output.
+    inputs: dict[str, tuple[Path, str]] = {}
+    for path in map(Path, sorted(args.inputs)):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"cannot read input {path} as UTF-8 text: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        if path.stem in inputs:
+            print(f"inputs {inputs[path.stem][0]} and {path} would both write {path.stem}.json", file=sys.stderr)
+            return EXIT_VALIDATION
+        inputs[path.stem] = (path, text)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in inputs:
-        text = path.read_text(encoding="utf-8")
-        doc = annotate(text, lexicon, grammar, smap, variants=variants, doc_id=path.stem)
-        _atomic_write(out_dir / f"{path.stem}.json", document_to_json(doc))
+    for stem, (_, text) in inputs.items():
+        doc = annotate(text, lexicon, grammar, smap, variants=variants, doc_id=stem)
+        _atomic_write(out_dir / f"{stem}.json", document_to_json(doc))
     return EXIT_OK
 
 
@@ -165,11 +131,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        smap, lexicon, grammar, variants = _load_resources(args)
-    except (LexiconError, GrammarError, ValueError, OSError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
     print(
         f"ok: {len(lexicon.entries)} lexicon entries, {len(grammar)} rules, "
         f"{len(variants)} variant mappings, {len(smap)} category nodes"

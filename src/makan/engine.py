@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import semmap
+from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
 from .textnorm import normalize
 
@@ -65,7 +66,7 @@ class RawMatch:
     span: tuple[int, int]                     # token index range, end exclusive
     captures: dict[str, tuple[int, int]]
     output: str
-    priority: int
+    guards: tuple[str, ...]                   # the rule's guards, run before emission
     evidence: dict[str, LexMatch | None] = field(default_factory=dict)
 
 
@@ -222,38 +223,25 @@ def _parse_rule(p: _Parser, decl: int) -> Rule:
     )
 
 
-def _validate_rule(rule: Rule, smap: semmap.SpatialityMap, start: _Tok):
-    triggers = 0
+def _rule_problem(rule: Rule, smap: semmap.SpatialityMap) -> str | None:
+    """Why `rule` is invalid against the map and the known guards, or None."""
     for atom in rule.atoms:
-        if atom.capture is not None:
-            if atom.capture not in CAPTURE_NAMES:
-                raise GrammarError(
-                    f"rule {rule.name}: unknown capture {atom.capture!r} "
-                    f"(expected one of {', '.join(CAPTURE_NAMES)})",
-                    start.line,
-                    start.col,
-                )
-            if atom.capture == "trigger":
-                triggers += 1
-                if atom.optional:
-                    raise GrammarError(
-                        f"rule {rule.name}: trigger capture may not be optional", start.line, start.col
-                    )
+        if atom.capture is not None and atom.capture not in CAPTURE_NAMES:
+            return f"unknown capture {atom.capture!r} (expected one of {', '.join(CAPTURE_NAMES)})"
+        if atom.capture == "trigger" and atom.optional:
+            return "trigger capture may not be optional"
         for test in atom.tests:
             if test.kind == "sense" and semmap.resolve(smap, test.value) is None:
-                raise GrammarError(
-                    f"rule {rule.name}: unresolved category path {test.value}", start.line, start.col
-                )
+                return f"unresolved category path {test.value}"
             if test.kind == "flag" and test.value not in FLAGS:
-                raise GrammarError(f"rule {rule.name}: unknown flag {test.value}", start.line, start.col)
+                return f"unknown flag {test.value}"
+    triggers = sum(atom.capture == "trigger" for atom in rule.atoms)
     if triggers != 1:
-        raise GrammarError(
-            f"rule {rule.name}: pattern must contain exactly one trigger capture, found {triggers}",
-            start.line,
-            start.col,
-        )
+        return f"pattern must contain exactly one trigger capture, found {triggers}"
     if semmap.resolve(smap, rule.output) is None:
-        raise GrammarError(f"rule {rule.name}: unresolved output path {rule.output}", start.line, start.col)
+        return f"unresolved output path {rule.output}"
+    unknown = [name for name in rule.guards if name not in KNOWN_GUARDS]
+    return f"unknown guard {unknown[0]}" if unknown else None
 
 
 def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> CompiledGrammar:
@@ -265,7 +253,9 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
     while p.peek() is not None:
         start = p.peek()
         rule = _parse_rule(p, decl=len(rules))
-        _validate_rule(rule, smap, start)
+        problem = _rule_problem(rule, smap)
+        if problem is not None:
+            raise GrammarError(f"rule {rule.name}: {problem}", start.line, start.col)
         if rule.name in names:
             raise GrammarError(f"duplicate rule name {rule.name}", start.line, start.col)
         names.add(rule.name)
@@ -368,7 +358,7 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
                 span=(i, i + total),
                 captures=caps,
                 output=rule.output,
-                priority=rule.priority,
+                guards=rule.guards,
                 evidence=ev,
             )
         )

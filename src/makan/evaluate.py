@@ -75,14 +75,6 @@ class EvalReport:
         return total
 
 
-def precision(tp: int, fp: int) -> Fraction:
-    return Fraction(tp, tp + fp) if tp + fp else Fraction(0)
-
-
-def recall(tp: int, fn: int) -> Fraction:
-    return Fraction(tp, tp + fn) if tp + fn else Fraction(0)
-
-
 def f_measure(p, r) -> Fraction:
     """Harmonic mean 2pr/(p+r); 0 when p+r = 0."""
     p, r = Fraction(p), Fraction(r)
@@ -129,14 +121,13 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         taken: set[int] = set()
         sys_anns = sorted(sys_doc.annotations, key=lambda a: (a.trigger.start, a.span.start))
         gold_anns = list(gold_doc.annotations)
+        gold_cats = [semmap.top_level(smap, g.category) for g in gold_anns]
         for ann in sys_anns:
             cat = semmap.top_level(smap, ann.category)
             candidates = [
                 (g.span.start, g.trigger.start, idx)
                 for idx, g in enumerate(gold_anns)
-                if idx not in taken
-                and semmap.top_level(smap, g.category) == cat
-                and _matches(mode, ann, g)
+                if idx not in taken and gold_cats[idx] == cat and _matches(mode, ann, g)
             ]
             if candidates:
                 taken.add(min(candidates)[2])
@@ -154,8 +145,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
                 )
         for idx, g in enumerate(gold_anns):
             if idx not in taken:
-                cat = semmap.top_level(smap, g.category)
-                report.categories[cat].fn += 1
+                report.categories[gold_cats[idx]].fn += 1
                 report.silence.append(
                     SilenceRecord(
                         doc_id=doc_id,

@@ -94,11 +94,8 @@ BLOCKING_GUARDS = {
     "PLURAL_SITE": guard_plural_site,
 }
 
+# `engine.compile` rejects a rule naming any other guard.
 KNOWN_GUARDS = frozenset(BLOCKING_GUARDS) | {"DUAL_SENSE"}
-
-
-class UnknownGuardError(ValueError):
-    pass
 
 
 def run_guards(guard_names, tokens, match, lexicon: Lexicon) -> tuple[bool, list[str]]:
@@ -107,10 +104,6 @@ def run_guards(guard_names, tokens, match, lexicon: Lexicon) -> tuple[bool, list
     for name in guard_names:
         if name == "DUAL_SENSE":
             alternates = guard_dual_sense(tokens, match, lexicon)
-            continue
-        fn = BLOCKING_GUARDS.get(name)
-        if fn is None:
-            raise UnknownGuardError(f"unknown guard {name!r}")
-        if fn(tokens, match, lexicon):
+        elif BLOCKING_GUARDS[name](tokens, match, lexicon):
             return True, []
     return False, alternates

@@ -169,22 +169,35 @@ def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
         f.strip() for f in (parts[3].split(",") if len(parts) > 3 and parts[3].strip() else []) if f.strip()
     )
     words = tuple(normalize(w)[0] for w in raw_lemma.split(" ") if w)
+    if not all(words):
+        raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has a word that normalizes to nothing")
     return LexEntry(lemma=" ".join(words), words=words, cls=cls, senses=senses, flags=flags)
 
 
-def load(path, smap: semmap.SpatialityMap | None = None) -> Lexicon:
-    """Load and validate a lexicon TSV; raises LexiconError with line numbers."""
+def read_resource(path) -> str:
+    """A resource file's UTF-8 text; LexiconError naming the file when it is missing or undecodable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise LexiconError(f"resource file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LexiconError(f"cannot read resource file {path}: {exc}") from None
+
+
+def load(paths, smap: semmap.SpatialityMap | None = None) -> Lexicon:
+    """Load and validate a lexicon TSV, or a list of them as one lexicon; LexiconError names the file."""
+    paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
     entries: list[LexEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+    for path in paths:
+        for lineno, line in enumerate(read_resource(path).split("\n"), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             entries.append(_parse_line(line, lineno, str(path)))
     try:
         return Lexicon(entries, smap)
     except LexiconError as exc:
-        raise LexiconError(f"{path}: {exc}") from None
+        raise LexiconError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 def seed_lexicon(smap: semmap.SpatialityMap | None = None) -> Lexicon:

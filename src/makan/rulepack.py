@@ -5,6 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from . import engine, lexicon as lexicon_mod, semmap
+from .lexicon import LexiconError
 from .textnorm import load_variant_table, normalize
 
 # Attributes attached by rule name.
@@ -26,13 +27,9 @@ def variants_path():
     return resources.files("makan").joinpath("resources/variants.tsv")
 
 
-def suite_dir():
-    return resources.files("makan").joinpath("resources/suite")
-
-
 def rule_pack() -> str:
     """The shipped rule DSL source."""
-    return rule_pack_path().read_text(encoding="utf-8")
+    return lexicon_mod.read_resource(rule_pack_path())
 
 
 def attributes_for(rule_name: str, trigger_lemma: str | None) -> dict:
@@ -42,10 +39,24 @@ def attributes_for(rule_name: str, trigger_lemma: str | None) -> dict:
     return attrs
 
 
+def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
+    """(semantic map, lexicon, compiled rules, variant table), each validated as it is built.
+
+    Empty arguments take the shipped files; several lexicon or rule files make
+    one lexicon or one rule source. Every resource fault is a LexiconError or
+    a GrammarError.
+    """
+    smap = semmap.default_map()
+    lexicon = lexicon_mod.load(list(lexicon_paths) or [lexicon_mod.seed_lexicon_path()], smap)
+    source = "\n".join(lexicon_mod.read_resource(p) for p in rule_paths or [rule_pack_path()])
+    grammar = engine.compile(source, lexicon, smap)
+    try:
+        table = load_variant_table(variants_file or variants_path())
+    except ValueError as exc:
+        raise LexiconError(str(exc)) from None
+    return smap, lexicon, grammar, table
+
+
 def load_default_resources():
     """(semantic map, seed lexicon, compiled rule pack, variant table)."""
-    smap = semmap.default_map()
-    lex = lexicon_mod.seed_lexicon(smap)
-    grammar = engine.compile(rule_pack(), lex, smap)
-    variants = load_variant_table(variants_path())
-    return smap, lex, grammar, variants
+    return load_resources()

@@ -63,7 +63,6 @@ class Proclitic:
 class Token:
     span: OffsetSpan          # whole word in the original text
     surface: str              # original substring, diacritics and all
-    norm: str                 # normalized form of the whole word
     proclitics: tuple[Proclitic, ...]
     stem_span: OffsetSpan     # residue after proclitic detachment
     stem: str                 # normalized residue
@@ -118,23 +117,28 @@ def load_variant_table(path) -> dict[str, str]:
     """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
 
     Both columns are normalized on load; a canonical form may not itself be
-    listed as a variant (the table must be idempotent).
+    listed as a variant (the table must be idempotent). Every failure,
+    a missing or undecodable file included, is a ValueError naming the file.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read variant table {path}: {exc}") from None
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise ValueError(f"{path}:{lineno}: expected `variant<TAB>canonical`")
-            variant, _ = normalize(parts[0])
-            canonical, _ = normalize(parts[1])
-            table[variant] = canonical
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise ValueError(f"{path}:{lineno}: expected `variant<TAB>canonical`")
+        variant, _ = normalize(parts[0])
+        canonical, _ = normalize(parts[1])
+        table[variant] = canonical
     for canonical in table.values():
         if canonical in table:
-            raise ValueError(f"variant table is not idempotent: {canonical!r} is also a variant")
+            raise ValueError(f"{path}: variant table is not idempotent: {canonical!r} is also a variant")
     return table
 
 
@@ -205,7 +209,6 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
             Token(
                 span=span,
                 surface=text[span.start : span.end],
-                norm=word,
                 proclitics=tuple(proclitics),
                 stem_span=OffsetSpan(bound(stem_start), bound(n)),
                 stem=word[stem_start:],

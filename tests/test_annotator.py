@@ -111,6 +111,12 @@ def test_read_rejects_invalid_json(tmp_path):
         read_annotations(path)
 
 
+def test_read_rejects_json_nested_too_deep():
+    data = '{"doc_id": "x", "text": "", "annotations": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(AnnotationFormatError, match="invalid JSON"):
+        read_annotations(io.StringIO(data))
+
+
 def test_read_rejects_non_document_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]", encoding="utf-8")
@@ -158,6 +164,32 @@ def test_read_rejects_unknown_alternate(tmp_path):
     )
     with pytest.raises(AnnotationFormatError, match="NOT.A.PATH"):
         read_annotations(path)
+
+
+@pytest.mark.parametrize("annotations", [5, None], ids=["number", "null"])
+def test_read_rejects_non_list_annotations(annotations):
+    data = json.dumps({"doc_id": "x", "text": "نص", "annotations": annotations})
+    with pytest.raises(AnnotationFormatError, match="annotations must be a list"):
+        read_annotations(io.StringIO(data))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alternates", 5),
+        ("alternates", [[1]]),
+        ("attributes", [1]),
+        ("rule", 5),
+        ("start", True),
+        ("trigger", {"start": 0, "end": True}),
+    ],
+    ids=["alternates-number", "alternates-nested", "attributes-list", "rule-number", "start-bool", "trigger-end-bool"],
+)
+def test_read_rejects_mistyped_annotation_field(field, value):
+    good = {"start": 0, "end": 2, "category": "TOPOLOGICAL.SUPPORT", "trigger": {"start": 0, "end": 2}}
+    data = json.dumps({"doc_id": "x", "text": "نص", "annotations": [good, {**good, field: value}]})
+    with pytest.raises(AnnotationFormatError, match="annotation 1"):
+        read_annotations(io.StringIO(data))
 
 
 def test_annotate_never_crashes_on_arbitrary_text(run):
@@ -213,6 +245,16 @@ def test_annotate_rejects_mismatched_map(bundle):
     tiny = SpatialityMap({"SPATIAL": CategoryNode(id="SPATIAL", label="SPATIAL", parent=None)})
     with pytest.raises(ValueError, match="does not resolve"):
         annotate("جلست المرأة على المقعد.", lex, grammar, tiny, variants=variants)
+
+
+def test_annotate_rejects_mismatched_map_on_text_without_a_match(bundle):
+    from makan import annotate
+    from makan.semmap import CategoryNode, SpatialityMap
+
+    smap, lex, grammar, variants = bundle
+    tiny = SpatialityMap({"SPATIAL": CategoryNode(id="SPATIAL", label="SPATIAL", parent=None)})
+    with pytest.raises(ValueError, match="does not resolve"):
+        annotate("", lex, grammar, tiny, variants=variants)
 
 
 def test_annotate_is_deterministic_and_idempotent(run, suite_gold):

@@ -192,3 +192,36 @@ def test_end_to_end_annotate_then_eval_whole_suite(tmp_path, suite_gold, capsys)
     table = capsys.readouterr().out
     for line in table.splitlines()[1:]:
         assert line.split()[1:] == ["1.00", "1.00", "1.00"], table
+
+
+def test_annotate_rejects_inputs_sharing_a_stem(tmp_path, capsys):
+    first, second = tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_text("جلست المرأة على المقعد.", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["annotate", "--out", str(out), str(first), str(second)]) == 2
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not out.exists()
+
+
+def test_annotate_rejects_non_utf8_input_before_writing(tmp_path, capsys):
+    good, bad = tmp_path / "a.txt", tmp_path / "b.txt"
+    good.write_text("جلست المرأة على المقعد.", encoding="utf-8")
+    bad.write_bytes("على".encode("cp1256"))
+    out = tmp_path / "out"
+    assert main(["annotate", "--out", str(out), str(good), str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lexicon", "--rules", "--variants"])
+def test_annotate_rejects_non_utf8_resource(tmp_path, suite_texts, capsys, flag):
+    bad = tmp_path / "resource"
+    bad.write_bytes("على\tPREP".encode("cp1256"))
+    out = tmp_path / "out"
+    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
+    assert main(["annotate", flag, str(bad), "--out", str(out), *inputs]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()

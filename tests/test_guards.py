@@ -1,7 +1,7 @@
 import pytest
 
 from makan import guards
-from makan.engine import apply
+from makan.engine import GrammarError, apply, compile
 from makan.textnorm import tokenize
 
 
@@ -126,6 +126,7 @@ def test_guards_are_pure(bundle):
 
 
 def test_unknown_guard_name_raises(bundle):
-    tokens, raw = _raw_matches(bundle, "اتجهت نحو بلدة مرسى")
-    with pytest.raises(guards.UnknownGuardError):
-        guards.run_guards(("MYSTERY",), tokens, raw[0], bundle[1])
+    smap, lex, _, _ = bundle
+    source = "RULE r PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL GUARD NOPE"
+    with pytest.raises(GrammarError, match=r"rule r: unknown guard NOPE \(line 1, col 1\)"):
+        compile(source, lex, smap)

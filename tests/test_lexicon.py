@@ -149,3 +149,10 @@ def test_constructed_lexicon_rejects_unknown_flag():
     )
     with pytest.raises(LexiconError, match="NOPE"):
         Lexicon([entry], default_map())
+
+
+@pytest.mark.parametrize("lemma", ["َّ", "ــ", "في َ"], ids=["diacritics", "tatweel", "empty-word"])
+def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
+    path = _write(tmp_path, f"# header\n{lemma}\tNOUN_SITE\n")
+    with pytest.raises(LexiconError, match=r"lex\.tsv:2: .*normalizes to nothing"):
+        load(path)
