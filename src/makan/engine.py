@@ -11,6 +11,12 @@ A class/sense/flag test consumes a whole lexicon match, so a multiword
 locution satisfies a single atom. Matching is leftmost; at each position the
 winner is chosen by (priority desc, match length desc, declaration order)
 and scanning resumes after the winner's trigger token.
+
+`compile` reduces each test to what it accepts (a stem, a class, a sense's
+subtree of map paths, a flag) and indexes rules by their first atom's keys.
+`apply` tries only the rules the current token can start, plus those opening
+with a gap or an optional atom, in (priority desc, declaration) order, and
+stops at the first that cannot beat the winner found: winners are unchanged.
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ MAX_GAP = 5
 
 
 class GrammarError(ValueError):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        loc = f" (line {line}, col {col})" if line is not None else ""
+    def __init__(self, message: str, line: int | None = None, col: int | None = None, path=None):
+        where = f"{path}, " if path is not None else ""
+        loc = f" ({where}line {line}, col {col})" if line is not None else ""
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.col = col
 
@@ -40,6 +48,7 @@ class GrammarError(ValueError):
 class Test:
     kind: str   # class | sense | flag | lit
     value: str
+    accepts: object = None  # what it accepts: stem or flag, LexClass, or frozenset of sense paths
 
 
 @dataclass(frozen=True)
@@ -71,9 +80,21 @@ class RawMatch:
 
 
 class CompiledGrammar:
+    """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed."""
+
     def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap):
         self.rules = rules
         self.smap = smap
+        self.ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.decl)))  # candidate order
+        self.first: dict[object, list[int]] = {}  # stem, class, sense path or flag -> ranks it starts
+        for rank, rule in enumerate(self.ordered):
+            for test in rule.atoms[0].tests:
+                for key in test.accepts if test.kind == "sense" else (test.accepts,):
+                    self.first.setdefault(key, []).append(rank)
+        # ranks whose first atom, a gap or an optional one, lets them start anywhere
+        self.always = tuple(
+            r for r, rule in enumerate(self.ordered) if rule.atoms[0].gap or rule.atoms[0].optional
+        )
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -109,9 +130,10 @@ def _lex(source: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
+    def __init__(self, toks: list[_Tok], below: dict[str, frozenset[str]]):
         self.toks = toks
         self.pos = 0
+        self.below = below  # map path -> the path and all its descendants
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -142,14 +164,21 @@ def _parse_int(p: _Parser, what: str) -> int:
 def _parse_test(p: _Parser) -> Test:
     tok = p.next(None)
     if tok.text in LexClass.__members__:
-        return Test("class", tok.text)
+        return Test("class", tok.text, LexClass[tok.text])
     if tok.text == "SENSE":
-        return Test("sense", p.next(None).text)
+        path = p.next(None).text
+        return Test("sense", path, p.below.get(path))  # None when unresolved: `_rule_problem` rejects it
     if tok.text == "FLAG":
-        return Test("flag", p.next(None).text)
+        flag = p.next(None).text
+        return Test("flag", flag, flag)
     if tok.text == "LIT":
-        return Test("lit", normalize(p.next(None).text)[0])
+        return _literal(p.next(None).text)
     raise GrammarError(f"unknown test {tok.text!r}", tok.line, tok.col)
+
+
+def _literal(word: str) -> Test:
+    stem = normalize(word)[0]
+    return Test("lit", stem, stem)
 
 
 def _parse_inner(p: _Parser) -> PatternAtom:
@@ -168,8 +197,7 @@ def _parse_inner(p: _Parser) -> PatternAtom:
             tests.append(_parse_test(p))
         p.next("]")
         return PatternAtom(tests=tuple(tests), capture=capture)
-    word = p.next(None)
-    return PatternAtom(tests=(Test("lit", normalize(word.text)[0]),), capture=capture)
+    return PatternAtom(tests=(_literal(p.next(None).text),), capture=capture)
 
 
 def _parse_atom(p: _Parser) -> PatternAtom:
@@ -246,8 +274,14 @@ def _rule_problem(rule: Rule, smap: semmap.SpatialityMap) -> str | None:
 
 def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> CompiledGrammar:
     """Parse and validate rule source against a lexicon and semantic map."""
+    below = {path: {path} for path in smap.nodes}  # map path -> the path and all its descendants
+    for path, node in smap.nodes.items():
+        while node.parent is not None:
+            below[node.parent].add(path)
+            node = smap.nodes[node.parent]
+    below = {path: frozenset(paths) for path, paths in below.items()}
     toks = _lex(source)
-    p = _Parser(toks)
+    p = _Parser(toks, below)
     rules: list[Rule] = []
     names: set[str] = set()
     while p.peek() is not None:
@@ -266,20 +300,11 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
 # ---------------------------------------------------------------------------
 # matching
 
-def _test_satisfied(test: Test, match: LexMatch, smap: semmap.SpatialityMap) -> bool:
-    if test.kind == "class":
-        return match.entry.cls is LexClass[test.value]
-    if test.kind == "sense":
-        return any(semmap.subsumes(smap, test.value, s) for s in match.entry.senses)
-    if test.kind == "flag":
-        return test.value in match.entry.flags
-    raise AssertionError(test.kind)
+def _atom_options(atom: PatternAtom, tokens, lookups, pos: int) -> list[tuple[int, LexMatch | None]]:
+    """Ways this atom can consume tokens at `pos`, longest first.
 
-
-def _atom_options(
-    atom: PatternAtom, tokens, lookups, pos: int, smap
-) -> list[tuple[int, LexMatch | None]]:
-    """Ways this atom can consume tokens at `pos`, longest first."""
+    Per length the first match in (test, lookup) order is kept: guards read it as evidence.
+    """
     if atom.gap:
         limit = min(atom.gap, len(tokens) - pos)
         return [(k, None) for k in range(limit, -1, -1)]
@@ -287,13 +312,19 @@ def _atom_options(
     if pos < len(tokens):
         seen: set[int] = set()
         for test in atom.tests:
-            if test.kind == "lit":
-                if tokens[pos].stem == test.value and 1 not in seen:
+            kind, accepts = test.kind, test.accepts
+            if kind == "lit":
+                if tokens[pos].stem == accepts and 1 not in seen:
                     options.append((1, None))
                     seen.add(1)
                 continue
             for m in lookups[pos]:
-                if _test_satisfied(test, m, smap) and m.length not in seen:
+                e = m.entry
+                if m.length not in seen and (
+                    e.cls is accepts if kind == "class"
+                    else accepts in e.flags if kind == "flag"
+                    else not accepts.isdisjoint(e.senses)
+                ):
                     options.append((m.length, m))
                     seen.add(m.length)
     options.sort(key=lambda o: -o[0])
@@ -302,7 +333,7 @@ def _atom_options(
     return options
 
 
-def _best_alignment(rule: Rule, tokens, lookups, start: int, smap):
+def _best_alignment(rule: Rule, tokens, lookups, start: int):
     """Highest-consumption alignment of `rule` at token `start`, or None.
 
     Among alignments the winner maximizes total length, then the per-atom
@@ -319,7 +350,7 @@ def _best_alignment(rule: Rule, tokens, lookups, start: int, smap):
                 best = cand
             return
         atom = rule.atoms[ai]
-        for consumed, m in _atom_options(atom, tokens, lookups, pos, smap):
+        for consumed, m in _atom_options(atom, tokens, lookups, pos):
             ncaps, nev = caps, ev
             if atom.capture is not None and consumed > 0:
                 ncaps = {**caps, atom.capture: (pos, pos + consumed)}
@@ -333,15 +364,23 @@ def _best_alignment(rule: Rule, tokens, lookups, start: int, smap):
 
 
 def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
-    """Scan left to right; one winner per start; resume after the winner's trigger."""
-    smap = grammar.smap
+    """Scan left to right, trying at each token only the rules it can start, in
+    winner order; one winner per start; resume after the winner's trigger."""
     lookups = [lexicon.lookup(tokens, i) for i in range(len(tokens))]
     out: list[RawMatch] = []
     i = 0
     while i < len(tokens):
+        ranks = set(grammar.always)
+        ranks.update(grammar.first.get(tokens[i].stem, ()))
+        for m in lookups[i]:
+            for key in (m.entry.cls, *m.entry.senses, *m.entry.flags):
+                ranks.update(grammar.first.get(key, ()))
         best = None
-        for rule in grammar.rules:
-            al = _best_alignment(rule, tokens, lookups, i, smap)
+        for rank in sorted(ranks):
+            rule = grammar.ordered[rank]
+            if best is not None and rule.priority < best[1].priority:
+                break  # under (priority, length, decl) no later candidate can win
+            al = _best_alignment(rule, tokens, lookups, i)
             if al is None:
                 continue
             total, _vec, caps, ev = al

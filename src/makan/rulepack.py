@@ -48,8 +48,17 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
     """
     smap = semmap.default_map()
     lexicon = lexicon_mod.load(list(lexicon_paths) or [lexicon_mod.seed_lexicon_path()], smap)
-    source = "\n".join(lexicon_mod.read_resource(p) for p in rule_paths or [rule_pack_path()])
-    grammar = engine.compile(source, lexicon, smap)
+    rule_paths = list(rule_paths) or [rule_pack_path()]
+    texts = [lexicon_mod.read_resource(p) for p in rule_paths]
+    try:
+        grammar = engine.compile("\n".join(texts), lexicon, smap)
+    except engine.GrammarError as exc:
+        line, path = exc.line, None  # a line of the joined source -> its file and own line
+        for path, text in zip(rule_paths, texts):
+            if line is None or line <= (n := len((text + "\n").splitlines())):
+                break
+            line -= n
+        raise engine.GrammarError(exc.message, line, exc.col, path) from None
     try:
         table = load_variant_table(variants_file or variants_path())
     except ValueError as exc:

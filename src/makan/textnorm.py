@@ -116,9 +116,10 @@ def _apply_variants(norm: str, omap: list[int], variants: dict[str, str]) -> tup
 def load_variant_table(path) -> dict[str, str]:
     """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
 
-    Both columns are normalized on load; a canonical form may not itself be
-    listed as a variant (the table must be idempotent). Every failure,
-    a missing or undecodable file included, is a ValueError naming the file.
+    Both columns are normalized on load and may not normalize to nothing; a
+    canonical form may not itself be listed as a variant (the table must be
+    idempotent). Every failure, a missing or undecodable file included, is a
+    ValueError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,6 +136,8 @@ def load_variant_table(path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected `variant<TAB>canonical`")
         variant, _ = normalize(parts[0])
         canonical, _ = normalize(parts[1])
+        if not (variant and canonical):
+            raise ValueError(f"{path}:{lineno}: {parts[1 if variant else 0]!r} normalizes to nothing")
         table[variant] = canonical
     for canonical in table.values():
         if canonical in table:

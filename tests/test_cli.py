@@ -141,6 +141,25 @@ def test_check_reports_unknown_guard(tmp_path, capsys):
     assert "ghost" in err and "HAUNTED" in err
 
 
+def test_check_names_the_rule_file_and_its_own_line(tmp_path, capsys):
+    one, two = tmp_path / "one.rules", tmp_path / "two.rules"
+    one.write_text("RULE a PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL\n", encoding="utf-8")
+    two.write_text("# second file\n\nRULE b PRIO 1: trigger=[PREP] => NOPE.PATH\n", encoding="utf-8")
+    assert main(["check", "--rules", str(one), "--rules", str(two)]) == 2
+    err = capsys.readouterr().err
+    assert "NOPE.PATH" in err and f"({two}, line 3, col 1)" in err
+
+
+def test_annotate_rejects_variant_that_normalizes_to_nothing(tmp_path, suite_texts, capsys):
+    table = tmp_path / "variants.tsv"
+    table.write_text("# comment\nسين\tَ\n", encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
+    assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
+    assert f"{table}:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_accepts_explicit_shipped_paths(capsys):
     code = main(
         [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from makan.annotator import annotate
 from makan.engine import GrammarError, apply, compile
 from makan.lexicon import Lexicon, _parse_line
 from makan.semmap import default_map
@@ -222,6 +223,70 @@ def test_brute_force_equivalence_sampled():
             assert as_tuples(apply(grammar, tokens, BF_LEX)) == oracle_apply(
                 grammar, tokens, BF_LEX
             ), seq
+
+
+# dispatch paths the shipped rules never take: a rule opening with an optional
+# atom or a gap (tried at every token), an atom mixing literal and class tests,
+# and a sense test on a parent path that only a child sense satisfies
+DISPATCH_LEX = _lexicon(
+    """
+alpha	VERB_MOTION
+beta	PREP	TOPOLOGICAL.SUPPORT
+gamma	NOUN_SITE
+delta	PREP	TOPOLOGICAL.INCLUSION.CONTAINMENT
+delta gamma	PREP_LOCUTION	TOPOLOGICAL.PERIPHERY
+epsilon	PLACE_NAME
+"""
+)
+
+DISPATCH_RULES = """
+RULE opt PRIO 30: (verb=[VERB_MOTION])? trigger=[SENSE TOPOLOGICAL.INCLUSION] site=[NOUN_SITE|PLACE_NAME] => TOPOLOGICAL.INCLUSION.CONTAINMENT
+RULE gap PRIO 30: GAP 2 trigger=[LIT epsilon|NOUN_SITE] => TOPOLOGICAL.SUPPORT
+RULE mixed PRIO 40: trigger=[LIT gamma|PREP|LIT alpha] (site=[PLACE_NAME|LIT beta])? => TOPOLOGICAL.SUPPORT
+RULE parent PRIO 50: trigger=[SENSE TOPOLOGICAL] site=[NOUN_SITE] => TOPOLOGICAL.PERIPHERY
+RULE low PRIO 10: verb=[VERB_MOTION] GAP 1 trigger=[LIT delta|SENSE TOPOLOGICAL.PERIPHERY] => DIRECTIONAL.GOAL
+"""
+
+DISPATCH_ALPHABET = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+
+
+def test_dispatch_paths_equal_oracle_exhaustively():
+    grammar = compile(DISPATCH_RULES, DISPATCH_LEX, SMAP)
+    for length in range(0, 5):
+        for seq in itertools.product(DISPATCH_ALPHABET, repeat=length):
+            tokens = tokenize(" ".join(seq), DISPATCH_LEX)
+            assert as_tuples(apply(grammar, tokens, DISPATCH_LEX)) == oracle_apply(
+                grammar, tokens, DISPATCH_LEX
+            ), seq
+
+
+def test_site_evidence_is_the_first_lookup_the_first_passing_test_accepts():
+    # one lemma, NOUN_TEMPORAL listed before NOUN_SITE: lookups keep that
+    # order, but the atom's NOUN_SITE test comes first, so the site evidence
+    # is the NOUN_SITE entry and TEMPORAL_SITE lets the match through
+    lex = _lexicon(
+        """
+at	PREP	PROJECTIVE.DISTANCE.PROXIMITY
+dusk	NOUN_TEMPORAL
+dusk	NOUN_SITE
+"""
+    )
+    lookups = lex.lookup(tokenize("dusk", lex), 0)
+    assert [m.entry.cls.value for m in lookups] == ["NOUN_TEMPORAL", "NOUN_SITE"]
+    src = (
+        "RULE prox PRIO 1: trigger=[LIT at] site=[NOUN_SITE|NOUN_TEMPORAL] "
+        "=> PROJECTIVE.DISTANCE.PROXIMITY GUARD TEMPORAL_SITE"
+    )
+    grammar = compile(src, lex, SMAP)
+    (match,) = apply(grammar, tokenize("at dusk", lex), lex)
+    assert match.evidence["site"].entry.cls.value == "NOUN_SITE"
+    assert len(annotate("at dusk", lex, grammar, SMAP).annotations) == 1
+    # a literal test listed first supplies the one-token option, with no entry
+    for site, cls in (("[NOUN_SITE|LIT dusk]", "NOUN_SITE"), ("[LIT dusk|NOUN_SITE]", None)):
+        src = f"RULE r PRIO 1: trigger=[LIT at] site={site} => PROJECTIVE.DISTANCE.PROXIMITY"
+        grammar = compile(src, lex, SMAP)
+        (match,) = apply(grammar, tokenize("at dusk", lex), lex)
+        assert (match.evidence["site"] and match.evidence["site"].entry.cls.value) == cls, site
 
 
 # words covering triggers, locution parts, sites, verbs, demonstratives,

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,14 @@ def test_variant_table_reports_line_numbers(tmp_path):
     path = tmp_path / "variants.tsv"
     path.write_text("# comment\nbroken-line\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2"):
+        load_variant_table(path)
+
+
+@pytest.mark.parametrize("row", ["سين\tَ", "ـ\tسان", "ًٌ\tّ"])
+def test_variant_table_rejects_forms_that_normalize_to_nothing(tmp_path, row):
+    path = tmp_path / "variants.tsv"
+    path.write_text(f"# comment\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* normalizes to nothing"):
         load_variant_table(path)
 
 
