@@ -280,6 +280,10 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
             below[node.parent].add(path)
             node = smap.nodes[node.parent]
     below = {path: frozenset(paths) for path, paths in below.items()}
+    for entry in lexicon.entries:  # a sense outside the map would satisfy no SENSE test
+        for sense in entry.senses:
+            if sense not in below:
+                raise GrammarError(f"lexicon entry {entry.lemma}: sense {sense} is not in the grammar's map")
     toks = _lex(source)
     p = _Parser(toks, below)
     rules: list[Rule] = []
@@ -333,33 +337,26 @@ def _atom_options(atom: PatternAtom, tokens, lookups, pos: int) -> list[tuple[in
     return options
 
 
-def _best_alignment(rule: Rule, tokens, lookups, start: int):
-    """Highest-consumption alignment of `rule` at token `start`, or None.
+def _best_alignment(atoms, ai: int, tokens, lookups, pos: int, vec: tuple[int, ...], caps, ev):
+    """Highest-consumption alignment of `atoms[ai:]` at token `pos` as (total, vector, captures, evidence), or None.
 
     Among alignments the winner maximizes total length, then the per-atom
     consumption vector (leftmost atoms greedy), which makes matching
-    deterministic.
+    deterministic. A module-level function, not a closure over itself, so a
+    call leaves no reference cycle for the garbage collector.
     """
+    if ai == len(atoms):
+        return (sum(vec), vec, caps, ev)
+    atom = atoms[ai]
     best = None
-
-    def rec(ai: int, pos: int, vec: tuple[int, ...], caps, ev):
-        nonlocal best
-        if ai == len(rule.atoms):
-            cand = (pos - start, vec, caps, ev)
-            if best is None or (cand[0], cand[1]) > (best[0], best[1]):
-                best = cand
-            return
-        atom = rule.atoms[ai]
-        for consumed, m in _atom_options(atom, tokens, lookups, pos):
-            ncaps, nev = caps, ev
-            if atom.capture is not None and consumed > 0:
-                ncaps = {**caps, atom.capture: (pos, pos + consumed)}
-                nev = {**ev, atom.capture: m}
-            rec(ai + 1, pos + consumed, vec + (consumed,), ncaps, nev)
-
-    rec(0, start, (), {}, {})
-    if best is None or "trigger" not in best[2]:
-        return None
+    for consumed, m in _atom_options(atom, tokens, lookups, pos):
+        ncaps, nev = caps, ev
+        if atom.capture is not None and consumed > 0:
+            ncaps = {**caps, atom.capture: (pos, pos + consumed)}
+            nev = {**ev, atom.capture: m}
+        cand = _best_alignment(atoms, ai + 1, tokens, lookups, pos + consumed, vec + (consumed,), ncaps, nev)
+        if cand is not None and (best is None or (cand[0], cand[1]) > (best[0], best[1])):
+            best = cand
     return best
 
 
@@ -380,8 +377,8 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
             rule = grammar.ordered[rank]
             if best is not None and rule.priority < best[1].priority:
                 break  # under (priority, length, decl) no later candidate can win
-            al = _best_alignment(rule, tokens, lookups, i)
-            if al is None:
+            al = _best_alignment(rule.atoms, 0, tokens, lookups, i, (), {}, {})
+            if al is None or "trigger" not in al[2]:
                 continue
             total, _vec, caps, ev = al
             key = (-rule.priority, -total, rule.decl)

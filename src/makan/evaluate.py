@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import semmap
 from .annotator import SpatialAnnotation
-from .textnorm import normalize
+from .textnorm import OffsetSpan, normalize
 
 TOP = semmap.TOP_LEVEL
 
@@ -92,12 +92,6 @@ def round2(x) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-def _matches(mode: MatchMode, system: SpatialAnnotation, gold: SpatialAnnotation) -> bool:
-    if mode is MatchMode.TRIGGER_EXACT:
-        return system.trigger == gold.trigger
-    return system.span.overlaps(gold.span)
-
-
 def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     """Greedy one-to-one system-to-gold alignment per document.
 
@@ -122,15 +116,25 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         sys_anns = sorted(sys_doc.annotations, key=lambda a: (a.trigger.start, a.span.start))
         gold_anns = list(gold_doc.annotations)
         gold_cats = [semmap.top_level(smap, g.category) for g in gold_anns]
+        # gold indices in candidate order: a system annotation takes the first untaken one it matches
+        order = sorted(range(len(gold_anns)), key=lambda k: (gold_anns[k].span.start, gold_anns[k].trigger.start, k))
+        queues: dict[tuple[OffsetSpan, str], list[int]] = {}  # (trigger, category) -> untaken gold, first last
+        if mode is MatchMode.TRIGGER_EXACT:
+            for idx in reversed(order):
+                queues.setdefault((gold_anns[idx].trigger, gold_cats[idx]), []).append(idx)
         for ann in sys_anns:
             cat = semmap.top_level(smap, ann.category)
-            candidates = [
-                (g.span.start, g.trigger.start, idx)
-                for idx, g in enumerate(gold_anns)
-                if idx not in taken and gold_cats[idx] == cat and _matches(mode, ann, g)
-            ]
-            if candidates:
-                taken.add(min(candidates)[2])
+            if mode is MatchMode.TRIGGER_EXACT:
+                queue = queues.get((ann.trigger, cat))
+                hit = queue.pop() if queue else None
+            else:
+                overlapping = (
+                    idx for idx in order
+                    if idx not in taken and gold_cats[idx] == cat and ann.span.overlaps(gold_anns[idx].span)
+                )
+                hit = next(overlapping, None)
+            if hit is not None:
+                taken.add(hit)
                 report.categories[cat].tp += 1
             else:
                 report.categories[cat].fp += 1

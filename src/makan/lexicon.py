@@ -74,7 +74,7 @@ class LexEntry:
     flags: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexMatch:
     entry: LexEntry
     length: int                     # tokens covered
@@ -135,22 +135,24 @@ class Lexicon:
         """
         if not 0 <= i < len(tokens):
             raise IndexError(f"token index {i} out of range")
+        token = tokens[i]
         out: list[LexMatch] = []
         # `_by_first` lists are in the output order already; filtering keeps it
-        for words, entry, suffixed in self._by_first.get(tokens[i].stem, ()):
-            if i + len(words) > len(tokens):
-                continue
-            if all(tokens[i + k].stem == words[k] for k in range(1, len(words))):
-                out.append(LexMatch(entry=entry, length=len(words), suffixed=suffixed))
-        if any(p.kind == "preposition" and p.text == "ب" for p in tokens[i].proclitics):
-            n = len(out)
-            for words, entry, _ in self._by_first.get("ب", ()):
-                if len(words) == 1 and entry.cls is LexClass.PREP:
-                    out.append(LexMatch(entry=entry, length=1, via_proclitic=True))
-            if len(out) > n:
-                out.sort(
-                    key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic)
-                )
+        for words, entry, suffixed in self._by_first.get(token.stem, ()):
+            n = len(words)
+            if n == 1 or (i + n <= len(tokens) and all(tokens[i + k].stem == words[k] for k in range(1, n))):
+                out.append(LexMatch(entry, n, suffixed))
+        for p in token.proclitics:
+            if p.kind == "preposition" and p.text == "ب":
+                break
+        else:  # no ب proclitic
+            return out
+        n = len(out)
+        for words, entry, _ in self._by_first.get("ب", ()):
+            if len(words) == 1 and entry.cls is LexClass.PREP:
+                out.append(LexMatch(entry, 1, via_proclitic=True))
+        if len(out) > n:
+            out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
         return out
 
 

@@ -34,7 +34,7 @@ PREP_PROCLITICS = ("ب", "ل", "ك")
 ARTICLE = "ال"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OffsetSpan:
     """Half-open [start, end) span of Unicode scalar indices into the original text."""
 
@@ -52,14 +52,14 @@ class OffsetSpan:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proclitic:
     span: OffsetSpan
     kind: str  # coordination | preposition | article
     text: str  # normalized form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     span: OffsetSpan          # whole word in the original text
     surface: str              # original substring, diacritics and all
@@ -189,32 +189,26 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     right; unsegmentable words become single-stem tokens.
     """
     norm, omap = normalize(text, variants)
+    # normalized word -> ((kind, start, end, text) per proclitic, stem start, stem); one split per distinct word
+    splits: dict[str, tuple] = {}
     tokens: list[Token] = []
     for wmatch in _WORD_RE.finditer(norm):
         word = wmatch.group()
-        a = wmatch.start()
-        n = len(word)
-        cuts, stem_start = _split_clitics(word, lexicon)
-
-        def bound(rel: int) -> int:
-            # Partition boundary in the original text for a cut at `rel`.
-            if rel >= n:
-                return omap[a + n - 1] + 1
-            return omap[a + rel]
-
-        proclitics = []
-        for kind, cs, ce in cuts:
-            proclitics.append(
-                Proclitic(span=OffsetSpan(bound(cs), bound(ce)), kind=kind, text=word[cs:ce])
+        split = splits.get(word)
+        if split is None:
+            cuts, stem_start = _split_clitics(word, lexicon)
+            split = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts), stem_start, word[stem_start:]
+            splits[word] = split
+        cuts, stem_start, stem = split
+        a, b = wmatch.span()
+        end = omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
+        span = OffsetSpan(omap[a], end)
+        if cuts:
+            proclitics = tuple(
+                Proclitic(OffsetSpan(omap[a + cs], omap[a + ce]), kind, ctext) for kind, cs, ce, ctext in cuts
             )
-        span = OffsetSpan(bound(0), bound(n))
-        tokens.append(
-            Token(
-                span=span,
-                surface=text[span.start : span.end],
-                proclitics=tuple(proclitics),
-                stem_span=OffsetSpan(bound(stem_start), bound(n)),
-                stem=word[stem_start:],
-            )
-        )
+            stem_span = OffsetSpan(omap[a + stem_start], end)
+        else:
+            proclitics, stem_span = (), span
+        tokens.append(Token(span, text[span.start : end], proclitics, stem_span, stem))
     return tokens

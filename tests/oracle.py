@@ -1,12 +1,17 @@
-"""Independent brute-force reference for the grammar engine.
+"""Independent brute-force references for the grammar engine, the tokenizer and scoring.
 
-Enumerates every (rule, start, alignment) combination directly from the rule
-structure and filters by the published winner ordering. Kept deliberately
-separate from the engine's matcher so the two can disagree.
+The engine reference enumerates every (rule, start, alignment) combination
+directly from the rule structure and filters by the published winner
+ordering. The tokenizer reference splits every word anew and computes every
+boundary through one closure; the scoring reference scans all gold for each
+system annotation. Kept deliberately separate from the program's own paths
+so the two can disagree.
 """
 
+from makan import semmap
 from makan.lexicon import LexClass
 from makan.semmap import subsumes
+from makan.textnorm import _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics, normalize
 
 
 def _test_ok(test, lex_match, smap):
@@ -78,3 +83,66 @@ def oracle_apply(grammar, tokens, lexicon):
 
 def as_tuples(raw_matches):
     return [(m.rule, m.span, m.captures, m.output) for m in raw_matches]
+
+
+def reference_tokenize(text, lexicon=None, variants=None):
+    """Tokens built word by word: clitics split for every occurrence, boundaries through `bound`."""
+    norm, omap = normalize(text, variants)
+    tokens = []
+    for wmatch in _WORD_RE.finditer(norm):
+        word = wmatch.group()
+        a = wmatch.start()
+        n = len(word)
+        cuts, stem_start = _split_clitics(word, lexicon)
+
+        def bound(rel):
+            # Partition boundary in the original text for a cut at `rel`.
+            if rel >= n:
+                return omap[a + n - 1] + 1
+            return omap[a + rel]
+
+        proclitics = tuple(
+            Proclitic(span=OffsetSpan(bound(cs), bound(ce)), kind=kind, text=word[cs:ce]) for kind, cs, ce in cuts
+        )
+        span = OffsetSpan(bound(0), bound(n))
+        tokens.append(
+            Token(
+                span=span,
+                surface=text[span.start : span.end],
+                proclitics=proclitics,
+                stem_span=OffsetSpan(bound(stem_start), bound(n)),
+                stem=word[stem_start:],
+            )
+        )
+    return tokens
+
+
+def reference_score(gold_docs, system_docs, trigger_exact):
+    """(per-category [tp, fp, fn], bruit annotations, silence annotations), scanning all gold per system annotation."""
+    smap = semmap.default_map()
+    counts = {cat: [0, 0, 0] for cat in semmap.TOP_LEVEL}
+    bruit, silence = [], []
+    system_by_id = {d.doc_id: d for d in system_docs}
+    for gold_doc in sorted(gold_docs, key=lambda d: d.doc_id):
+        gold = list(gold_doc.annotations)
+        taken = set()
+        for ann in sorted(system_by_id[gold_doc.doc_id].annotations, key=lambda a: (a.trigger.start, a.span.start)):
+            cat = semmap.top_level(smap, ann.category)
+            candidates = [
+                (g.span.start, g.trigger.start, idx)
+                for idx, g in enumerate(gold)
+                if idx not in taken
+                and semmap.top_level(smap, g.category) == cat
+                and (ann.trigger == g.trigger if trigger_exact else ann.span.overlaps(g.span))
+            ]
+            if candidates:
+                taken.add(min(candidates)[2])
+                counts[cat][0] += 1
+            else:
+                counts[cat][1] += 1
+                bruit.append(ann)
+        for idx, g in enumerate(gold):
+            if idx not in taken:
+                counts[semmap.top_level(smap, g.category)][2] += 1
+                silence.append(g)
+    return counts, bruit, silence

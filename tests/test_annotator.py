@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 
@@ -255,6 +256,18 @@ def test_annotate_rejects_mismatched_map_on_text_without_a_match(bundle):
     tiny = SpatialityMap({"SPATIAL": CategoryNode(id="SPATIAL", label="SPATIAL", parent=None)})
     with pytest.raises(ValueError, match="does not resolve"):
         annotate("", lex, grammar, tiny, variants=variants)
+
+
+def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in suite_gold:
+            run(doc.text)
+        run("\n".join(doc.text for doc in suite_gold))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_annotate_is_deterministic_and_idempotent(run, suite_gold):

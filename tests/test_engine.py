@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from makan.annotator import annotate
 from makan.engine import GrammarError, apply, compile
 from makan.lexicon import Lexicon, _parse_line
-from makan.semmap import default_map
+from makan.semmap import CategoryNode, SpatialityMap, default_map
 from makan.textnorm import tokenize
 from oracle import as_tuples, oracle_apply
 
@@ -287,6 +287,19 @@ dusk	NOUN_SITE
         grammar = compile(src, lex, SMAP)
         (match,) = apply(grammar, tokenize("at dusk", lex), lex)
         assert (match.evidence["site"] and match.evidence["site"].entry.cls.value) == cls, site
+
+
+def test_compile_rejects_lexicon_sense_missing_from_the_grammar_map():
+    extra = "TOPOLOGICAL.SUPPORT.EXTRA"
+    wider = SpatialityMap({**SMAP.nodes, extra: CategoryNode(extra, "EXTRA", "TOPOLOGICAL.SUPPORT")})
+    lex = Lexicon(
+        [_parse_line(f"on\tPREP\t{extra}", 1, "<test>"), _parse_line("box\tNOUN_SITE", 2, "<test>")], wider
+    )
+    src = "RULE r PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
+    with pytest.raises(GrammarError, match=f"lexicon entry on: sense {extra} is not in the grammar's map"):
+        compile(src, lex, SMAP)
+    (match,) = apply(compile(src, lex, wider), tokenize("on box", lex), lex)  # on its own map it matches
+    assert match.captures == {"trigger": (0, 1), "site": (1, 2)}
 
 
 # words covering triggers, locution parts, sites, verbs, demonstratives,

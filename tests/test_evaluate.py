@@ -15,6 +15,7 @@ from makan.evaluate import (
     split,
 )
 from makan.textnorm import OffsetSpan
+from oracle import reference_score
 
 CATEGORY_FOR = {
     "TOPOLOGICAL": "TOPOLOGICAL.SUPPORT",
@@ -219,3 +220,31 @@ def test_error_report_empty():
     gold, _ = _counts_doc("TOPOLOGICAL", 1, 0, 0)
     report = score([gold], [gold], MatchMode.TRIGGER_EXACT)
     assert error_report(report) == {"bruit": [], "silence": []}
+
+
+# trigger spans that collide, hulls that overlap, leaves that share a top-level category
+_SPAN_PAIRS = [
+    ((t, t + w), (t, t + w + x)) for t, w, x in ((0, 1, 0), (0, 1, 3), (0, 2, 1), (2, 1, 0), (2, 2, 2), (5, 1, 1))
+]
+_CATEGORIES = ("TOPOLOGICAL.SUPPORT", "TOPOLOGICAL.INCLUSION", "DIRECTIONAL.GOAL", "PROJECTIVE.DISTANCE")
+_ANNS = st.builds(
+    lambda spans, category: SpatialAnnotation(
+        span=OffsetSpan(*spans[1]), category=category, trigger=OffsetSpan(*spans[0]), rule="r"
+    ),
+    st.sampled_from(_SPAN_PAIRS),
+    st.sampled_from(_CATEGORIES),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(_ANNS, max_size=8), st.lists(_ANNS, max_size=8)), min_size=1, max_size=3))
+def test_score_equals_reference_scan(docs):
+    text = "ا" * 10
+    gold = [_doc(f"d{i}", text, g) for i, (g, _) in enumerate(docs)]
+    system = [_doc(f"d{i}", text, s) for i, (_, s) in enumerate(docs)]
+    for mode in MatchMode:
+        report = score(gold, system, mode)
+        counts, bruit, silence = reference_score(gold, system, mode is MatchMode.TRIGGER_EXACT)
+        assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
+        assert [r.annotation for r in report.bruit] == bruit
+        assert [r.annotation for r in report.silence] == silence

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makan.textnorm import OffsetSpan, load_variant_table, normalize, tokenize
+from oracle import reference_tokenize
 
 # letters, diacritics, proclitic letters, punctuation and digits mixed in
 _ARABIC_SOUP = st.text(
@@ -178,3 +181,55 @@ def test_tokenize_deterministic(bundle, text):
 def test_offset_span_rejects_empty():
     with pytest.raises(ValueError):
         OffsetSpan(3, 3)
+
+
+_LETTERS = "ءابتثجحخدذرزسشصضطظعغفقكلمنهويةؤئ" "أإآى"
+_MARKS = "ًٌٍَُِّْٰ" "ـ"
+_PREFIXES = ("", "و", "ف", "ب", "ل", "ك", "ال", "وال", "بال", "فبال", "ولل", "وب", "كال")
+
+
+@st.composite
+def _word(draw, lexical_words):
+    """An Arabic word (random letters or a lexicon/variant form) behind proclitic letters, marks scattered in."""
+    stem = draw(st.sampled_from(lexical_words) | st.text(alphabet=_LETTERS, min_size=1, max_size=6))
+    letters = draw(st.sampled_from(_PREFIXES)) + stem
+    mark = st.sampled_from(("",) * 4 + tuple(_MARKS) + ("َّ",))
+    marks = draw(st.lists(mark, min_size=len(letters), max_size=len(letters)))
+    return draw(st.sampled_from(("",) * 6 + tuple(_MARKS))) + "".join(map("".join, zip(letters, marks)))
+
+
+@st.composite
+def _texts(draw, lexical_words):
+    """Words from a small drawn vocabulary, so they recur, between punctuation, Latin and digits."""
+    vocabulary = draw(st.lists(_word(lexical_words), min_size=1, max_size=4))
+    piece = (
+        st.sampled_from(vocabulary)
+        | st.sampled_from((" ", " ", "\n", ".", "،", "؟", "!", "\"", "(", ") ", " - "))
+        | st.text(alphabet="abcXYZ0129", min_size=1, max_size=4)
+    )
+    return "".join(draw(st.lists(piece, max_size=12)))
+
+
+@pytest.mark.parametrize("with_lexicon,with_variants", [(False, False), (True, False), (False, True), (True, True)])
+def test_tokenize_equals_reference_tokenizer(bundle, with_lexicon, with_variants):
+    lex = bundle[1] if with_lexicon else None
+    variants = bundle[3] if with_variants else None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_texts(sorted(bundle[1]._forms | bundle[3].keys())))
+    def check(text):
+        assert tokenize(text, lex, variants) == reference_tokenize(text, lex, variants)
+
+    check()
+
+
+def test_token_and_lex_match_survive_pickle_and_deepcopy(bundle):
+    lex = bundle[1]
+    (token,) = tokenize("وبالبيتِ", lex)
+    assert [p.kind for p in token.proclitics] == ["coordination", "preposition", "article"]
+    matches = lex.lookup(tokenize("بالبيت", lex), 0)
+    assert any(m.via_proclitic for m in matches)
+    for obj in (token, *matches):
+        assert copy.deepcopy(obj) == obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) == obj
