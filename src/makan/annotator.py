@@ -95,7 +95,7 @@ def annotate(
     tokens = tokenize(text, lexicon, variants)
     annotations = []
     for match in engine.apply(grammar, tokens, lexicon):
-        vetoed, alternates = guards.run_guards(match.guards, tokens, match, lexicon)
+        vetoed, alternates = guards.run_guards(match.guards, tokens, match)
         if vetoed:
             continue
         annotations.append(_convert(match, tokens, alternates))

@@ -77,6 +77,7 @@ class RawMatch:
     output: str
     guards: tuple[str, ...]                   # the rule's guards, run before emission
     evidence: dict[str, LexMatch | None] = field(default_factory=dict)
+    following: tuple[LexMatch, ...] = ()      # lookups of the token after the trigger, if any
 
 
 class CompiledGrammar:
@@ -363,17 +364,27 @@ def _best_alignment(atoms, ai: int, tokens, lookups, pos: int, vec: tuple[int, .
 def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
     winner order; one winner per start; resume after the winner's trigger."""
-    lookups = [lexicon.lookup(tokens, i) for i in range(len(tokens))]
+    memos = ({}, {})  # by whether the token has a ب proclitic: stem -> (lookups, candidate ranks)
+    lookups, candidates = [], []  # per token: its lookups, its candidate ranks in winner order
+    for i, tok in enumerate(tokens):
+        memo = memos[bool(tok.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics)]
+        hit = memo.get(tok.stem)
+        if hit is None:
+            found = lexicon.lookup(tokens, i)
+            ranks = set(grammar.always).union(grammar.first.get(tok.stem, ()))
+            for m in found:
+                for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
+                    ranks.update(grammar.first.get(k, ()))
+            hit = (found, sorted(ranks))
+            if tok.stem not in lexicon.locution_starts:  # whose lookups depend on the next token
+                memo[tok.stem] = hit
+        lookups.append(hit[0])
+        candidates.append(hit[1])
     out: list[RawMatch] = []
     i = 0
     while i < len(tokens):
-        ranks = set(grammar.always)
-        ranks.update(grammar.first.get(tokens[i].stem, ()))
-        for m in lookups[i]:
-            for key in (m.entry.cls, *m.entry.senses, *m.entry.flags):
-                ranks.update(grammar.first.get(key, ()))
         best = None
-        for rank in sorted(ranks):
+        for rank in candidates[i]:
             rule = grammar.ordered[rank]
             if best is not None and rule.priority < best[1].priority:
                 break  # under (priority, length, decl) no later candidate can win
@@ -388,15 +399,16 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
             i += 1
             continue
         _, rule, total, caps, ev = best
+        start, i = i, caps["trigger"][1]  # resume after the trigger
         out.append(
             RawMatch(
                 rule=rule.name,
-                span=(i, i + total),
+                span=(start, start + total),
                 captures=caps,
                 output=rule.output,
                 guards=rule.guards,
                 evidence=ev,
+                following=tuple(lookups[i]) if i < len(tokens) else (),
             )
         )
-        i = caps["trigger"][1]
     return out

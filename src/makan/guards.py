@@ -6,7 +6,7 @@ trigger's alternate senses. All guards are pure.
 
 from __future__ import annotations
 
-from .lexicon import NOUN_CLASSES, LexClass, Lexicon
+from .lexicon import NOUN_CLASSES, LexClass
 
 # Negation particles checked in the scope window (كي لا is covered by لا).
 NEG_PARTICLES = frozenset({"لا", "لم", "لن", "ما", "ليس"})
@@ -21,7 +21,7 @@ def _site_evidence(match):
     return match.evidence.get("site")
 
 
-def guard_neg_scope(tokens, match, lexicon: Lexicon | None = None) -> bool:
+def guard_neg_scope(tokens, match) -> bool:
     """Veto iff a negation particle precedes the governing verb (or the trigger
     when the match has no verb capture) within the scope window."""
     anchor = match.captures.get("verb") or match.captures["trigger"]
@@ -29,7 +29,7 @@ def guard_neg_scope(tokens, match, lexicon: Lexicon | None = None) -> bool:
     return any(tok.stem in NEG_PARTICLES for tok in tokens[lo : anchor[0]])
 
 
-def guard_abstract_site(tokens, match, lexicon: Lexicon | None = None) -> bool:
+def guard_abstract_site(tokens, match) -> bool:
     """Veto iff the site head is abstract-capable; only concrete places count."""
     site = _site_evidence(match)
     if site is None:
@@ -38,13 +38,13 @@ def guard_abstract_site(tokens, match, lexicon: Lexicon | None = None) -> bool:
     return entry.cls is LexClass.NOUN_ABSTRACT_SITE or "ABSTRACT_CAPABLE" in entry.flags
 
 
-def guard_temporal_site(tokens, match, lexicon: Lexicon | None = None) -> bool:
+def guard_temporal_site(tokens, match) -> bool:
     """Veto iff the site head is a temporal noun (بين ساعة الغروب ...)."""
     site = _site_evidence(match)
     return site is not None and site.entry.cls is LexClass.NOUN_TEMPORAL
 
 
-def guard_possessive_required(tokens, match, lexicon: Lexicon | None = None) -> bool:
+def guard_possessive_required(tokens, match) -> bool:
     """Veto a bare lateral/vertical trigger that has neither a pronoun suffix
     nor a following noun complement (يمين alone says nothing spatial)."""
     trig = match.evidence.get("trigger")
@@ -52,15 +52,10 @@ def guard_possessive_required(tokens, match, lexicon: Lexicon | None = None) -> 
         return False
     if "site" in match.captures:
         return False
-    j = match.captures["trigger"][1]
-    if lexicon is not None and j < len(tokens):
-        for m in lexicon.lookup(tokens, j):
-            if m.entry.cls in NOUN_CLASSES:
-                return False
-    return True
+    return not any(m.entry.cls in NOUN_CLASSES for m in match.following)
 
 
-def guard_plural_site(tokens, match, lexicon: Lexicon | None = None) -> bool:
+def guard_plural_site(tokens, match) -> bool:
     """Veto a distribution match whose site is not plural, dual, possessive or
     coordinated (بين requires a plural-like complement)."""
     span = match.captures.get("site")
@@ -78,7 +73,7 @@ def guard_plural_site(tokens, match, lexicon: Lexicon | None = None) -> bool:
     return True
 
 
-def guard_dual_sense(tokens, match, lexicon: Lexicon | None = None) -> list[str]:
+def guard_dual_sense(tokens, match) -> list[str]:
     """Never vetoes; returns alternate categories for dual-sense triggers."""
     trig = match.evidence.get("trigger")
     if trig is None or "AMBIGUOUS_DUAL" not in trig.entry.flags:
@@ -98,12 +93,12 @@ BLOCKING_GUARDS = {
 KNOWN_GUARDS = frozenset(BLOCKING_GUARDS) | {"DUAL_SENSE"}
 
 
-def run_guards(guard_names, tokens, match, lexicon: Lexicon) -> tuple[bool, list[str]]:
+def run_guards(guard_names, tokens, match) -> tuple[bool, list[str]]:
     """Evaluate a match's guards; returns (vetoed, alternate categories)."""
     alternates: list[str] = []
     for name in guard_names:
         if name == "DUAL_SENSE":
-            alternates = guard_dual_sense(tokens, match, lexicon)
-        elif BLOCKING_GUARDS[name](tokens, match, lexicon):
+            alternates = guard_dual_sense(tokens, match)
+        elif BLOCKING_GUARDS[name](tokens, match):
             return True, []
     return False, alternates

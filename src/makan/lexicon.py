@@ -108,19 +108,26 @@ class Lexicon:
                 if flag not in FLAGS:
                     raise LexiconError(f"entry {e.lemma}: unknown flag {flag}")
         self.entries = tuple(entries)
-        # word sequences (including generated suffixed variants) by first word
+        # word sequences (with generated suffixed variants): one-word forms by the word, longer by the first two
         self._by_first: dict[str, list[tuple[tuple[str, ...], LexEntry, bool]]] = {}
+        self._by_pair: dict[tuple[str, str], list[tuple[tuple[str, ...], LexEntry, bool]]] = {}
         self._forms: set[str] = set()
         for e in entries:
             self._index(e.words, e, suffixed=False)
             if e.flags & _SUFFIX_FLAGS:
                 for variant in _suffixed_variants(e.words[-1]):
                     self._index(e.words[:-1] + (variant,), e, suffixed=True)
-        for alts in self._by_first.values():
+        for alts in (*self._by_first.values(), *self._by_pair.values()):
             alts.sort(key=lambda t: (-len(t[0]), _CLASS_ORDER.get(t[1].cls, 2), t[1].lemma))
+        # first words of multiword forms: the only stems whose matches depend on the next token
+        self.locution_starts = frozenset(pair[0] for pair in self._by_pair)
+        self._baa = tuple(  # what a ب proclitic matches: the PREP entries ب
+            LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
+        )
 
     def _index(self, words: tuple[str, ...], entry: LexEntry, suffixed: bool):
-        self._by_first.setdefault(words[0], []).append((words, entry, suffixed))
+        index, key = (self._by_first, words[0]) if len(words) == 1 else (self._by_pair, words[:2])
+        index.setdefault(key, []).append((words, entry, suffixed))
         self._forms.update(words)
 
     def has_word(self, word: str) -> bool:
@@ -137,22 +144,19 @@ class Lexicon:
             raise IndexError(f"token index {i} out of range")
         token = tokens[i]
         out: list[LexMatch] = []
-        # `_by_first` lists are in the output order already; filtering keeps it
-        for words, entry, suffixed in self._by_first.get(token.stem, ()):
-            n = len(words)
-            if n == 1 or (i + n <= len(tokens) and all(tokens[i + k].stem == words[k] for k in range(1, n))):
-                out.append(LexMatch(entry, n, suffixed))
+        # each list is in the output order already, and every multiword form outranks a one-word form
+        if token.stem in self.locution_starts and i + 1 < len(tokens):
+            for words, entry, suffixed in self._by_pair.get((token.stem, tokens[i + 1].stem), ()):
+                n = len(words)
+                if n == 2 or (i + n <= len(tokens) and all(tokens[i + k].stem == words[k] for k in range(2, n))):
+                    out.append(LexMatch(entry, n, suffixed))
+        for _, entry, suffixed in self._by_first.get(token.stem, ()):
+            out.append(LexMatch(entry, 1, suffixed))
         for p in token.proclitics:
-            if p.kind == "preposition" and p.text == "ب":
+            if p.kind == "preposition" and p.text == "ب" and self._baa:
+                out.extend(self._baa)
+                out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
                 break
-        else:  # no ب proclitic
-            return out
-        n = len(out)
-        for words, entry, _ in self._by_first.get("ب", ()):
-            if len(words) == 1 and entry.cls is LexClass.PREP:
-                out.append(LexMatch(entry, 1, via_proclitic=True))
-        if len(out) > n:
-            out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
         return out
 
 

@@ -25,9 +25,15 @@ _FOLD = {
     "ى": "ي",  # ى
 }
 
+# `normalize` without its offset map; a list, not a dict, so `str.translate` finds each letter by index.
+_TABLE = [None if ch in _REMOVED else ord(_FOLD.get(ch, ch)) for ch in map(chr, range(0x700))]
+_MARKS = "".join(sorted(_REMOVED))
+
 # A token is a maximal run of Arabic letters, Latin letters or digits;
 # everything else (whitespace, punctuation, quotes) separates.
 _WORD_RE = re.compile(r"[ء-يA-Za-z0-9]+")
+# In the original text a normalized word is a maximal run of word characters and dropped marks.
+_RUN_RE = re.compile("[" + _WORD_RE.pattern[1:-2] + _MARKS + "]+")
 
 COORD_PROCLITICS = ("و", "ف")
 PREP_PROCLITICS = ("ب", "ل", "ك")
@@ -188,27 +194,54 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     Proclitic spans and the stem span partition each token span left to
     right; unsegmentable words become single-stem tokens.
     """
-    norm, omap = normalize(text, variants)
-    # normalized word -> ((kind, start, end, text) per proclitic, stem start, stem); one split per distinct word
-    splits: dict[str, tuple] = {}
+    splits: dict[str, tuple] = {}  # normalized word -> (proclitic cuts, stem start, stem)
+    runs: dict[str, tuple] = {}  # surface run -> its words (see `_run_words`): each worked out once a call
     tokens: list[Token] = []
-    for wmatch in _WORD_RE.finditer(norm):
-        word = wmatch.group()
-        split = splits.get(word)
-        if split is None:
-            cuts, stem_start = _split_clitics(word, lexicon)
-            split = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts), stem_start, word[stem_start:]
-            splits[word] = split
-        cuts, stem_start, stem = split
-        a, b = wmatch.span()
-        end = omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
-        span = OffsetSpan(omap[a], end)
-        if cuts:
-            proclitics = tuple(
-                Proclitic(OffsetSpan(omap[a + cs], omap[a + ce]), kind, ctext) for kind, cs, ce, ctext in cuts
-            )
-            stem_span = OffsetSpan(omap[a + stem_start], end)
-        else:
-            proclitics, stem_span = (), span
-        tokens.append(Token(span, text[span.start : end], proclitics, stem_span, stem))
+    for rmatch in _RUN_RE.finditer(text):
+        run = rmatch.group()
+        words = runs.get(run)
+        if words is None:
+            words = runs[run] = _run_words(run, lexicon, variants, splits)
+        r0 = rmatch.start()
+        for ws, we, surface, cuts, stem_start, stem in words:
+            end = r0 + we
+            span = OffsetSpan(r0 + ws, end)
+            if cuts:
+                proclitics = tuple(
+                    Proclitic(OffsetSpan(r0 + cs, r0 + ce), kind, ctext) for kind, cs, ce, ctext in cuts
+                )
+                stem_span = OffsetSpan(r0 + stem_start, end)
+            else:
+                proclitics, stem_span = (), span
+            tokens.append(Token(span, surface, proclitics, stem_span, stem))
     return tokens
+
+
+def _split(word: str, lexicon, splits: dict[str, tuple]) -> tuple:
+    split = splits.get(word)
+    if split is None:
+        cuts, stem_start = _split_clitics(word, lexicon)
+        split = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts), stem_start, word[stem_start:]
+        splits[word] = split
+    return split
+
+
+def _run_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
+    """The words of a surface run as (start, end, surface, cuts, stem start, stem), offsets into the run."""
+    word = run.translate(_TABLE)
+    if word and not (variants and word in variants):  # else marks only, or a variant: through `normalize`
+        cuts, stem_start, stem = _split(word, lexicon, splits)
+        if len(word) == len(run):  # no mark: the run's own indices are the offsets
+            return ((0, len(run), run, cuts, stem_start, stem),)
+        if not cuts:  # marks but no cut: the word runs from its first to its last letter
+            ws, we = len(run) - len(run.lstrip(_MARKS)), len(run.rstrip(_MARKS))
+            return ((ws, we, run[ws:we], cuts, ws, stem),)
+    norm, omap = normalize(run, variants)
+    out = []
+    for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
+        cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
+        a, b = wmatch.span()
+        ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
+        cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)
+        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem))
+    return tuple(out)

@@ -3,13 +3,13 @@
 The engine reference enumerates every (rule, start, alignment) combination
 directly from the rule structure and filters by the published winner
 ordering. The tokenizer reference splits every word anew and computes every
-boundary through one closure; the scoring reference scans all gold for each
-system annotation. Kept deliberately separate from the program's own paths
+boundary through one closure; the lookup reference tries every entry form at
+the token; the scoring reference scans all gold for each system annotation. Kept deliberately separate from the program's own paths
 so the two can disagree.
 """
 
 from makan import semmap
-from makan.lexicon import LexClass
+from makan.lexicon import PRONOUN_SUFFIXES, LexClass, LexMatch
 from makan.semmap import subsumes
 from makan.textnorm import _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics, normalize
 
@@ -115,6 +115,26 @@ def reference_tokenize(text, lexicon=None, variants=None):
             )
         )
     return tokens
+
+
+def reference_lookup(lexicon, tokens, i):
+    """Lexicon matches at token i: every entry and its suffixed forms compared with the stems from i on."""
+    stems = tuple(tok.stem for tok in tokens[i:])
+    baa = any(p.kind == "preposition" and p.text == "ب" for p in tokens[i].proclitics)
+    out = []
+    for entry in lexicon.entries:
+        forms = [(entry.words, False)]
+        if entry.flags & {"PRONOUN_SUFFIXABLE", "REQUIRES_POSSESSIVE_DISAMBIG"}:
+            last = entry.words[-1]
+            base = last[:-1] + "ت" if last.endswith("ة") else last
+            forms += [(entry.words[:-1] + (base + suffix,), True) for suffix in PRONOUN_SUFFIXES]
+        for words, suffixed in forms:
+            if stems[: len(words)] == words:
+                out.append(LexMatch(entry, len(words), suffixed))
+        if baa and entry.words == ("ب",) and entry.cls is LexClass.PREP:
+            out.append(LexMatch(entry, 1, via_proclitic=True))
+    order = {LexClass.PREP_LOCUTION: 0, LexClass.PREP: 1}
+    return sorted(out, key=lambda m: (-m.length, order.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
 
 
 def reference_score(gold_docs, system_docs, trigger_exact):

@@ -312,7 +312,7 @@ def test_no_annotation_survives_inside_vetoed_scope(bundle, suite_system, suite_
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
         for match in apply(grammar, tokens, lex):
-            vetoed, _ = guards.run_guards(guard_map[match.rule], tokens, match, lex)
+            vetoed, _ = guards.run_guards(guard_map[match.rule], tokens, match)
             emitted = [
                 a
                 for a in dict(zip([d.doc_id for d in suite_gold], suite_system))[doc.doc_id].annotations

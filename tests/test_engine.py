@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makan.annotator import annotate
@@ -314,6 +314,8 @@ _POOL = (
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_POOL), max_size=8))
+@example(["الطائرة", "عاد", "بالطائرة"])  # one stem with and without a ب proclitic, in both orders
+@example(["بالطائرة", "عاد", "الطائرة"])
 def test_shipped_grammar_equals_oracle_on_random_sequences(bundle, words):
     smap, lex, grammar, variants = bundle
     tokens = tokenize(" ".join(words), lex, variants)

@@ -38,7 +38,7 @@ def test_abstract_site_is_vetoed(bundle, run):
     text = "مقيم في ردهة نفسي"
     tokens, raw = _raw_matches(bundle, text)
     assert raw
-    assert guards.guard_abstract_site(tokens, raw[0], bundle[1]) is True
+    assert guards.guard_abstract_site(tokens, raw[0]) is True
     assert run(text).annotations == ()
 
 
@@ -46,7 +46,7 @@ def test_concrete_site_passes(bundle, run):
     text = "جلست في المقهى"
     tokens, raw = _raw_matches(bundle, text)
     assert raw
-    assert guards.guard_abstract_site(tokens, raw[0], bundle[1]) is False
+    assert guards.guard_abstract_site(tokens, raw[0]) is False
     assert len(run(text).annotations) == 1
 
 
@@ -58,7 +58,7 @@ def test_temporal_site_is_vetoed(bundle, run):
     text = "عند منتصف الليل"
     tokens, raw = _raw_matches(bundle, text)
     assert raw
-    assert guards.guard_temporal_site(tokens, raw[0], bundle[1]) is True
+    assert guards.guard_temporal_site(tokens, raw[0]) is True
     assert run(text).annotations == ()
 
 
@@ -99,7 +99,7 @@ def test_plural_site_guard_blocks_singular(bundle, run):
     text = "بين باب"
     tokens, raw = _raw_matches(bundle, text)
     assert raw
-    assert guards.guard_plural_site(tokens, raw[0], bundle[1]) is True
+    assert guards.guard_plural_site(tokens, raw[0]) is True
     assert run(text).annotations == ()
 
 

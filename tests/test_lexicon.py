@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from makan.lexicon import LexClass, Lexicon, LexiconError, load, seed_lexicon
+from makan.lexicon import LexClass, Lexicon, LexiconError, _parse_line, load, seed_lexicon
 from makan.semmap import default_map
 from makan.textnorm import normalize, tokenize
+from oracle import reference_lookup
 
 
 def _write(tmp_path, content):
@@ -156,3 +159,39 @@ def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
     path = _write(tmp_path, f"# header\n{lemma}\tNOUN_SITE\n")
     with pytest.raises(LexiconError, match=r"lex\.tsv:2: .*normalizes to nothing"):
         load(path)
+
+
+# 1-, 2- and 3-word forms sharing first words, one lemma under two classes,
+# suffixable entries (one of them three words long) and the ب preposition
+_SHARED_TSV = """ب\tPREP\tTOPOLOGICAL.SUPPORT
+في\tPREP\tTOPOLOGICAL.INCLUSION
+في وسط\tPREP_LOCUTION\tTOPOLOGICAL.INCLUSION
+في وسط\tNOUN_SITE
+في وسط دار\tPREP_LOCUTION\tTOPOLOGICAL.INCLUSION.CONTAINMENT
+وسط\tNOUN_SITE
+دار\tNOUN_SITE
+دار\tPLACE_NAME
+عن\tPREP\tDIRECTIONAL.SOURCE
+عن يمين\tPREP_LOCUTION\tPROJECTIVE.ORIENTATIONAL.LATERAL\tPRONOUN_SUFFIXABLE
+عن يمين واجهة\tNOUN_SITE\t\tPRONOUN_SUFFIXABLE
+يمين\tNOUN_SITE\t\tREQUIRES_POSSESSIVE_DISAMBIG
+واجهة\tNOUN_SITE\t\tPRONOUN_SUFFIXABLE"""
+
+_SHARED_WORDS = (
+    "في وسط دار عن يمين واجهة ب قال "  # entry words and noise
+    "يميني يمينها واجهته "  # suffixed forms
+    "بدار بالدار بوسط بيمين بواجهته وبدار"  # ب proclitics
+).split()
+_SHARED_LEXICON = Lexicon([_parse_line(line, n, "<shared>") for n, line in enumerate(_SHARED_TSV.splitlines(), 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SHARED_WORDS), max_size=10))
+@example(["في", "وسط", "قال"])
+@example(["في", "وسط"])
+@example(["عن", "يمين", "واجهته", "في", "وسط", "بدار"])
+def test_lookup_equals_reference_lookup(words):
+    lex = _SHARED_LEXICON
+    tokens = tokenize(" ".join(words), lex)
+    for i in range(len(tokens)):
+        assert lex.lookup(tokens, i) == reference_lookup(lex, tokens, i), (words, i)

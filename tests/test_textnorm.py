@@ -3,10 +3,10 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makan.textnorm import OffsetSpan, load_variant_table, normalize, tokenize
+from makan.textnorm import _TABLE, OffsetSpan, load_variant_table, normalize, tokenize
 from oracle import reference_tokenize
 
 # letters, diacritics, proclitic letters, punctuation and digits mixed in
@@ -75,6 +75,13 @@ def test_variant_table_rejects_forms_that_normalize_to_nothing(tmp_path, row):
     path.write_text(f"# comment\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* normalizes to nothing"):
         load_variant_table(path)
+
+
+@settings(max_examples=200)
+@given(_ARABIC_SOUP)
+@example("ﻻَ x 𝒜ّ ۀ")  # characters past the table's end map to themselves
+def test_translate_table_equals_normalize(text):
+    assert text.translate(_TABLE) == normalize(text)[0]
 
 
 @settings(max_examples=200)
@@ -217,10 +224,22 @@ def test_tokenize_equals_reference_tokenizer(bundle, with_lexicon, with_variants
 
     @settings(max_examples=150, deadline=None)
     @given(_texts(sorted(bundle[1]._forms | bundle[3].keys())))
+    @example("a ـ َ b")  # mark-only runs
+    @example("وَبِالبَيْتِ")  # a marked word with three proclitics
+    @example("عادَ إلى اللُّوارِيه و سِين")  # vocalized variant-table forms
+    @example("دَرَسَ دُرِسَ درس")  # one word in two vocalizations and bare
     def check(text):
         assert tokenize(text, lex, variants) == reference_tokenize(text, lex, variants)
 
     check()
+
+
+def test_variant_with_a_two_word_canonical_form_equals_reference_tokenizer(bundle):
+    variants = {"سانجيرمان": "سان جيرمان"}
+    for text in ("قال سانجيرمان هنا", "قال سَانْجِيرمان وسانجيرمان"):
+        tokens = tokenize(text, bundle[1], variants)
+        assert tokens == reference_tokenize(text, bundle[1], variants)
+        assert [t.stem for t in tokens[1:3]] == ["سان", "جيرمان"]
 
 
 def test_token_and_lex_match_survive_pickle_and_deepcopy(bundle):
