@@ -38,12 +38,13 @@ class AnnotatedDocument:
     annotations: tuple[SpatialAnnotation, ...]
 
 
+# Spans built from valid token spans skip `OffsetSpan`'s check here and in `_convert`, as in `textnorm.tokenize`.
 def _hull(spans: list[OffsetSpan]) -> OffsetSpan:
-    return OffsetSpan(min(s.start for s in spans), max(s.end for s in spans))
+    return tuple.__new__(OffsetSpan, (min(s.start for s in spans), max(s.end for s in spans)))
 
 
 def _token_hull(tokens, rng: tuple[int, int]) -> OffsetSpan:
-    return OffsetSpan(tokens[rng[0]].span.start, tokens[rng[1] - 1].span.end)
+    return tuple.__new__(OffsetSpan, (tokens[rng[0]].span.start, tokens[rng[1] - 1].span.end))
 
 
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
@@ -58,9 +59,7 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        trigger_span = OffsetSpan(
-            tokens[trig_rng[0]].stem_span.start, tokens[trig_rng[1] - 1].span.end
-        )
+        trigger_span = tuple.__new__(OffsetSpan, (tokens[trig_rng[0]].stem_span.start, tokens[trig_rng[1] - 1].span.end))
     if "site" in match.captures:
         site_span = _token_hull(tokens, match.captures["site"])
     target_span = _token_hull(tokens, match.captures["target"]) if "target" in match.captures else None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 # Diacritics (تشكيل: tanween, harakat, shadda, sukun, combining hamza/madda,
 # dagger alef) and tatweel (تطويل) are dropped before matching.
@@ -40,16 +41,37 @@ PREP_PROCLITICS = ("ب", "ل", "ك")
 ARTICLE = "ال"
 
 
-@dataclass(frozen=True, slots=True)
-class OffsetSpan:
+class _Record(tuple):
+    """An immutable tuple with the fields `__match_args__` names, equal only to a record of its own type."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__  # else defining `__eq__` drops it
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__match_args__, self))})"
+
+
+class OffsetSpan(_Record):
     """Half-open [start, end) span of Unicode scalar indices into the original text."""
 
-    start: int
-    end: int
+    __slots__ = ()
+    __match_args__ = ("start", "end")
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
 
-    def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end <= start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
@@ -58,20 +80,35 @@ class OffsetSpan:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True, slots=True)
-class Proclitic:
-    span: OffsetSpan
-    kind: str  # coordination | preposition | article
-    text: str  # normalized form
+class Proclitic(_Record):
+    __slots__ = ()
+    __match_args__ = ("span", "kind", "text")
+    span = property(itemgetter(0))  # OffsetSpan
+    kind = property(itemgetter(1))  # coordination | preposition | article
+    text = property(itemgetter(2))  # normalized form
+
+    def __new__(cls, span: OffsetSpan, kind: str, text: str):
+        return tuple.__new__(cls, (span, kind, text))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     span: OffsetSpan          # whole word in the original text
     surface: str              # original substring, diacritics and all
     proclitics: tuple[Proclitic, ...]
     stem_span: OffsetSpan     # residue after proclitic detachment
     stem: str                 # normalized residue
+
+    def __init__(self, span, surface, proclitics, stem_span, stem):
+        # Each slot filled through its descriptor: the frozen `__setattr__` path costs twice as much.
+        _set_span(self, span)
+        _set_surface(self, surface)
+        _set_proclitics(self, proclitics)
+        _set_stem_span(self, stem_span)
+        _set_stem(self, stem)
+
+
+_set_span, _set_surface, _set_proclitics, _set_stem_span, _set_stem = (vars(Token)[f].__set__ for f in Token.__match_args__)
 
 
 def normalize(text: str, variants: dict[str, str] | None = None) -> tuple[str, list[int]]:
@@ -123,9 +160,9 @@ def load_variant_table(path) -> dict[str, str]:
     """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
 
     Both columns are normalized on load and may not normalize to nothing; a
-    canonical form may not itself be listed as a variant (the table must be
-    idempotent). Every failure, a missing or undecodable file included, is a
-    ValueError naming the file.
+    canonical form is one word (one `_WORD_RE` match) and may not itself be
+    listed as a variant (the table must be idempotent). Every failure, a
+    missing or undecodable file included, is a ValueError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -144,6 +181,8 @@ def load_variant_table(path) -> dict[str, str]:
         canonical, _ = normalize(parts[1])
         if not (variant and canonical):
             raise ValueError(f"{path}:{lineno}: {parts[1 if variant else 0]!r} normalizes to nothing")
+        if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
+            raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} is not one word")
         table[variant] = canonical
     for canonical in table.values():
         if canonical in table:
@@ -192,11 +231,13 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     """Segment text into tokens with clitic decomposition.
 
     Proclitic spans and the stem span partition each token span left to
-    right; unsegmentable words become single-stem tokens.
+    right; unsegmentable words become single-stem tokens. Its spans skip
+    `OffsetSpan`'s check: run offsets shifted by the run's start are valid.
     """
     splits: dict[str, tuple] = {}  # normalized word -> (proclitic cuts, stem start, stem)
     runs: dict[str, tuple] = {}  # surface run -> its words (see `_run_words`): each worked out once a call
     tokens: list[Token] = []
+    new = tuple.__new__
     for rmatch in _RUN_RE.finditer(text):
         run = rmatch.group()
         words = runs.get(run)
@@ -205,12 +246,12 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
         r0 = rmatch.start()
         for ws, we, surface, cuts, stem_start, stem in words:
             end = r0 + we
-            span = OffsetSpan(r0 + ws, end)
+            span = new(OffsetSpan, (r0 + ws, end))
             if cuts:
                 proclitics = tuple(
-                    Proclitic(OffsetSpan(r0 + cs, r0 + ce), kind, ctext) for kind, cs, ce, ctext in cuts
+                    [new(Proclitic, (new(OffsetSpan, (r0 + cs, r0 + ce)), kind, ctext)) for kind, cs, ce, ctext in cuts]
                 )
-                stem_span = OffsetSpan(r0 + stem_start, end)
+                stem_span = new(OffsetSpan, (r0 + stem_start, end))
             else:
                 proclitics, stem_span = (), span
             tokens.append(Token(span, surface, proclitics, stem_span, stem))

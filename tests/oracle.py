@@ -24,8 +24,8 @@ def _test_ok(test, lex_match, smap):
     raise AssertionError(test.kind)
 
 
-def _all_alignments(rule, tokens, lexicon, smap, start):
-    """Every complete alignment as (total, consumption vector, captures)."""
+def _all_alignments(rule, tokens, lookups, smap, start):
+    """Every complete alignment as (total, consumption vector, captures); `lookups[i]` is `lexicon.lookup(tokens, i)`."""
     results = []
 
     def go(ai, pos, vec, caps):
@@ -46,7 +46,7 @@ def _all_alignments(rule, tokens, lexicon, smap, start):
                         if tokens[pos].stem == test.value:
                             choices.add(1)
                     else:
-                        for m in lexicon.lookup(tokens, pos):
+                        for m in lookups[pos]:
                             if _test_ok(test, m, smap):
                                 choices.add(m.length)
         for consumed in sorted(choices):
@@ -62,12 +62,13 @@ def _all_alignments(rule, tokens, lexicon, smap, start):
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output) tuples under the same winner policy."""
     smap = grammar.smap
+    lookups = [lexicon.lookup(tokens, pos) for pos in range(len(tokens))]
     out = []
     i = 0
     while i < len(tokens):
         candidates = []
         for rule in grammar.rules:
-            alignments = _all_alignments(rule, tokens, lexicon, smap, i)
+            alignments = _all_alignments(rule, tokens, lookups, smap, i)
             if not alignments:
                 continue
             total, vec, caps = max(alignments, key=lambda r: (r[0], r[1]))

@@ -160,6 +160,16 @@ def test_annotate_rejects_variant_that_normalizes_to_nothing(tmp_path, suite_tex
     assert not out.exists()
 
 
+def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_texts, capsys):
+    table = tmp_path / "variants.tsv"
+    table.write_text("سانجيرمان\tسان جيرمان\n", encoding="utf-8")
+    out = tmp_path / "out"
+    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
+    assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
+    assert f"{table}:1: canonical form" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_accepts_explicit_shipped_paths(capsys):
     code = main(
         [

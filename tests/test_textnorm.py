@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makan.textnorm import _TABLE, OffsetSpan, load_variant_table, normalize, tokenize
+from makan.textnorm import _TABLE, OffsetSpan, Proclitic, Token, load_variant_table, normalize, tokenize
 from oracle import reference_tokenize
 
 # letters, diacritics, proclitic letters, punctuation and digits mixed in
@@ -74,6 +75,14 @@ def test_variant_table_rejects_forms_that_normalize_to_nothing(tmp_path, row):
     path = tmp_path / "variants.tsv"
     path.write_text(f"# comment\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* normalizes to nothing"):
+        load_variant_table(path)
+
+
+@pytest.mark.parametrize("canonical", ["سان جيرمان", "سان-جيرمان"])
+def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, canonical):
+    path = tmp_path / "variants.tsv"
+    path.write_text(f"سين\tسان\nسانجيرمان\t{canonical}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: canonical form {canonical!r} is not one word")):
         load_variant_table(path)
 
 
@@ -188,6 +197,54 @@ def test_tokenize_deterministic(bundle, text):
 def test_offset_span_rejects_empty():
     with pytest.raises(ValueError):
         OffsetSpan(3, 3)
+
+
+@pytest.mark.parametrize("start,end", [(-1, 2), (4, 2)])
+def test_offset_span_rejects_a_negative_start_or_a_reversed_span(start, end):
+    with pytest.raises(ValueError, match=re.escape(f"invalid span [{start}, {end})")):
+        OffsetSpan(start, end)
+
+
+def _records():
+    span, proclitic = OffsetSpan(0, 3), Proclitic(OffsetSpan(0, 1), "coordination", "و")
+    return span, proclitic, Token(span, "وفي", (proclitic,), OffsetSpan(1, 3), "في")
+
+
+def test_records_are_immutable():
+    span, proclitic, token = _records()
+    for obj in (span, proclitic, token):
+        for name in obj.__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        span.extra = 1
+
+
+def test_records_equal_and_hash_only_as_their_own_type():
+    span, proclitic, _ = _records()
+    assert span != (0, 3) and (0, 3) != span and not span == (0, 3)
+    assert proclitic != (OffsetSpan(0, 1), "coordination", "و")
+    twin = Proclitic(OffsetSpan(0, 1), "coordination", "و")
+    assert twin == proclitic and hash(twin) == hash(proclitic)
+    assert OffsetSpan(0, 3) == span and hash(OffsetSpan(0, 3)) == hash(span)
+    assert len({span, OffsetSpan(0, 3), (0, 3)}) == 2
+    assert repr(proclitic) == "Proclitic(span=OffsetSpan(start=0, end=1), kind='coordination', text='و')"
+
+
+def test_replace_gives_a_token_with_the_new_span_and_its_other_fields(bundle):
+    (token,) = tokenize("وبالبيتِ", bundle[1])
+    span = OffsetSpan(1, token.span.end)
+    moved = dataclasses.replace(token, span=span)
+    assert type(moved) is Token
+    assert moved == Token(span, token.surface, token.proclitics, token.stem_span, token.stem) != token
+
+
+def test_span_and_proclitic_survive_pickle_and_deepcopy():
+    span, proclitic, _ = _records()
+    for obj in (span, proclitic):
+        assert copy.deepcopy(obj) == obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) == obj
 
 
 _LETTERS = "ءابتثجحخدذرزسشصضطظعغفقكلمنهويةؤئ" "أإآى"
