@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import engine, guards, rulepack, semmap
+from . import engine, guards, semmap
 from .lexicon import Lexicon
 from .textnorm import OffsetSpan, tokenize
 
@@ -64,7 +64,6 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
         site_span = _token_hull(tokens, match.captures["site"])
     target_span = _token_hull(tokens, match.captures["target"]) if "target" in match.captures else None
 
-    trig_lemma = trig_ev.entry.lemma if trig_ev is not None else None
     spans = [trigger_span] + [s for s in (site_span, target_span) if s is not None]
     return SpatialAnnotation(
         span=_hull(spans),
@@ -72,7 +71,7 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
         trigger=trigger_span,
         site=site_span,
         target=target_span,
-        attributes=rulepack.attributes_for(match.rule, trig_lemma),
+        attributes=dict(trig_ev.entry.attributes) if trig_ev is not None else {},
         alternates=tuple(alternates),
         rule=match.rule,
     )

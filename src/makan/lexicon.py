@@ -1,13 +1,15 @@
 """Trigger vocabulary: prepositions, locutions, site/target nouns, verbs, place names.
 
-Entries are read from a flat TSV (`lemma<TAB>class<TAB>senses<TAB>flags`),
-validated against the semantic map, and indexed for longest-first multiword
-lookup over token stems.
+Entries are read from a flat TSV (`lemma<TAB>class<TAB>senses<TAB>flags<TAB>attributes`,
+the last three optional), validated against the semantic map, and indexed for
+longest-first multiword lookup over token stems.
 """
 
 from __future__ import annotations
 
 import enum
+import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,6 +49,7 @@ FLAGS = frozenset(
         "NO_CONTACT_REQUIRED",
         "POLYSEMOUS_SOURCE",
         "AMBIGUOUS_DUAL",
+        "GAZE_LEXEME",
         # extension: entry also matches with an attached pronoun suffix
         "PRONOUN_SUFFIXABLE",
     }
@@ -72,6 +75,7 @@ class LexEntry:
     cls: LexClass
     senses: frozenset[str]          # category paths into the semantic map
     flags: frozenset[str]
+    attributes: tuple[tuple[str, object], ...] = ()  # (name, JSON scalar) pairs copied onto annotations it triggers
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +84,16 @@ class LexMatch:
     length: int                     # tokens covered
     suffixed: bool = False          # matched through a pronoun-suffixed form
     via_proclitic: bool = False     # matched on a ب proclitic, not the stem
+
+
+def _check_attributes(attributes, where: str) -> None:
+    """LexiconError naming `where` unless `attributes` is a tuple of (name, finite JSON scalar) pairs in UTF-8."""
+    for pair in attributes if type(attributes) is tuple else [attributes]:
+        name, value = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+        text = name + value if type(name) is type(value) is str else name
+        scalar = math.isfinite(value) if type(value) is float else value is None or type(value) in (str, bool, int)
+        if type(text) is not str or not scalar or any("\ud800" <= c <= "\udfff" for c in text):
+            raise LexiconError(f"{where}: attribute {pair!r} must be a name and a finite JSON scalar, in UTF-8")
 
 
 def _suffixed_variants(word: str) -> list[str]:
@@ -95,10 +109,9 @@ class Lexicon:
         smap = smap or semmap.default_map()
         seen: set[tuple[str, LexClass]] = set()
         for e in entries:
-            key = (e.lemma, e.cls)
-            if key in seen:
+            if (e.lemma, e.cls) in seen:
                 raise LexiconError(f"duplicate entry ({e.lemma}, {e.cls.value})")
-            seen.add(key)
+            seen.add((e.lemma, e.cls))
             if e.cls in (LexClass.PREP, LexClass.PREP_LOCUTION) and not e.senses:
                 raise LexiconError(f"entry {e.lemma}: {e.cls.value} requires at least one sense")
             for sense in e.senses:
@@ -107,6 +120,7 @@ class Lexicon:
             for flag in e.flags:
                 if flag not in FLAGS:
                     raise LexiconError(f"entry {e.lemma}: unknown flag {flag}")
+            _check_attributes(e.attributes, f"entry {e.lemma}")
         self.entries = tuple(entries)
         # word sequences (with generated suffixed variants): one-word forms by the word, longer by the first two
         self._by_first: dict[str, list[tuple[tuple[str, ...], LexEntry, bool]]] = {}
@@ -162,25 +176,26 @@ class Lexicon:
 
 def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
     parts = line.split("\t")
-    if len(parts) < 2:
-        raise LexiconError(f"{source}:{lineno}: expected `lemma<TAB>class[<TAB>senses[<TAB>flags]]`")
-    raw_lemma = parts[0].strip()
+    if not 2 <= len(parts) <= 5:
+        raise LexiconError(f"{source}:{lineno}: expected `lemma<TAB>class[<TAB>senses[<TAB>flags[<TAB>attributes]]]`")
+    raw_lemma, raw_cls, raw_senses, raw_flags, raw_attributes = map(str.strip, (*parts, "", "", "")[:5])
     if not raw_lemma:
         raise LexiconError(f"{source}:{lineno}: empty lemma")
     try:
-        cls = LexClass(parts[1].strip())
+        cls = LexClass(raw_cls)
     except ValueError:
-        raise LexiconError(f"{source}:{lineno}: unknown class {parts[1].strip()!r}") from None
-    senses = frozenset(
-        s.strip() for s in (parts[2].split(";") if len(parts) > 2 and parts[2].strip() else []) if s.strip()
-    )
-    flags = frozenset(
-        f.strip() for f in (parts[3].split(",") if len(parts) > 3 and parts[3].strip() else []) if f.strip()
-    )
+        raise LexiconError(f"{source}:{lineno}: unknown class {raw_cls!r}") from None
+    senses = frozenset(s.strip() for s in raw_senses.split(";") if s.strip())
+    flags = frozenset(f.strip() for f in raw_flags.split(",") if f.strip())
     words = tuple(normalize(w)[0] for w in raw_lemma.split(" ") if w)
     if not all(words):
         raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has a word that normalizes to nothing")
-    return LexEntry(lemma=" ".join(words), words=words, cls=cls, senses=senses, flags=flags)
+    try:  # a JSON object loads as its (name, value) pairs
+        attributes = json.loads(raw_attributes, object_pairs_hook=tuple) if raw_attributes else ()
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise LexiconError(f"{source}:{lineno}: attributes are not valid JSON: {exc}") from None
+    _check_attributes(attributes, f"{source}:{lineno}")
+    return LexEntry(lemma=" ".join(words), words=words, cls=cls, senses=senses, flags=flags, attributes=attributes)
 
 
 def read_resource(path) -> str:

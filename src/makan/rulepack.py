@@ -1,4 +1,4 @@
-"""Shipped rule pack: source accessor, annotation attributes, resource loading."""
+"""Shipped resources: the rule pack's source and the one loader of every resource."""
 
 from __future__ import annotations
 
@@ -6,17 +6,7 @@ from importlib import resources
 
 from . import engine, lexicon as lexicon_mod, semmap
 from .lexicon import LexiconError
-from .textnorm import load_variant_table, normalize
-
-# Attributes attached by rule name.
-RULE_ATTRIBUTES: dict[str, dict] = {
-    "dir_medium": {"medium": True},
-}
-
-# Attributes attached by (normalized) trigger lemma: face-to-face triggers
-# invert left and right between target and site.
-_MIRROR_LEMMAS = tuple(normalize(w)[0] for w in ("قبالة", "مقابل"))
-TRIGGER_ATTRIBUTES: dict[str, dict] = {lemma: {"orientation": "mirror"} for lemma in _MIRROR_LEMMAS}
+from .textnorm import load_variant_table
 
 
 def rule_pack_path():
@@ -30,13 +20,6 @@ def variants_path():
 def rule_pack() -> str:
     """The shipped rule DSL source."""
     return lexicon_mod.read_resource(rule_pack_path())
-
-
-def attributes_for(rule_name: str, trigger_lemma: str | None) -> dict:
-    attrs = dict(RULE_ATTRIBUTES.get(rule_name, {}))
-    if trigger_lemma is not None:
-        attrs.update(TRIGGER_ATTRIBUTES.get(trigger_lemma, {}))
-    return attrs
 
 
 def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):

@@ -159,9 +159,9 @@ def _apply_variants(norm: str, omap: list[int], variants: dict[str, str]) -> tup
 def load_variant_table(path) -> dict[str, str]:
     """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
 
-    Both columns are normalized on load and may not normalize to nothing; a
-    canonical form is one word (one `_WORD_RE` match) and may not itself be
-    listed as a variant (the table must be idempotent). Every failure, a
+    Both columns are normalized on load, may not normalize to nothing and
+    are each one word (one `_WORD_RE` match); a canonical form may not itself
+    be listed as a variant (the table must be idempotent). Every failure, a
     missing or undecodable file included, is a ValueError naming the file.
     """
     try:
@@ -181,6 +181,8 @@ def load_variant_table(path) -> dict[str, str]:
         canonical, _ = normalize(parts[1])
         if not (variant and canonical):
             raise ValueError(f"{path}:{lineno}: {parts[1 if variant else 0]!r} normalizes to nothing")
+        if not _WORD_RE.fullmatch(variant):  # else it never applies: variants replace single words
+            raise ValueError(f"{path}:{lineno}: variant {parts[0]!r} is not one word")
         if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
             raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} is not one word")
         table[variant] = canonical

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from makan import guards, read_annotations, write_annotations
+from makan import annotate, guards, read_annotations, write_annotations
 from makan.annotator import AnnotationFormatError, document_to_json
 from makan.engine import apply
+from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
+from makan.rulepack import load_resources
 from makan.semmap import TOP_LEVEL, top_level
 from makan.textnorm import tokenize
 
@@ -47,6 +49,36 @@ def test_mirror_trigger_attribute(run):
     ann = doc.annotations[0]
     assert ann.category == "PROJECTIVE.ORIENTATIONAL.FRONTAL"
     assert ann.attributes == {"orientation": "mirror"}
+
+
+def test_custom_lexicon_attributes_reach_only_the_annotations_they_trigger(tmp_path):
+    seed = seed_lexicon_path().read_text(encoding="utf-8")
+    row = "فوق\tPREP\tPROJECTIVE.ORIENTATIONAL.VERTICAL\tNO_CONTACT_REQUIRED,PRONOUN_SUFFIXABLE"
+    assert seed.count(row + "\n") == 1
+    lexicon = tmp_path / "lexicon.tsv"
+    attributes = '{"axis": "up", "rank": 2, "weight": 0.5, "note": null}'
+    lexicon.write_text(seed.replace(row, f"{row}\t{attributes}"), encoding="utf-8")
+    smap, lex, grammar, variants = load_resources([lexicon])
+    doc = annotate("جلست المرأة على المقعد والكتاب فوق المقعد", lex, grammar, smap, variants=variants)
+    by_trigger = {a.trigger.slice(doc.text): a.attributes for a in doc.annotations}
+    assert by_trigger == {"على": {}, "فوق": {"axis": "up", "rank": 2, "weight": 0.5, "note": None}}
+    assert [a.get("attributes") for a in json.loads(document_to_json(doc))["annotations"]] == [None, by_trigger["فوق"]]
+
+
+def test_no_attribute_comes_from_a_rule_name(tmp_path):
+    rules = tmp_path / "named.rules"
+    rules.write_text("RULE dir_medium PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT")
+    smap, lex, grammar, variants = load_resources(rule_paths=[rules])
+    (ann,) = annotate("جلست على المقعد", lex, grammar, smap, variants=variants).annotations
+    assert (ann.rule, ann.attributes) == ("dir_medium", {})
+
+
+@pytest.mark.parametrize("form", ["مطل", "نظر"] + ["نظر" + suffix for suffix in PRONOUN_SUFFIXES])
+def test_every_gaze_lexeme_form_opens_the_gaze_rule(run, form):
+    doc = run(f"{form} على المدينة")
+    assert [(a.rule, a.trigger.slice(doc.text), a.site.slice(doc.text)) for a in doc.annotations] == [
+        ("dir_gaze", "على", "المدينة")
+    ]
 
 
 def test_round_trip_identity(run, tmp_path):

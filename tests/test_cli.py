@@ -130,6 +130,13 @@ def test_check_reports_bogus_sense(tmp_path, capsys):
     assert "TOPOLOGICAL.BOGUS" in capsys.readouterr().err
 
 
+def test_check_rejects_a_lexicon_line_with_extra_columns(tmp_path, capsys):
+    bad = tmp_path / "lex.tsv"
+    bad.write_text("x\tNOUN_SITE\t\t\tjunk\tmore\n", encoding="utf-8")
+    assert main(["check", "--lexicon", str(bad)]) == 2
+    assert f"{bad}:1: expected `lemma<TAB>class" in capsys.readouterr().err
+
+
 def test_check_reports_unknown_guard(tmp_path, capsys):
     bad = tmp_path / "extra.rules"
     bad.write_text(
@@ -162,12 +169,13 @@ def test_annotate_rejects_variant_that_normalizes_to_nothing(tmp_path, suite_tex
 
 def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_texts, capsys):
     table = tmp_path / "variants.tsv"
-    table.write_text("سانجيرمان\tسان جيرمان\n", encoding="utf-8")
     out = tmp_path / "out"
     inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
-    assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
-    assert f"{table}:1: canonical form" in capsys.readouterr().err
-    assert not out.exists()
+    for row, what in (("سانجيرمان\tسان جيرمان", "canonical form"), ("سان جيرمان\tسانجيرمان", "variant")):
+        table.write_text(row + "\n", encoding="utf-8")
+        assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
+        assert f"{table}:1: {what} 'سان جيرمان' is not one word" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_check_accepts_explicit_shipped_paths(capsys):

@@ -25,10 +25,12 @@ _DSL_WORDS = [
 ]
 
 # Lexicon and variant lines are built from their own separators, classes,
-# senses and flags, plus a few Arabic letters and diacritics.
+# senses, flags and attribute JSON, plus a few Arabic letters and diacritics;
+# one piece opens a valid line up to its attributes column.
 _TSV_PIECES = st.sampled_from(
     ["\t", "\n", " ", ";", ",", "#", "PREP", "NOUN_SITE", "PREP_LOCUTION", "TOPOLOGICAL.SUPPORT",
-     "DIRECTIONAL", "BOGUS", "AMBIGUOUS_DUAL", "PRONOUN_SUFFIXABLE", "على", "ة", "ب", "َ", "ـ"]
+     "DIRECTIONAL", "BOGUS", "AMBIGUOUS_DUAL", "PRONOUN_SUFFIXABLE", "على", "ة", "ب", "َ", "ـ",
+     "{", "}", '"', ":", "[", "true", "NaN", "\nب\tNOUN_SITE\t\t\t"]
 )
 _TSV = st.lists(_TSV_PIECES | st.text(max_size=3), max_size=30).map("".join)
 

@@ -161,6 +161,55 @@ def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
         load(path)
 
 
+def test_load_rejects_a_column_past_the_attributes(tmp_path):
+    path = _write(tmp_path, "# header\nx\tNOUN_SITE\t\t\t{}\tmore\n")
+    with pytest.raises(LexiconError, match=r"lex\.tsv:2: expected `lemma<TAB>class"):
+        load(path)
+
+
+def test_attributes_column_loads_as_pairs_in_file_order(tmp_path):
+    path = _write(tmp_path, 'x\tNOUN_SITE\t\t\t{"b": 1.5, "a": null, "c": "s", "d": false}\ny\tNOUN_SITE\t\t\t \n')
+    x, y = load(path).entries
+    assert x.attributes == (("b", 1.5), ("a", None), ("c", "s"), ("d", False))
+    assert y.attributes == ()
+
+
+def test_seed_lexicon_carries_the_shipped_attributes_and_gaze_flags():
+    by_lemma = {e.lemma: e for e in seed_lexicon().entries}
+    assert by_lemma["ب"].attributes == (("medium", True),)
+    for lemma in ("قبالة", "مقابل"):
+        assert by_lemma[normalize(lemma)[0]].attributes == (("orientation", "mirror"),)
+    assert {e.lemma for e in by_lemma.values() if e.attributes} == {"ب", "قبالة", "مقابل"}
+    assert {e.lemma for e in by_lemma.values() if "GAZE_LEXEME" in e.flags} == {"نظر", "مطل"}
+
+
+@pytest.mark.parametrize(
+    "column",
+    ['{"medium": tru}', "[1]", '"medium"', '{"a": [1]}', '{"a": {"b": 1}}', '{"a": NaN}', '{"a": -Infinity}',
+     '{"a": 1e400}', "[" * 100_000, '{"a": "\\ud800"}', '{"\\udfff": 1}'],
+    ids=["malformed", "list", "string", "list-value", "object-value", "nan", "infinity", "overflow", "nested-deep",
+         "surrogate-value", "surrogate-name"],
+)
+def test_load_rejects_bad_attributes_with_file_and_line(tmp_path, column):
+    path = _write(tmp_path, f"# header\nx\tNOUN_SITE\t\t\t{column}\n")
+    with pytest.raises(LexiconError, match=r"lex\.tsv:2: .*attribute"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "attributes",
+    [{"a": 1}, (("a",),), ((1, "x"),), (("a", [1]),), (("a", (1,)),), (("a", float("nan")),), (("a", float("inf")),),
+     (("a", "\ud800"),)],
+    ids=["dict", "one-tuple", "int-name", "list-value", "tuple-value", "nan", "infinity", "surrogate"],
+)
+def test_constructed_lexicon_rejects_attributes_that_are_not_name_scalar_pairs(attributes):
+    from makan.lexicon import LexEntry
+
+    entry = LexEntry("س", ("س",), LexClass.NOUN_SITE, frozenset(), frozenset(), attributes)
+    with pytest.raises(LexiconError, match="entry س: attribute"):
+        Lexicon([entry], default_map())
+
+
 # 1-, 2- and 3-word forms sharing first words, one lemma under two classes,
 # suffixable entries (one of them three words long) and the ب preposition
 _SHARED_TSV = """ب\tPREP\tTOPOLOGICAL.SUPPORT

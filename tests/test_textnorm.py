@@ -78,11 +78,19 @@ def test_variant_table_rejects_forms_that_normalize_to_nothing(tmp_path, row):
         load_variant_table(path)
 
 
-@pytest.mark.parametrize("canonical", ["سان جيرمان", "سان-جيرمان"])
-def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, canonical):
+@pytest.mark.parametrize(
+    "variant, canonical, what",
+    [
+        pytest.param("سانجيرمان", "سان جيرمان", "canonical form", id="سان جيرمان"),
+        pytest.param("سانجيرمان", "سان-جيرمان", "canonical form", id="سان-جيرمان"),
+        pytest.param("سان جيرمان", "سانجيرمان", "variant", id="variant-سان جيرمان"),
+    ],
+)
+def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, variant, canonical, what):
     path = tmp_path / "variants.tsv"
-    path.write_text(f"سين\tسان\nسانجيرمان\t{canonical}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: canonical form {canonical!r} is not one word")):
+    path.write_text(f"سين\tسان\n{variant}\t{canonical}\n", encoding="utf-8")
+    form = variant if what == "variant" else canonical
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {what} {form!r} is not one word")):
         load_variant_table(path)
 
 
