@@ -22,12 +22,13 @@ stops at the first that cannot beat the winner found: winners are unchanged.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 
 from . import semmap
 from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
-from .textnorm import normalize
+from .textnorm import normalize, remember
 
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
@@ -81,7 +82,14 @@ class RawMatch:
 
 
 class CompiledGrammar:
-    """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed."""
+    """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed.
+
+    It also owns, per lexicon that `apply` is given, the memo tables of a
+    word type's candidate rules (see `apply`), filled lazily and each
+    emptied when it reaches `textnorm.MEMO_LIMIT` entries. A lexicon is held
+    weakly, and the tables hold values only, so no answer changes and
+    threads may share a grammar: a race at worst works an entry out twice.
+    """
 
     def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap):
         self.rules = rules
@@ -96,6 +104,7 @@ class CompiledGrammar:
         self.always = tuple(
             r for r, rule in enumerate(self.ordered) if rule.atoms[0].gap or rule.atoms[0].optional
         )
+        self._memos: weakref.WeakKeyDictionary[Lexicon, tuple[dict, dict]] = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -363,21 +372,35 @@ def _best_alignment(atoms, ai: int, tokens, lookups, pos: int, vec: tuple[int, .
 
 def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
-    winner order; one winner per start; resume after the winner's trigger."""
-    memos = ({}, {})  # by whether the token has a ب proclitic: stem -> (lookups, candidate ranks)
+    winner order; one winner per start; resume after the winner's trigger.
+
+    A token's lookups and candidate rules depend only on its word type, its
+    stem with or without a ب proclitic, unless the stem starts a locution:
+    each type is looked up once a call (the lexicon keeps its matches), and
+    its candidates are kept on the grammar for the lexicon, across calls."""
+    kept = grammar._memos.get(lexicon)
+    if kept is None:  # by whether the token has a ب proclitic: stem -> candidate ranks
+        kept = grammar._memos.setdefault(lexicon, ({}, {}))
+    seen = ({}, {})  # the same for this call's word types: stem -> (lookups, candidate ranks)
     lookups, candidates = [], []  # per token: its lookups, its candidate ranks in winner order
     for i, tok in enumerate(tokens):
-        memo = memos[bool(tok.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics)]
-        hit = memo.get(tok.stem)
+        baa = bool(tok.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics)
+        hit = seen[baa].get(tok.stem)
         if hit is None:
             found = lexicon.lookup(tokens, i)
-            ranks = set(grammar.always).union(grammar.first.get(tok.stem, ()))
-            for m in found:
-                for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
-                    ranks.update(grammar.first.get(k, ()))
-            hit = (found, sorted(ranks))
-            if tok.stem not in lexicon.locution_starts:  # whose lookups depend on the next token
-                memo[tok.stem] = hit
+            fixed = tok.stem not in lexicon.locution_starts  # else its lookups depend on the next token
+            ranks = kept[baa].get(tok.stem)
+            if ranks is None:
+                ranks = set(grammar.always).union(grammar.first.get(tok.stem, ()))
+                for m in found:
+                    for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
+                        ranks.update(grammar.first.get(k, ()))
+                ranks = tuple(sorted(ranks))
+                if fixed:
+                    remember(kept[baa], tok.stem, ranks)
+            hit = (found, ranks)
+            if fixed:
+                seen[baa][tok.stem] = hit
         lookups.append(hit[0])
         candidates.append(hit[1])
     out: list[RawMatch] = []

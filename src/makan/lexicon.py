@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 
 from . import semmap
-from .textnorm import normalize
+from .textnorm import normalize, remember
 
 
 class LexClass(str, enum.Enum):
@@ -87,13 +86,24 @@ class LexMatch:
 
 
 def _check_attributes(attributes, where: str) -> None:
-    """LexiconError naming `where` unless `attributes` is a tuple of (name, finite JSON scalar) pairs in UTF-8."""
-    for pair in attributes if type(attributes) is tuple else [attributes]:
+    """LexiconError naming `where` unless `attributes` is a tuple of (name, JSON scalar) pairs that annotations carry.
+
+    Each pair is serialized as an annotation file holds it, so a value that
+    `annotator.document_to_json` could not write fails here, naming the entry.
+    """
+    pairs = attributes if type(attributes) is tuple else (attributes,)
+    for pair in pairs:
         name, value = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
-        text = name + value if type(name) is type(value) is str else name
-        scalar = math.isfinite(value) if type(value) is float else value is None or type(value) in (str, bool, int)
-        if type(text) is not str or not scalar or any("\ud800" <= c <= "\udfff" for c in text):
-            raise LexiconError(f"{where}: attribute {pair!r} must be a name and a finite JSON scalar, in UTF-8")
+        try:  # written as `annotator.document_to_json` writes it, less NaN and infinities, then encoded as UTF-8
+            ok = type(name) is str and (value is None or type(value) in (str, bool, int, float))
+            ok = ok and json.dumps({name: value}, ensure_ascii=False, allow_nan=False).encode("utf-8")
+        except ValueError:  # NaN or an infinity, a lone surrogate, an int past the interpreter's digit limit
+            ok = False
+        if not ok:
+            label = repr(name) if type(name) is str else f"number {pairs.index(pair) + 1}"  # `repr` of a value may fail
+            raise LexiconError(
+                f"{where}: attribute {label} must be a name and a finite JSON scalar that an annotation file can hold"
+            )
 
 
 def _suffixed_variants(word: str) -> list[str]:
@@ -103,7 +113,16 @@ def _suffixed_variants(word: str) -> list[str]:
 
 
 class Lexicon:
-    """Immutable after construction; shareable across threads."""
+    """Immutable after construction: no answer it gives ever changes.
+
+    It owns memo tables, filled lazily and each emptied when it reaches
+    `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each word type, a
+    stem with or without a ب proclitic, outside locution starts; and for
+    `textnorm.tokenize`, surface run -> words and word -> clitic split.
+    Each follows from the entries alone and holds values only, so threads
+    may share a lexicon, tokenizing and annotating at once: a race at worst
+    works an entry out twice.
+    """
 
     def __init__(self, entries: list[LexEntry], smap: semmap.SpatialityMap | None = None):
         smap = smap or semmap.default_map()
@@ -138,6 +157,8 @@ class Lexicon:
         self._baa = tuple(  # what a ب proclitic matches: the PREP entries ب
             LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
         )
+        self._lookups: tuple[dict, dict] = ({}, {})  # by whether the token has a ب proclitic: stem -> its matches
+        self.tokenize_memos: tuple[dict, dict] = ({}, {})  # see `textnorm.tokenize`
 
     def _index(self, words: tuple[str, ...], entry: LexEntry, suffixed: bool):
         index, key = (self._by_first, words[0]) if len(words) == 1 else (self._by_pair, words[:2])
@@ -157,6 +178,17 @@ class Lexicon:
         if not 0 <= i < len(tokens):
             raise IndexError(f"token index {i} out of range")
         token = tokens[i]
+        baa = bool(token.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in token.proclitics)
+        if token.stem in self.locution_starts:  # its matches depend on the next tokens
+            return self._lookup(tokens, i, baa)
+        memo = self._lookups[baa]
+        found = memo.get(token.stem)
+        if found is None:
+            found = remember(memo, token.stem, tuple(self._lookup(tokens, i, baa)))
+        return list(found)
+
+    def _lookup(self, tokens, i: int, baa: bool) -> list[LexMatch]:
+        token = tokens[i]
         out: list[LexMatch] = []
         # each list is in the output order already, and every multiword form outranks a one-word form
         if token.stem in self.locution_starts and i + 1 < len(tokens):
@@ -166,11 +198,9 @@ class Lexicon:
                     out.append(LexMatch(entry, n, suffixed))
         for _, entry, suffixed in self._by_first.get(token.stem, ()):
             out.append(LexMatch(entry, 1, suffixed))
-        for p in token.proclitics:
-            if p.kind == "preposition" and p.text == "ب" and self._baa:
-                out.extend(self._baa)
-                out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
-                break
+        if baa and self._baa:
+            out.extend(self._baa)
+            out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
         return out
 
 

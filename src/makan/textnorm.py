@@ -40,6 +40,14 @@ COORD_PROCLITICS = ("و", "ف")
 PREP_PROCLITICS = ("ب", "ل", "ك")
 ARTICLE = "ال"
 
+# Entries a word-type memo table holds before it is emptied: above the 18,182
+# distinct surface runs of a 25k-word fully vocalized text, so that reuse
+# within a call survives on such a text.
+MEMO_LIMIT = 1 << 15
+
+# `tokenize`'s memo tables without a lexicon: surface run -> (word, words), word -> split.
+_MEMOS: tuple[dict, dict] = ({}, {})
+
 
 class _Record(tuple):
     """An immutable tuple with the fields `__match_args__` names, equal only to a record of its own type."""
@@ -235,16 +243,22 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     Proclitic spans and the stem span partition each token span left to
     right; unsegmentable words become single-stem tokens. Its spans skip
     `OffsetSpan`'s check: run offsets shifted by the run's start are valid.
+    Each surface run and each word is worked out once and kept in the
+    lexicon's memo tables (`Lexicon.tokenize_memos`, module ones without a
+    lexicon); a run whose word is in `variants` is worked out on each call,
+    since the caller may change that table between calls.
     """
-    splits: dict[str, tuple] = {}  # normalized word -> (proclitic cuts, stem start, stem)
-    runs: dict[str, tuple] = {}  # surface run -> its words (see `_run_words`): each worked out once a call
+    runs, splits = _MEMOS if lexicon is None else lexicon.tokenize_memos
     tokens: list[Token] = []
     new = tuple.__new__
     for rmatch in _RUN_RE.finditer(text):
         run = rmatch.group()
-        words = runs.get(run)
-        if words is None:
-            words = runs[run] = _run_words(run, lexicon, variants, splits)
+        record = runs.get(run)
+        if record is None:
+            record = remember(runs, run, _run_words(run, lexicon, splits))
+        word, words = record
+        if variants and word in variants:
+            words = _normalized_words(run, lexicon, variants, splits)
         r0 = rmatch.start()
         for ws, we, surface, cuts, stem_start, stem in words:
             end = r0 + we
@@ -260,29 +274,48 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     return tokens
 
 
+def remember(table: dict, key, value):
+    """Store `value` under `key` and return it, first emptying `table` if it holds `MEMO_LIMIT` entries."""
+    if len(table) >= MEMO_LIMIT:
+        table.clear()
+    table[key] = value
+    return value
+
+
 def _split(word: str, lexicon, splits: dict[str, tuple]) -> tuple:
+    """(word, proclitic cuts as (kind, start, end, text), stem start, stem); the word is the table's own key."""
     split = splits.get(word)
     if split is None:
         cuts, stem_start = _split_clitics(word, lexicon)
-        split = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts), stem_start, word[stem_start:]
-        splits[word] = split
+        cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
+        split = remember(splits, word, (word, cuts, stem_start, word[stem_start:]))
     return split
 
 
-def _run_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
-    """The words of a surface run as (start, end, surface, cuts, stem start, stem), offsets into the run."""
+def _run_words(run: str, lexicon, splits: dict[str, tuple]) -> tuple:
+    """(normalized word, its words) of a surface run, with no variant table.
+
+    A run normalizes to one word or, marks only, to none; each word is
+    (start, end, surface, cuts, stem start, stem), offsets into the run.
+    """
     word = run.translate(_TABLE)
-    if word and not (variants and word in variants):  # else marks only, or a variant: through `normalize`
-        cuts, stem_start, stem = _split(word, lexicon, splits)
-        if len(word) == len(run):  # no mark: the run's own indices are the offsets
-            return ((0, len(run), run, cuts, stem_start, stem),)
-        if not cuts:  # marks but no cut: the word runs from its first to its last letter
-            ws, we = len(run) - len(run.lstrip(_MARKS)), len(run.rstrip(_MARKS))
-            return ((ws, we, run[ws:we], cuts, ws, stem),)
+    if not word:
+        return word, ()
+    word, cuts, stem_start, stem = _split(word, lexicon, splits)
+    if len(word) == len(run):  # no mark: the run's own indices are the offsets
+        return word, ((0, len(run), run, cuts, stem_start, stem),)
+    if not cuts:  # marks but no cut: the word runs from its first to its last letter
+        ws, we = len(run) - len(run.lstrip(_MARKS)), len(run.rstrip(_MARKS))
+        return word, ((ws, we, run[ws:we], cuts, ws, stem),)
+    return word, _normalized_words(run, lexicon, None, splits)
+
+
+def _normalized_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
+    """The words of a surface run as `_run_words` gives them, through `normalize`'s offset map."""
     norm, omap = normalize(run, variants)
     out = []
     for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
-        cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
+        _, cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
         a, b = wmatch.span()
         ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
         cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)

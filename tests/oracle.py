@@ -1,12 +1,14 @@
 """Independent brute-force references for the grammar engine, the tokenizer and scoring.
 
 The engine reference enumerates every (rule, start, alignment) combination
-directly from the rule structure and filters by the published winner
-ordering. The tokenizer reference splits every word anew and computes every
+directly from the rule structure, over the lookup reference's matches, and
+filters by the published winner ordering. The tokenizer reference splits every word anew and computes every
 boundary through one closure; the lookup reference tries every entry form at
 the token; the scoring reference scans all gold for each system annotation. Kept deliberately separate from the program's own paths
 so the two can disagree.
 """
+
+import functools
 
 from makan import semmap
 from makan.lexicon import PRONOUN_SUFFIXES, LexClass, LexMatch
@@ -25,7 +27,7 @@ def _test_ok(test, lex_match, smap):
 
 
 def _all_alignments(rule, tokens, lookups, smap, start):
-    """Every complete alignment as (total, consumption vector, captures); `lookups[i]` is `lexicon.lookup(tokens, i)`."""
+    """Every complete alignment as (total, consumption vector, captures); `lookups[i]` is `reference_lookup` at i."""
     results = []
 
     def go(ai, pos, vec, caps):
@@ -62,7 +64,7 @@ def _all_alignments(rule, tokens, lookups, smap, start):
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output) tuples under the same winner policy."""
     smap = grammar.smap
-    lookups = [lexicon.lookup(tokens, pos) for pos in range(len(tokens))]
+    lookups = [reference_lookup(lexicon, tokens, pos) for pos in range(len(tokens))]
     out = []
     i = 0
     while i < len(tokens):
@@ -118,22 +120,27 @@ def reference_tokenize(text, lexicon=None, variants=None):
     return tokens
 
 
-def reference_lookup(lexicon, tokens, i):
-    """Lexicon matches at token i: every entry and its suffixed forms compared with the stems from i on."""
-    stems = tuple(tok.stem for tok in tokens[i:])
-    baa = any(p.kind == "preposition" and p.text == "ب" for p in tokens[i].proclitics)
-    out = []
+@functools.lru_cache(maxsize=None)
+def _all_forms(lexicon):
+    """(entry, words, suffixed) for each entry's own word sequence and, when flagged, each pronoun-suffixed one."""
+    forms = []
     for entry in lexicon.entries:
-        forms = [(entry.words, False)]
+        forms.append((entry, entry.words, False))
         if entry.flags & {"PRONOUN_SUFFIXABLE", "REQUIRES_POSSESSIVE_DISAMBIG"}:
             last = entry.words[-1]
             base = last[:-1] + "ت" if last.endswith("ة") else last
-            forms += [(entry.words[:-1] + (base + suffix,), True) for suffix in PRONOUN_SUFFIXES]
-        for words, suffixed in forms:
-            if stems[: len(words)] == words:
-                out.append(LexMatch(entry, len(words), suffixed))
-        if baa and entry.words == ("ب",) and entry.cls is LexClass.PREP:
-            out.append(LexMatch(entry, 1, via_proclitic=True))
+            forms += [(entry, entry.words[:-1] + (base + suffix,), True) for suffix in PRONOUN_SUFFIXES]
+    return forms
+
+
+def reference_lookup(lexicon, tokens, i):
+    """Lexicon matches at token i: every entry and its suffixed forms compared with the stems from i on."""
+    stems = tuple(tok.stem for tok in tokens[i:])
+    out = [LexMatch(entry, len(words), suffixed) for entry, words, suffixed in _all_forms(lexicon)
+           if stems[: len(words)] == words]
+    if any(p.kind == "preposition" and p.text == "ب" for p in tokens[i].proclitics):
+        out += [LexMatch(e, 1, via_proclitic=True) for e in lexicon.entries
+                if e.words == ("ب",) and e.cls is LexClass.PREP]
     order = {LexClass.PREP_LOCUTION: 0, LexClass.PREP: 1}
     return sorted(out, key=lambda m: (-m.length, order.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
 

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -297,6 +298,23 @@ def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):
         for doc in suite_gold:
             run(doc.text)
         run("\n".join(doc.text for doc in suite_gold))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_annotating_with_two_lexicons_in_turn_leaves_no_cyclic_garbage(bundle, suite_gold):
+    smap, lex, grammar, variants = bundle
+    other = load_resources()[1]  # a second lexicon with the shared grammar: a second set of memo tables on it
+    gone = weakref.ref(other)
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in suite_gold:
+            for lexicon in (lex, other, lex):
+                annotate(doc.text, lexicon, grammar, smap, variants)
+        del other
+        assert gone() is None  # the grammar holds a lexicon weakly, so its tables went with it
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,8 +1,14 @@
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from makan.annotator import annotate, document_to_json
+from makan.engine import compile
 from makan.lexicon import LexClass, Lexicon, LexiconError, _parse_line, load, seed_lexicon
+from makan.rulepack import rule_pack
 from makan.semmap import default_map
 from makan.textnorm import normalize, tokenize
 from oracle import reference_lookup
@@ -244,3 +250,16 @@ def test_lookup_equals_reference_lookup(words):
     tokens = tokenize(" ".join(words), lex)
     for i in range(len(tokens)):
         assert lex.lookup(tokens, i) == reference_lookup(lex, tokens, i), (words, i)
+
+
+def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construction(bundle):
+    # An int past the interpreter's digit limit for str conversion (Python 3.11+) cannot be written; 3.10 has no limit.
+    smap, lex, grammar, variants = bundle
+    entries = [replace(e, attributes=(("n", 10**5000),)) if e.lemma == "فوق" else e for e in lex.entries]
+    try:
+        big = Lexicon(entries, smap)
+    except LexiconError as exc:
+        assert "entry فوق: attribute 'n'" in str(exc)
+        return
+    doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big, smap), smap, variants)
+    assert json.loads(document_to_json(doc))["annotations"][0]["attributes"] == {"n": 10**5000}
