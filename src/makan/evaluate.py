@@ -92,6 +92,15 @@ def round2(x) -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
+def _by_id(docs, side: str) -> dict:
+    by_id = {}
+    for doc in docs:
+        if doc.doc_id in by_id:
+            raise ValueError(f"{side} documents share doc_id {doc.doc_id!r}")
+        by_id[doc.doc_id] = doc
+    return by_id
+
+
 def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     """Greedy one-to-one system-to-gold alignment per document.
 
@@ -102,8 +111,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     """
     mode = MatchMode(mode)
     smap = semmap.default_map()
-    gold_by_id = {d.doc_id: d for d in gold_docs}
-    sys_by_id = {d.doc_id: d for d in system_docs}
+    gold_by_id, sys_by_id = _by_id(gold_docs, "gold"), _by_id(system_docs, "system")
     if set(gold_by_id) != set(sys_by_id):
         missing = sorted(set(gold_by_id) ^ set(sys_by_id))
         raise ValueError(f"document sets differ; unmatched ids: {', '.join(missing)}")

@@ -61,8 +61,21 @@ def _all_alignments(rule, tokens, lookups, smap, start):
     return [r for r in results if "trigger" in r[2]]
 
 
+def _evidence(atom, tokens, lookups, smap, pos, consumed):
+    """The first (test, lookup) pair in declaration order that consumes `consumed` tokens: its match, or None for a literal."""
+    for test in atom.tests:
+        if test.kind == "lit":
+            if consumed == 1 and tokens[pos].stem == test.value:
+                return None
+            continue
+        for m in lookups[pos]:
+            if m.length == consumed and _test_ok(test, m, smap):
+                return m
+    raise AssertionError("no test accepts the chosen length")
+
+
 def oracle_apply(grammar, tokens, lexicon):
-    """(rule name, span, captures, output) tuples under the same winner policy."""
+    """(rule name, span, captures, output, evidence, following) tuples under the same winner policy."""
     smap = grammar.smap
     lookups = [reference_lookup(lexicon, tokens, pos) for pos in range(len(tokens))]
     out = []
@@ -74,18 +87,24 @@ def oracle_apply(grammar, tokens, lexicon):
             if not alignments:
                 continue
             total, vec, caps = max(alignments, key=lambda r: (r[0], r[1]))
-            candidates.append(((-rule.priority, -total, rule.decl), rule, total, caps))
+            candidates.append(((-rule.priority, -total, rule.decl), rule, total, vec, caps))
         if not candidates:
             i += 1
             continue
-        _, rule, total, caps = min(candidates, key=lambda c: c[0])
-        out.append((rule.name, (i, i + total), caps, rule.output))
-        i = caps["trigger"][1]
+        _, rule, total, vec, caps = min(candidates, key=lambda c: c[0])
+        evidence, pos = {}, i
+        for atom, consumed in zip(rule.atoms, vec):
+            if atom.capture is not None and consumed > 0:
+                evidence[atom.capture] = _evidence(atom, tokens, lookups, smap, pos, consumed)
+            pos += consumed
+        start, i = i, caps["trigger"][1]
+        following = tuple(lookups[i]) if i < len(tokens) else ()
+        out.append((rule.name, (start, start + total), caps, rule.output, evidence, following))
     return out
 
 
 def as_tuples(raw_matches):
-    return [(m.rule, m.span, m.captures, m.output) for m in raw_matches]
+    return [(m.rule, m.span, m.captures, m.output, m.evidence, m.following) for m in raw_matches]
 
 
 def reference_tokenize(text, lexicon=None, variants=None):

@@ -111,6 +111,21 @@ def test_eval_rejects_duplicate_doc_ids(tmp_path, suite_gold, capsys):
     assert "duplicate doc_id" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_report_path_that_is_an_input(tmp_path, suite_gold, capsys):
+    gold_dir = _materialize_suite(tmp_path, suite_gold)
+    system_dir = tmp_path / "system"
+    system_dir.mkdir()
+    for p in gold_dir.glob("*.json"):
+        (system_dir / p.name).write_text(p.read_text(encoding="utf-8"), encoding="utf-8")
+    for victim in (gold_dir / "e02.json", system_dir / "s01.json"):
+        before = victim.read_bytes()
+        out = victim.parent / ".." / victim.parent.name / victim.name  # a different spelling of the same path
+        assert main(["eval", "--out", str(out), str(gold_dir), str(system_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and str(victim) in err
+        assert victim.read_bytes() == before
+
+
 def test_eval_rejects_non_directory(tmp_path, capsys):
     code = main(["eval", str(tmp_path / "nope"), str(tmp_path)])
     assert code == 2
@@ -241,6 +256,17 @@ def test_annotate_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(first) in err and str(second) in err
     assert not out.exists()
+
+
+def test_annotate_refuses_to_overwrite_an_input(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "a.json"
+    src.write_text("جلست المرأة على المقعد.", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["annotate", "--out", ".", "a.json"]) == 2
+    err = capsys.readouterr().err
+    assert "a.json would overwrite input a.json" in err
+    assert src.read_text(encoding="utf-8") == "جلست المرأة على المقعد."
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
 
 
 def test_annotate_rejects_non_utf8_input_before_writing(tmp_path, capsys):

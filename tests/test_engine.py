@@ -260,6 +260,40 @@ def test_dispatch_paths_equal_oracle_exhaustively():
             ), seq
 
 
+# alignments of one rule that tie on total length: a gap, an optional atom or
+# a literal listed first offers its shorter option first, yet the alignment
+# whose atoms are longer from the left wins
+TIE_LEX = _lexicon(
+    """
+alpha	VERB_MOTION
+beta	PREP	DIRECTIONAL.GOAL
+beta beta	PREP_LOCUTION	DIRECTIONAL.GOAL
+gamma	NOUN_SITE
+"""
+)
+
+TIE_RULES = """
+RULE gap PRIO 10: verb=[VERB_MOTION] GAP 1 trigger=[SENSE DIRECTIONAL.GOAL] => DIRECTIONAL.GOAL
+RULE opt PRIO 5: (verb=[VERB_MOTION])? trigger=[VERB_MOTION|PREP] (site=[PREP|NOUN_SITE])? => DIRECTIONAL.SOURCE
+RULE lit PRIO 20: trigger=[LIT beta|PREP_LOCUTION] site=[NOUN_SITE|PREP_LOCUTION|PREP] => TOPOLOGICAL.SUPPORT
+"""
+
+
+def test_equal_totals_go_to_the_alignment_longer_from_the_left():
+    grammar = compile(TIE_RULES, TIE_LEX, SMAP)
+    for text, captures in (
+        ("alpha beta beta", {"verb": (0, 1), "trigger": (2, 3)}),  # GAP 1 before beta, not GAP 0 before beta beta
+        ("alpha beta", {"verb": (0, 1), "trigger": (1, 2)}),  # the optional verb, not alpha as trigger and beta as site
+        ("beta beta beta", {"trigger": (0, 2), "site": (2, 3)}),  # beta beta as trigger, not LIT beta
+    ):
+        (match, *_) = apply(grammar, tokenize(text, TIE_LEX), TIE_LEX)
+        assert match.captures == captures, text
+    for length in range(0, 6):
+        for seq in itertools.product(("alpha", "beta", "gamma"), repeat=length):
+            tokens = tokenize(" ".join(seq), TIE_LEX)
+            assert as_tuples(apply(grammar, tokens, TIE_LEX)) == oracle_apply(grammar, tokens, TIE_LEX), seq
+
+
 def test_site_evidence_is_the_first_lookup_the_first_passing_test_accepts():
     # one lemma, NOUN_TEMPORAL listed before NOUN_SITE: lookups keep that
     # order, but the atom's NOUN_SITE test comes first, so the site evidence

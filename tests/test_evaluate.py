@@ -101,6 +101,18 @@ def test_span_overlap_mode_matches_crossing_spans():
     assert overlap.categories["DIRECTIONAL"].tp == 1  # same top-level, spans overlap
 
 
+@pytest.mark.parametrize("side", ["gold", "system"])
+def test_score_rejects_two_documents_sharing_a_doc_id(side):
+    # kept as one they scored tp 0/fp 1 or tp 1/fp 0 by list order
+    text = "ا" * 4
+    hit = _doc("d", text, [_ann(0, "DIRECTIONAL.GOAL", rule="r")])
+    miss = _doc("d", text, [_ann(2, "DIRECTIONAL.GOAL", rule="r")])
+    for pair in ([hit, miss], [miss, hit]):
+        gold, system = (pair, [hit]) if side == "gold" else ([hit], pair)
+        with pytest.raises(ValueError, match=f"{side} documents share doc_id 'd'"):
+            score(gold, system, MatchMode.TRIGGER_EXACT)
+
+
 def test_score_rejects_doc_id_mismatch():
     gold, system = _counts_doc("TOPOLOGICAL", 1, 0, 0)
     renamed = _doc("other", system.text, system.annotations)
