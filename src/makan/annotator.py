@@ -85,7 +85,7 @@ def annotate(
     variants: dict[str, str] | None = None,
     doc_id: str = "",
 ) -> AnnotatedDocument:
-    """Run the full cascade over `text` and return standoff annotations."""
+    """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations."""
     # The grammar was validated against its own map; another map must hold every rule output.
     unresolved = [] if smap is grammar.smap else [r.output for r in grammar.rules if r.output not in smap]
     if unresolved:

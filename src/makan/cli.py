@@ -93,8 +93,9 @@ def cmd_annotate(args) -> int:
         if path.stem in inputs:
             print(f"inputs {inputs[path.stem][0]} and {path} would both write {path.stem}.json", file=sys.stderr)
             return EXIT_VALIDATION
-        if (out_dir / f"{path.stem}.json").resolve() == path.resolve():
-            print(f"output {out_dir / path.stem}.json would overwrite input {path}", file=sys.stderr)
+        target = out_dir / f"{path.stem}.json"
+        if target.is_dir() or target.resolve() == path.resolve():
+            print(f"output {target} " + ("is a directory" if target.is_dir() else f"would overwrite input {path}"), file=sys.stderr)
             return EXIT_VALIDATION
         inputs[path.stem] = (path, text)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -121,6 +122,9 @@ def cmd_eval(args) -> int:
             print(f"not a directory: {d}", file=sys.stderr)
             return EXIT_VALIDATION
     out = Path(args.out).resolve() if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        print(f"cannot write report {args.out}: {'is a' if out.is_dir() else 'no such'} directory", file=sys.stderr)
+        return EXIT_VALIDATION
     clobbered = [p for d in (args.gold_dir, args.system_dir) for p in Path(d).glob("*.json") if p.resolve() == out]
     if clobbered:
         print(f"output {args.out} would overwrite input {clobbered[0]}", file=sys.stderr)
@@ -178,6 +182,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except OSError as exc:  # an output path of the wrong kind or an unreadable document; names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     raise AssertionError(args.command)
 
 

@@ -25,7 +25,6 @@ stops at the first that cannot beat the winner found: winners are unchanged.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass, field
 
 from . import semmap
@@ -87,16 +86,17 @@ class RawMatch:
 class CompiledGrammar:
     """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed.
 
-    It also owns, per lexicon that `apply` is given, the memo tables of a
-    word type's candidate rules (see `apply`), filled lazily and each
-    emptied when it reaches `textnorm.MEMO_LIMIT` entries. A lexicon is held
-    weakly, and the tables hold values only, so no answer changes and
-    threads may share a grammar: a race at worst works an entry out twice.
+    It is applied with the lexicon it was compiled for, `lexicon`, and owns
+    the memo tables of a word type's candidate rules (see `apply`), filled
+    lazily and each emptied when it reaches `textnorm.MEMO_LIMIT` entries.
+    They hold values only, so no answer changes and threads may share a
+    grammar: a race at worst works an entry out twice.
     """
 
-    def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap):
+    def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap, lexicon: Lexicon):
         self.rules = rules
         self.smap = smap
+        self.lexicon = lexicon
         self.ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.decl)))  # candidate order
         self.first: dict[object, list[int]] = {}  # stem, class, sense path or flag -> ranks it starts
         for rank, rule in enumerate(self.ordered):
@@ -107,7 +107,7 @@ class CompiledGrammar:
         self.always = tuple(
             r for r, rule in enumerate(self.ordered) if rule.atoms[0].gap or rule.atoms[0].optional
         )
-        self._memos: weakref.WeakKeyDictionary[Lexicon, tuple[dict, dict]] = weakref.WeakKeyDictionary()
+        self._ranks: tuple[dict, dict] = ({}, {})  # by whether the token has a ب proclitic: stem -> candidate ranks
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -286,7 +286,7 @@ def _rule_problem(rule: Rule, smap: semmap.SpatialityMap) -> str | None:
 
 
 def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> CompiledGrammar:
-    """Parse and validate rule source against a lexicon and semantic map."""
+    """Parse and validate rule source against a lexicon and semantic map; the grammar keeps both."""
     below = {path: {path} for path in smap.nodes}  # map path -> the path and all its descendants
     for path, node in smap.nodes.items():
         while node.parent is not None:
@@ -311,7 +311,7 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
             raise GrammarError(f"duplicate rule name {rule.name}", start.line, start.col)
         names.add(rule.name)
         rules.append(rule)
-    return CompiledGrammar(tuple(rules), smap)
+    return CompiledGrammar(tuple(rules), smap, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +360,14 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
     winner order; one winner per start; resume after the winner's trigger.
 
+    `lexicon` must be the one the grammar was compiled for, else ValueError.
     A token's lookups and candidate rules depend only on its word type, its
     stem with or without a ب proclitic, unless the stem starts a locution:
     each type is looked up once a call (the lexicon keeps its matches), and
-    its candidates are kept on the grammar for the lexicon, across calls."""
-    kept = grammar._memos.get(lexicon)
-    if kept is None:  # by whether the token has a ب proclitic: stem -> candidate ranks
-        kept = grammar._memos.setdefault(lexicon, ({}, {}))
-    seen = ({}, {})  # the same for this call's word types: stem -> (lookups, candidate ranks)
+    its candidates are kept on the grammar, across calls."""
+    if lexicon is not grammar.lexicon:
+        raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
+    seen = ({}, {})  # as `grammar._ranks`, for this call's word types: stem -> (lookups, candidate ranks)
     lookups, candidates = [], []  # per token: its lookups, its candidate ranks in winner order
     for i, tok in enumerate(tokens):
         baa = bool(tok.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics)
@@ -375,7 +375,7 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
         if hit is None:
             found = lexicon.lookup(tokens, i)
             fixed = tok.stem not in lexicon.locution_starts  # else its lookups depend on the next token
-            ranks = kept[baa].get(tok.stem)
+            ranks = grammar._ranks[baa].get(tok.stem)
             if ranks is None:
                 ranks = set(grammar.always).union(grammar.first.get(tok.stem, ()))
                 for m in found:
@@ -383,7 +383,7 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
                         ranks.update(grammar.first.get(k, ()))
                 ranks = tuple(sorted(ranks))
                 if fixed:
-                    remember(kept[baa], tok.stem, ranks)
+                    remember(grammar._ranks[baa], tok.stem, ranks)
             hit = (found, ranks)
             if fixed:
                 seen[baa][tok.stem] = hit

@@ -26,7 +26,7 @@ _FOLD = {
     "ى": "ي",  # ى
 }
 
-# `normalize` without its offset map; a list, not a dict, so `str.translate` finds each letter by index.
+# `normalize`'s text: a list, not a dict, so `str.translate` finds each letter by index.
 _TABLE = [None if ch in _REMOVED else ord(_FOLD.get(ch, ch)) for ch in map(chr, range(0x700))]
 _MARKS = "".join(sorted(_REMOVED))
 
@@ -125,14 +125,8 @@ def normalize(text: str, variants: dict[str, str] | None = None) -> tuple[str, l
     The offset map has one entry per output character giving the index of the
     original character it came from; it is total over output indices.
     """
-    out: list[str] = []
-    omap: list[int] = []
-    for i, ch in enumerate(text):
-        if ch in _REMOVED:
-            continue
-        out.append(_FOLD.get(ch, ch))
-        omap.append(i)
-    norm = "".join(out)
+    norm = text.translate(_TABLE)
+    omap = list(range(len(text))) if len(norm) == len(text) else [i for i, ch in enumerate(text) if ch not in _REMOVED]
     if variants:
         norm, omap = _apply_variants(norm, omap, variants)
     return norm, omap
@@ -255,10 +249,10 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
         run = rmatch.group()
         record = runs.get(run)
         if record is None:
-            record = remember(runs, run, _run_words(run, lexicon, splits))
+            record = remember(runs, run, _normalized_words(run, lexicon, None, splits))
         word, words = record
         if variants and word in variants:
-            words = _normalized_words(run, lexicon, variants, splits)
+            words = _normalized_words(run, lexicon, variants, splits)[1]
         r0 = rmatch.start()
         for ws, we, surface, cuts, stem_start, stem in words:
             end = r0 + we
@@ -292,32 +286,16 @@ def _split(word: str, lexicon, splits: dict[str, tuple]) -> tuple:
     return split
 
 
-def _run_words(run: str, lexicon, splits: dict[str, tuple]) -> tuple:
-    """(normalized word, its words) of a surface run, with no variant table.
-
-    A run normalizes to one word or, marks only, to none; each word is
-    (start, end, surface, cuts, stem start, stem), offsets into the run.
-    """
-    word = run.translate(_TABLE)
-    if not word:
-        return word, ()
-    word, cuts, stem_start, stem = _split(word, lexicon, splits)
-    if len(word) == len(run):  # no mark: the run's own indices are the offsets
-        return word, ((0, len(run), run, cuts, stem_start, stem),)
-    if not cuts:  # marks but no cut: the word runs from its first to its last letter
-        ws, we = len(run) - len(run.lstrip(_MARKS)), len(run.rstrip(_MARKS))
-        return word, ((ws, we, run[ws:we], cuts, ws, stem),)
-    return word, _normalized_words(run, lexicon, None, splits)
-
-
 def _normalized_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
-    """The words of a surface run as `_run_words` gives them, through `normalize`'s offset map."""
+    """(word, words) of a surface run through `normalize`'s offset map, each of its words (start, end, surface,
+    cuts, stem start, stem) as offsets into the run. Without variants a run normalizes to one word, or none:
+    `word` is that word as the split table keeps it, so equal words share one string, or "" for none."""
     norm, omap = normalize(run, variants)
-    out = []
+    word, out = "", []
     for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
-        _, cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
+        word, cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
         a, b = wmatch.span()
         ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
         cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)
         out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem))
-    return tuple(out)
+    return word, tuple(out)

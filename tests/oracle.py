@@ -1,8 +1,10 @@
-"""Independent brute-force references for the grammar engine, the tokenizer and scoring.
+"""Independent brute-force references for the grammar engine, normalization, the tokenizer and scoring.
 
 The engine reference enumerates every (rule, start, alignment) combination
 directly from the rule structure, over the lookup reference's matches, and
-filters by the published winner ordering. The tokenizer reference splits every word anew and computes every
+filters by the published winner ordering. The normalization reference folds
+one character at a time and replaces variant words from the right; the
+tokenizer reference normalizes through it, splits every word anew and computes every
 boundary through one closure; the lookup reference tries every entry form at
 the token; the scoring reference scans all gold for each system annotation. Kept deliberately separate from the program's own paths
 so the two can disagree.
@@ -13,7 +15,7 @@ import functools
 from makan import semmap
 from makan.lexicon import PRONOUN_SUFFIXES, LexClass, LexMatch
 from makan.semmap import subsumes
-from makan.textnorm import _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics, normalize
+from makan.textnorm import _FOLD, _REMOVED, _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics
 
 
 def _test_ok(test, lex_match, smap):
@@ -107,9 +109,32 @@ def as_tuples(raw_matches):
     return [(m.rule, m.span, m.captures, m.output, m.evidence, m.following) for m in raw_matches]
 
 
+def reference_normalize(text, variants=None):
+    """(normalized text, offset map) built one character at a time, then each variant word replaced whole.
+
+    A replacement's characters come from the word's characters in turn, its
+    last from the word's last, so a span still ends on the word's end.
+    """
+    out: list[str] = []
+    omap: list[int] = []
+    for i, ch in enumerate(text):
+        if ch in _REMOVED:
+            continue
+        out.append(_FOLD.get(ch, ch))
+        omap.append(i)
+    norm = "".join(out)
+    for m in reversed(list(_WORD_RE.finditer(norm)) if variants else ()):  # from the right: earlier offsets hold
+        repl = variants.get(m.group())
+        if repl is not None:
+            a, b = m.span()
+            src = [omap[a + min(j, b - a - 1)] for j in range(len(repl) - 1)] + [omap[b - 1]]
+            norm, omap = norm[:a] + repl + norm[b:], omap[:a] + src + omap[b:]
+    return norm, omap
+
+
 def reference_tokenize(text, lexicon=None, variants=None):
     """Tokens built word by word: clitics split for every occurrence, boundaries through `bound`."""
-    norm, omap = normalize(text, variants)
+    norm, omap = reference_normalize(text, variants)
     tokens = []
     for wmatch in _WORD_RE.finditer(norm):
         word = wmatch.group()

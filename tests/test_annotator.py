@@ -331,16 +331,16 @@ def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):
 
 def test_annotating_with_two_lexicons_in_turn_leaves_no_cyclic_garbage(bundle, suite_gold):
     smap, lex, grammar, variants = bundle
-    other = load_resources()[1]  # a second lexicon with the shared grammar: a second set of memo tables on it
+    _, other, other_grammar, _ = load_resources()  # a second lexicon and its own grammar: a second set of memo tables
     gone = weakref.ref(other)
     gc.collect()
     gc.disable()
     try:
         for doc in suite_gold:
-            for lexicon in (lex, other, lex):
-                annotate(doc.text, lexicon, grammar, smap, variants)
-        del other
-        assert gone() is None  # the grammar holds a lexicon weakly, so its tables went with it
+            for lexicon, g in ((lex, grammar), (other, other_grammar), (lex, grammar)):
+                annotate(doc.text, lexicon, g, smap, variants)
+        del other, other_grammar
+        assert gone() is None  # no cycle holds the lexicon: it went with its grammar, and the tables of both
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -132,6 +132,34 @@ def test_eval_rejects_non_directory(tmp_path, capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        pytest.param(["annotate", "--out", "f", "a.txt"], "f", id="annotate-out-file"),
+        pytest.param(["annotate", "--out", "f/sub", "a.txt"], "f/sub", id="annotate-out-below-a-file"),
+        pytest.param(["annotate", "--out", "d", "a.txt", "z.txt"], "d/z.json", id="annotate-output-file-is-a-directory"),
+        pytest.param(["split", "--out", "f", "a.txt"], "f", id="split-out-file"),
+        pytest.param(["eval", "--out", "d", "gold", "gold"], "d", id="eval-out-directory"),
+        pytest.param(["eval", "--out", "missing/r.json", "gold", "gold"], "missing/r.json", id="eval-out-missing-parent"),
+    ],
+)
+def test_an_output_path_of_the_wrong_kind_exits_two_naming_it(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    Path("f").write_text("keep", encoding="utf-8")
+    for name in ("a.txt", "z.txt"):
+        Path(name).write_text("جلست المرأة على المقعد.", encoding="utf-8")
+    Path("d/z.json").mkdir(parents=True)
+    Path("gold").mkdir()
+    Path("gold/a.json").write_text('{"doc_id": "a", "text": "x", "annotations": []}', encoding="utf-8")
+    before = sorted(map(str, Path().rglob("*")))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # `eval` prints no table before it fails
+    assert len(err.splitlines()) == 1 and named in err
+    assert sorted(map(str, Path().rglob("*"))) == before  # nothing written, `d/a.json` included
+    assert Path("f").read_text(encoding="utf-8") == "keep"
+
+
 def test_check_shipped_resources_clean(capsys):
     assert main(["check"]) == 0
     assert "ok:" in capsys.readouterr().out

@@ -336,6 +336,23 @@ def test_compile_rejects_lexicon_sense_missing_from_the_grammar_map():
     assert match.captures == {"trigger": (0, 1), "site": (1, 2)}
 
 
+def test_a_grammar_rejects_a_lexicon_it_was_not_compiled_for():
+    extra = "TOPOLOGICAL.SUPPORT.EXTRA"
+    wider = SpatialityMap({**SMAP.nodes, extra: CategoryNode(extra, "EXTRA", "TOPOLOGICAL.SUPPORT")})
+    box = _parse_line("box\tNOUN_SITE", 2, "<test>")
+    own = Lexicon([_parse_line("on\tPREP\tTOPOLOGICAL.SUPPORT", 1, "<test>"), box], SMAP)
+    outside = Lexicon([_parse_line(f"on\tPREP\t{extra}", 1, "<test>"), box], wider)  # `compile` rejects it
+    src = "RULE r PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
+    grammar = compile(src, own, SMAP)
+    assert grammar.lexicon is own
+    assert len(annotate("on box", own, grammar, SMAP).annotations) == 1
+    for foreign in (outside, Lexicon(list(own.entries), SMAP)):  # an equal copy is another lexicon too
+        with pytest.raises(ValueError, match="lexicon other than the one it was compiled for"):
+            apply(grammar, tokenize("on box", foreign), foreign)
+        with pytest.raises(ValueError, match="lexicon other than the one it was compiled for"):
+            annotate("on box", foreign, grammar, SMAP)
+
+
 # words covering triggers, locution parts, sites, verbs, demonstratives,
 # suffixed forms, proclitic clusters and out-of-vocabulary noise
 _POOL = (

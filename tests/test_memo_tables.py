@@ -2,7 +2,8 @@
 
 `tokenize` keeps surface run -> words and word -> split on the lexicon (on
 the module without one), `Lexicon.lookup` keeps a word type's matches, and
-`apply` keeps a word type's candidate rules on the grammar, per lexicon.
+`apply` keeps a word type's candidate rules on the grammar, which is applied
+with the one lexicon it was compiled for.
 Every output below is compared with the output of resources built afresh
 for that one call.
 """
@@ -26,10 +27,10 @@ from makan.textnorm import load_variant_table, tokenize
 SMAP = default_map()
 RULES = rule_pack()
 SEED = seed_lexicon(SMAP)
-# Two lexicons sharing one grammar: the seed and the seed less every third entry, so splits and lookups differ.
+# Two lexicons, each with its own grammar: the seed and the seed less every third entry, so splits and lookups differ.
 ENTRIES = (SEED.entries, tuple(e for n, e in enumerate(SEED.entries) if n % 3))
 LEXICONS = tuple(Lexicon(list(entries), SMAP) for entries in ENTRIES)
-GRAMMAR = compile(RULES, LEXICONS[0], SMAP)
+GRAMMARS = tuple(compile(RULES, lex, SMAP) for lex in LEXICONS)
 SHIPPED = load_variant_table(resources.files("makan").joinpath("resources/variants.tsv"))
 NONE_MEMOS = ({}, {})  # the module's lexicon-free tables while a test below runs: long-lived across its examples
 LIMIT = 16  # low, so that the tables fill past it and are emptied again and again
@@ -53,8 +54,8 @@ _OPS = st.lists(
 
 def _tables():
     out = list(NONE_MEMOS)
-    for lex in LEXICONS:
-        out += [*lex.tokenize_memos, *lex._lookups, *GRAMMAR._memos.get(lex, ())]
+    for lex, grammar in zip(LEXICONS, GRAMMARS):
+        out += [*lex.tokenize_memos, *lex._lookups, *grammar._ranks]
     return out
 
 
@@ -81,7 +82,7 @@ def test_long_lived_tables_equal_fresh_ones(ops):
             variants = None if v is None else tables[v]
             snapshot = None if variants is None else dict(variants)
             if kind == "annotate":
-                got = annotate(text, LEXICONS[which], GRAMMAR, SMAP, variants)
+                got = annotate(text, LEXICONS[which], GRAMMARS[which], SMAP, variants)
                 fresh_lex = Lexicon(list(ENTRIES[which]), SMAP)
                 assert got == annotate(text, fresh_lex, compile(RULES, fresh_lex, SMAP), SMAP, snapshot)
             elif which is None:
@@ -106,7 +107,7 @@ def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
         assert annotate(text, lex, grammar, SMAP, SHIPPED) == annotate(
             text, fresh, compile(RULES, fresh, SMAP), SMAP, SHIPPED
         )
-        assert all(len(table) <= 3 for table in (*lex.tokenize_memos, *lex._lookups, *grammar._memos[lex]))
+        assert all(len(table) <= 3 for table in (*lex.tokenize_memos, *lex._lookups, *grammar._ranks))
 
 
 def test_threads_sharing_the_tables_get_the_answers_of_one_thread(monkeypatch):
@@ -114,7 +115,8 @@ def test_threads_sharing_the_tables_get_the_answers_of_one_thread(monkeypatch):
     texts = [read_annotations(p, SMAP).text for p in sorted(_SUITE.iterdir(), key=lambda p: p.name)]
     lex = Lexicon(list(SEED.entries), SMAP)
     grammar = compile(RULES, lex, SMAP)
-    expected = [annotate(text, SEED, GRAMMAR, SMAP, SHIPPED) for text in texts]
+    seed_grammar = compile(RULES, SEED, SMAP)
+    expected = [annotate(text, SEED, seed_grammar, SMAP, SHIPPED) for text in texts]
     results = {}
 
     def work(n):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makan.textnorm import _TABLE, OffsetSpan, Proclitic, Token, load_variant_table, normalize, tokenize
-from oracle import reference_tokenize
+from makan.textnorm import OffsetSpan, Proclitic, Token, load_variant_table, normalize, tokenize
+from oracle import reference_normalize, reference_tokenize
 
 # letters, diacritics, proclitic letters, punctuation and digits mixed in
 _ARABIC_SOUP = st.text(
@@ -97,8 +97,10 @@ def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, 
 @settings(max_examples=200)
 @given(_ARABIC_SOUP)
 @example("ﻻَ x 𝒜ّ ۀ")  # characters past the table's end map to themselves
-def test_translate_table_equals_normalize(text):
-    assert text.translate(_TABLE) == normalize(text)[0]
+@example("اَبّ أ سِين")  # marked words that the variant tables below replace
+def test_normalize_equals_reference_normalize(bundle, text):
+    for variants in (None, bundle[3], {"ا": "اا", "اب": "ب"}):  # the shipped table, and words that lengthen and shorten
+        assert normalize(text, variants) == reference_normalize(text, variants)
 
 
 @settings(max_examples=200)
