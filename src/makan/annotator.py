@@ -38,35 +38,33 @@ class AnnotatedDocument:
     annotations: tuple[SpatialAnnotation, ...]
 
 
-# Spans built from valid token spans skip `OffsetSpan`'s check here and in `_convert`, as in `textnorm.tokenize`.
-def _hull(spans: list[OffsetSpan]) -> OffsetSpan:
-    return tuple.__new__(OffsetSpan, (min(s.start for s in spans), max(s.end for s in spans)))
-
-
 def _token_hull(tokens, rng: tuple[int, int]) -> OffsetSpan:
-    return tuple.__new__(OffsetSpan, (tokens[rng[0]].span.start, tokens[rng[1] - 1].span.end))
+    first = tokens[rng[0]]
+    return first.span if rng[1] - rng[0] == 1 else OffsetSpan(first.span.start, tokens[rng[1] - 1].span.end)
 
 
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
+    """The annotation of a match that passed its guards; it builds only the tokens its captures start and end on."""
     trig_rng = match.captures["trigger"]
     trig_ev = match.evidence.get("trigger")
+    tok = tokens[trig_rng[0]]
     site_span = None
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
-        tok = tokens[trig_rng[0]]
         trigger_span = next(p.span for p in tok.proclitics if p.kind == "preposition")
         site_span = tok.stem_span
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        trigger_span = tuple.__new__(OffsetSpan, (tokens[trig_rng[0]].stem_span.start, tokens[trig_rng[1] - 1].span.end))
+        end = tok.span.end if trig_rng[1] - trig_rng[0] == 1 else tokens[trig_rng[1] - 1].span.end
+        trigger_span = OffsetSpan(tok.stem_span.start, end)
     if "site" in match.captures:
         site_span = _token_hull(tokens, match.captures["site"])
     target_span = _token_hull(tokens, match.captures["target"]) if "target" in match.captures else None
 
     spans = [trigger_span] + [s for s in (site_span, target_span) if s is not None]
     return SpatialAnnotation(
-        span=_hull(spans),
+        span=OffsetSpan(min(s.start for s in spans), max(s.end for s in spans)),
         category=match.output,
         trigger=trigger_span,
         site=site_span,

@@ -167,15 +167,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    commands = {"annotate": cmd_annotate, "eval": cmd_eval, "check": cmd_check, "split": cmd_split}
     try:
-        if args.command == "annotate":
-            return cmd_annotate(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "split":
-            return cmd_split(args)
+        return commands[args.command](args)
     except (LexiconError, GrammarError, AnnotationFormatError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -185,7 +179,6 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path of the wrong kind or an unreadable document; names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    raise AssertionError(args.command)
 
 
 if __name__ == "__main__":

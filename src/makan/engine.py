@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from . import semmap
 from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
-from .textnorm import normalize, remember
+from .textnorm import normalize, remember, token_stream
 
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
@@ -317,8 +317,8 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
 # ---------------------------------------------------------------------------
 # matching
 
-def _best_alignment(atoms, ai: int, tokens, lookups, pos: int):
-    """Best alignment of `atoms[ai:]` at token `pos` as (total, picks), or None.
+def _best_alignment(atoms, ai: int, stems, lookups, pos: int):
+    """Best alignment of `atoms[ai:]` at token `pos` of the stem column `stems` as (total, picks), or None.
 
     `picks` holds each atom's (tokens consumed, evidence), the evidence being
     the first match in (test, lookup) order for that length: guards read it.
@@ -331,14 +331,14 @@ def _best_alignment(atoms, ai: int, tokens, lookups, pos: int):
         return (0, ())
     atom = atoms[ai]
     if atom.gap:
-        options = dict.fromkeys(range(min(atom.gap, len(tokens) - pos) + 1))
+        options = dict.fromkeys(range(min(atom.gap, len(stems) - pos) + 1))
     else:
         options = {0: None} if atom.optional else {}
-        if pos < len(tokens):
+        if pos < len(stems):
             for test in atom.tests:
                 kind, accepts = test.kind, test.accepts
                 if kind == "lit":
-                    if tokens[pos].stem == accepts:
+                    if stems[pos] == accepts:
                         options.setdefault(1, None)
                     continue
                 for m in lookups[pos]:
@@ -350,7 +350,7 @@ def _best_alignment(atoms, ai: int, tokens, lookups, pos: int):
                         options.setdefault(m.length, m)
     best = None
     for consumed, m in options.items():
-        rest = _best_alignment(atoms, ai + 1, tokens, lookups, pos + consumed)
+        rest = _best_alignment(atoms, ai + 1, stems, lookups, pos + consumed)
         if rest is not None and (best is None or (rest[0] + consumed, consumed) > (best[0], best[1][0][0])):
             best = (rest[0] + consumed, ((consumed, m), *rest[1]))
     return best
@@ -361,43 +361,45 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     winner order; one winner per start; resume after the winner's trigger.
 
     `lexicon` must be the one the grammar was compiled for, else ValueError.
-    A token's lookups and candidate rules depend only on its word type, its
+    It reads the stem and ب columns of `textnorm.token_stream(tokens)`. A
+    token's lookups and candidate rules depend only on its word type, its
     stem with or without a ب proclitic, unless the stem starts a locution:
     each type is looked up once a call (the lexicon keeps its matches), and
     its candidates are kept on the grammar, across calls."""
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
+    tokens = token_stream(tokens)
+    stems = tokens.stems
     seen = ({}, {})  # as `grammar._ranks`, for this call's word types: stem -> (lookups, candidate ranks)
     lookups, candidates = [], []  # per token: its lookups, its candidate ranks in winner order
-    for i, tok in enumerate(tokens):
-        baa = bool(tok.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics)
-        hit = seen[baa].get(tok.stem)
+    for i, (stem, baa) in enumerate(zip(stems, tokens.baa)):
+        hit = seen[baa].get(stem)
         if hit is None:
             found = lexicon.lookup(tokens, i)
-            fixed = tok.stem not in lexicon.locution_starts  # else its lookups depend on the next token
-            ranks = grammar._ranks[baa].get(tok.stem)
+            fixed = stem not in lexicon.locution_starts  # else its lookups depend on the next token
+            ranks = grammar._ranks[baa].get(stem)
             if ranks is None:
-                ranks = set(grammar.always).union(grammar.first.get(tok.stem, ()))
+                ranks = set(grammar.always).union(grammar.first.get(stem, ()))
                 for m in found:
                     for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
                         ranks.update(grammar.first.get(k, ()))
                 ranks = tuple(sorted(ranks))
                 if fixed:
-                    remember(grammar._ranks[baa], tok.stem, ranks)
+                    remember(grammar._ranks[baa], stem, ranks)
             hit = (found, ranks)
             if fixed:
-                seen[baa][tok.stem] = hit
+                seen[baa][stem] = hit
         lookups.append(hit[0])
         candidates.append(hit[1])
     out: list[RawMatch] = []
     i = 0
-    while i < len(tokens):
+    while i < len(stems):
         winner, total = None, 0
         for rank in candidates[i]:
             rule = grammar.ordered[rank]
             if winner is not None and rule.priority < winner.priority:
                 break  # candidates come in winner order: only an equal priority and a greater total can still win
-            al = _best_alignment(rule.atoms, 0, tokens, lookups, i)
+            al = _best_alignment(rule.atoms, 0, stems, lookups, i)
             if al is not None and al[0] > total:
                 winner, (total, picks) = rule, al
         if winner is None:
@@ -418,7 +420,7 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
                 output=winner.output,
                 guards=winner.guards,
                 evidence=evidence,
-                following=tuple(lookups[i]) if i < len(tokens) else (),
+                following=tuple(lookups[i]) if i < len(stems) else (),
             )
         )
     return out

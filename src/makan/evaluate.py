@@ -6,9 +6,12 @@ Metrics are kept as exact rationals; printing rounds half-up to 2 decimals.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -67,12 +70,8 @@ class EvalReport:
     silence: list[SilenceRecord] = field(default_factory=list)
 
     def totals(self) -> CategoryCounts:
-        total = CategoryCounts()
-        for counts in self.categories.values():
-            total.tp += counts.tp
-            total.fp += counts.fp
-            total.fn += counts.fn
-        return total
+        cats = self.categories.values()
+        return CategoryCounts(sum(c.tp for c in cats), sum(c.fp for c in cats), sum(c.fn for c in cats))
 
 
 def f_measure(p, r) -> Fraction:
@@ -126,6 +125,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         gold_cats = [semmap.top_level(smap, g.category) for g in gold_anns]
         # gold indices in candidate order: a system annotation takes the first untaken one it matches
         order = sorted(range(len(gold_anns)), key=lambda k: (gold_anns[k].span.start, gold_anns[k].trigger.start, k))
+        starts = [gold_anns[k].span.start for k in order]  # ascending: no gold from the first past an end overlaps
         queues: dict[tuple[OffsetSpan, str], list[int]] = {}  # (trigger, category) -> untaken gold, first last
         if mode is MatchMode.TRIGGER_EXACT:
             for idx in reversed(order):
@@ -137,7 +137,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
                 hit = queue.pop() if queue else None
             else:
                 overlapping = (
-                    idx for idx in order
+                    idx for idx in itertools.islice(order, bisect.bisect_left(starts, ann.span.end))
                     if idx not in taken and gold_cats[idx] == cat and ann.span.overlaps(gold_anns[idx].span)
                 )
                 hit = next(overlapping, None)
@@ -181,15 +181,9 @@ def split(doc_ids, seed: int) -> tuple[list, list]:
 
 def error_report(report: EvalReport) -> dict:
     """Bruit grouped by (rule, trigger lemma); silence grouped by gold category."""
-    bruit_groups: dict[tuple[str, str], int] = {}
-    for rec in report.bruit:
-        key = (rec.rule or "?", rec.trigger_text)
-        bruit_groups[key] = bruit_groups.get(key, 0) + 1
+    bruit_groups = Counter((rec.rule or "?", rec.trigger_text) for rec in report.bruit)
     smap = semmap.default_map()
-    silence_groups: dict[str, int] = {}
-    for rec in report.silence:
-        cat = semmap.top_level(smap, rec.annotation.category)
-        silence_groups[cat] = silence_groups.get(cat, 0) + 1
+    silence_groups = Counter(semmap.top_level(smap, rec.annotation.category) for rec in report.silence)
     return {
         "bruit": [
             {"rule": rule, "lemma": lemma, "count": count}

@@ -17,10 +17,6 @@ NEG_WINDOW = 3
 _PLURAL_ENDINGS = ("ين", "ان", "ات", "ون", "وا")
 
 
-def _site_evidence(match):
-    return match.evidence.get("site")
-
-
 def guard_neg_scope(tokens, match) -> bool:
     """Veto iff a negation particle precedes the governing verb (or the trigger
     when the match has no verb capture) within the scope window."""
@@ -31,7 +27,7 @@ def guard_neg_scope(tokens, match) -> bool:
 
 def guard_abstract_site(tokens, match) -> bool:
     """Veto iff the site head is abstract-capable; only concrete places count."""
-    site = _site_evidence(match)
+    site = match.evidence.get("site")
     if site is None:
         return False
     entry = site.entry
@@ -40,7 +36,7 @@ def guard_abstract_site(tokens, match) -> bool:
 
 def guard_temporal_site(tokens, match) -> bool:
     """Veto iff the site head is a temporal noun (بين ساعة الغروب ...)."""
-    site = _site_evidence(match)
+    site = match.evidence.get("site")
     return site is not None and site.entry.cls is LexClass.NOUN_TEMPORAL
 
 
@@ -64,7 +60,7 @@ def guard_plural_site(tokens, match) -> bool:
     head = tokens[span[0]]
     if head.stem.endswith(_PLURAL_ENDINGS):
         return False
-    site = _site_evidence(match)
+    site = match.evidence.get("site")
     if site is not None and site.suffixed:
         return False
     for tok in tokens[span[1] : span[1] + 2]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import semmap
-from .textnorm import normalize, remember
+from .textnorm import normalize, remember, token_stream
 
 
 class LexClass(str, enum.Enum):
@@ -174,34 +174,29 @@ class Lexicon:
 
         Ordered by covered length descending, PREP_LOCUTION before PREP on
         ties. A ب proclitic on the token also yields a one-token PREP match.
+        It reads the stem and ب columns of `textnorm.token_stream(tokens)`.
         """
+        tokens = token_stream(tokens)
         if not 0 <= i < len(tokens):
             raise IndexError(f"token index {i} out of range")
-        token = tokens[i]
-        baa = bool(token.proclitics) and any(p.kind == "preposition" and p.text == "ب" for p in token.proclitics)
-        if token.stem in self.locution_starts:  # its matches depend on the next tokens
-            return self._lookup(tokens, i, baa)
-        memo = self._lookups[baa]
-        found = memo.get(token.stem)
+        stems, baa = tokens.stems, tokens.baa[i]
+        stem = stems[i]
+        fixed = stem not in self.locution_starts  # else its matches depend on the next tokens
+        found = self._lookups[baa].get(stem) if fixed else None
         if found is None:
-            found = remember(memo, token.stem, tuple(self._lookup(tokens, i, baa)))
+            found = []
+            # each list is in the output order already, and every multiword form outranks a one-word form
+            if not fixed and i + 1 < len(stems):
+                for words, entry, suffixed in self._by_pair.get((stem, stems[i + 1]), ()):
+                    if stems[i : i + len(words)] == words:
+                        found.append(LexMatch(entry, len(words), suffixed))
+            found += [LexMatch(entry, 1, suffixed) for _, entry, suffixed in self._by_first.get(stem, ())]
+            if baa and self._baa:
+                found += self._baa
+                found.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
+            if fixed:
+                remember(self._lookups[baa], stem, tuple(found))
         return list(found)
-
-    def _lookup(self, tokens, i: int, baa: bool) -> list[LexMatch]:
-        token = tokens[i]
-        out: list[LexMatch] = []
-        # each list is in the output order already, and every multiword form outranks a one-word form
-        if token.stem in self.locution_starts and i + 1 < len(tokens):
-            for words, entry, suffixed in self._by_pair.get((token.stem, tokens[i + 1].stem), ()):
-                n = len(words)
-                if n == 2 or (i + n <= len(tokens) and all(tokens[i + k].stem == words[k] for k in range(2, n))):
-                    out.append(LexMatch(entry, n, suffixed))
-        for _, entry, suffixed in self._by_first.get(token.stem, ()):
-            out.append(LexMatch(entry, 1, suffixed))
-        if baa and self._baa:
-            out.extend(self._baa)
-            out.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
-        return out
 
 
 def _parse_line(line: str, lineno: int, source: str) -> LexEntry:

@@ -58,10 +58,7 @@ class SpatialityMap:
 
 def default_map() -> SpatialityMap:
     """The fixed spatiality tree: topological / projective / directional."""
-    nodes = {}
-    for path, parent in _TREE:
-        label = path.rsplit(".", 1)[-1]
-        nodes[path] = CategoryNode(id=path, label=label, parent=parent)
+    nodes = {path: CategoryNode(id=path, label=path.rsplit(".", 1)[-1], parent=parent) for path, parent in _TREE}
     return SpatialityMap(nodes)
 
 
@@ -72,10 +69,9 @@ def resolve(smap: SpatialityMap, path: str) -> CategoryNode | None:
 
 def subsumes(smap: SpatialityMap, ancestor: str, descendant: str) -> bool:
     """True iff `ancestor` lies on `descendant`'s parent chain (reflexive)."""
-    if ancestor not in smap.nodes:
-        raise ValueError(f"unknown category path: {ancestor}")
-    if descendant not in smap.nodes:
-        raise ValueError(f"unknown category path: {descendant}")
+    for path in (ancestor, descendant):
+        if path not in smap.nodes:
+            raise ValueError(f"unknown category path: {path}")
     cur: str | None = descendant
     while cur is not None:
         if cur == ancestor:

@@ -7,6 +7,7 @@ annotations stay valid regardless of how the text is later re-encoded.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -19,12 +20,7 @@ _REMOVED = frozenset(
 
 # Hamza-carrying alef variants (أ/إ/آ) fold to bare alef, alef maqsura (ى)
 # folds to ya. Ta marbuta (ة) is deliberately preserved.
-_FOLD = {
-    "أ": "ا",  # أ
-    "إ": "ا",  # إ
-    "آ": "ا",  # آ
-    "ى": "ي",  # ى
-}
+_FOLD = {"أ": "ا", "إ": "ا", "آ": "ا", "ى": "ي"}
 
 # `normalize`'s text: a list, not a dict, so `str.translate` finds each letter by index.
 _TABLE = [None if ch in _REMOVED else ord(_FOLD.get(ch, ch)) for ch in map(chr, range(0x700))]
@@ -99,7 +95,7 @@ class Proclitic(_Record):
         return tuple.__new__(cls, (span, kind, text))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Token:
     span: OffsetSpan          # whole word in the original text
     surface: str              # original substring, diacritics and all
@@ -107,16 +103,70 @@ class Token:
     stem_span: OffsetSpan     # residue after proclitic detachment
     stem: str                 # normalized residue
 
-    def __init__(self, span, surface, proclitics, stem_span, stem):
-        # Each slot filled through its descriptor: the frozen `__setattr__` path costs twice as much.
-        _set_span(self, span)
-        _set_surface(self, surface)
-        _set_proclitics(self, proclitics)
-        _set_stem_span(self, stem_span)
-        _set_stem(self, stem)
+
+def _token(r0: int, word: tuple) -> Token:
+    """The token of a word record (see `_normalized_words`) in the surface run at `r0`."""
+    ws, we, surface, cuts, stem_start, stem, _ = word
+    span = OffsetSpan(r0 + ws, r0 + we)
+    proclitics = tuple([Proclitic(OffsetSpan(r0 + cs, r0 + ce), kind, ctext) for kind, cs, ce, ctext in cuts])
+    return Token(span, surface, proclitics, OffsetSpan(r0 + stem_start, r0 + we) if cuts else span, stem)
 
 
-_set_span, _set_surface, _set_proclitics, _set_stem_span, _set_stem = (vars(Token)[f].__set__ for f in Token.__match_args__)
+class TokenStream(Sequence):
+    """`tokenize`'s immutable sequence of `Token`s as columns; it equals any sequence of equal `Token`s.
+
+    `starts[i]` is the offset of token i's surface run and `words[i]` its word record, shared by every token of
+    that run; `stems` and `baa` (a ب proclitic) are read off the records. An index builds a `Token`, a slice a list.
+    """
+
+    __slots__ = ("starts", "words", "stems", "baa")
+
+    def __init__(self, starts, words):
+        for name, column in zip(self.__slots__, (starts, words, [w[5] for w in words], [w[6] for w in words])):
+            object.__setattr__(self, name, tuple(column))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return list(map(_token, self.starts[i], self.words[i]))
+        return _token(self.starts[i], self.words[i])
+
+    def __iter__(self):
+        return map(_token, self.starts, self.words)
+
+    def __eq__(self, other):
+        if isinstance(other, (str, bytes)) or not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __reduce__(self):
+        return TokenStream, (self.starts, self.words)
+
+    def __repr__(self):
+        return f"TokenStream({list(self)!r})"
+
+
+def _has_baa(cuts) -> bool:
+    return any(kind == "preposition" and text == "ب" for kind, _, _, text in cuts)
+
+
+def token_stream(tokens) -> TokenStream:
+    """`tokens` as a stream: a stream as it is, a sequence of `Token`s as one surface run a token.
+
+    A token without proclitics reads back with its word span as stem span, as `tokenize` makes it.
+    """
+    if type(tokens) is TokenStream:
+        return tokens
+    cuts = [tuple([(p.kind, *p.span, p.text) for p in t.proclitics]) for t in tokens]
+    words = [
+        (t.span.start, t.span.end, t.surface, c, t.stem_span.start, t.stem, _has_baa(c)) for t, c in zip(tokens, cuts)
+    ]
+    return TokenStream([0] * len(words), words)
 
 
 def normalize(text: str, variants: dict[str, str] | None = None) -> tuple[str, list[int]]:
@@ -140,21 +190,14 @@ def _apply_variants(norm: str, omap: list[int], variants: dict[str, str]) -> tup
     last = 0
     for m in _WORD_RE.finditer(norm):
         repl = variants.get(m.group())
-        if repl is None:
-            continue
-        out.append(norm[last : m.start()])
-        nmap.extend(omap[last : m.start()])
-        wlen = m.end() - m.start()
-        for j, ch in enumerate(repl):
-            if j == len(repl) - 1:
-                src = m.end() - 1  # keep the span end on the last original char
-            else:
-                src = m.start() + min(j, wlen - 1)
-            out.append(ch)
-            nmap.append(omap[src])
-        last = m.end()
+        if repl is not None:
+            a, b = m.span()  # the replacement's last character keeps the span end on the word's last one
+            out += (norm[last:a], repl)
+            nmap += omap[last:a]
+            nmap += [omap[b - 1 if j == len(repl) - 1 else a + min(j, b - a - 1)] for j in range(len(repl))]
+            last = b
     out.append(norm[last:])
-    nmap.extend(omap[last:])
+    nmap += omap[last:]
     return "".join(out), nmap
 
 
@@ -194,10 +237,6 @@ def load_variant_table(path) -> dict[str, str]:
     return table
 
 
-def _in_lexicon(lexicon, word: str) -> bool:
-    return lexicon is not None and lexicon.has_word(word)
-
-
 def _split_clitics(word: str, lexicon) -> tuple[list[tuple[str, int, int]], int]:
     """Split a normalized word into proclitic cuts and a stem start.
 
@@ -206,24 +245,25 @@ def _split_clitics(word: str, lexicon) -> tuple[list[tuple[str, int, int]], int]
     lexicon-validated: a word known to the lexicon is never segmented, and
     ب/ل/ك come off only when the residue is lexical or carries the article.
     """
+    known = lexicon.has_word if lexicon is not None else frozenset().__contains__
     cuts: list[tuple[str, int, int]] = []
-    if len(word) < 2 or _in_lexicon(lexicon, word):
+    if len(word) < 2 or known(word):
         return cuts, 0
     pos = 0
     rest = word
-    if rest[0] in COORD_PROCLITICS and (len(rest[1:]) >= 2 or _in_lexicon(lexicon, rest[1:])):
+    if rest[0] in COORD_PROCLITICS and (len(rest[1:]) >= 2 or known(rest[1:])):
         cuts.append(("coordination", pos, pos + 1))
         pos += 1
         rest = rest[1:]
-        if _in_lexicon(lexicon, rest):
+        if known(rest):
             return cuts, pos
     if rest and rest[0] in PREP_PROCLITICS:
         residue = rest[1:]
-        if _in_lexicon(lexicon, residue) or (residue.startswith(ARTICLE) and len(residue) >= 4):
+        if known(residue) or (residue.startswith(ARTICLE) and len(residue) >= 4):
             cuts.append(("preposition", pos, pos + 1))
             pos += 1
             rest = residue
-            if _in_lexicon(lexicon, rest):
+            if known(rest):
                 return cuts, pos
     if rest.startswith(ARTICLE) and len(rest) >= 4:
         cuts.append(("article", pos, pos + 2))
@@ -231,20 +271,18 @@ def _split_clitics(word: str, lexicon) -> tuple[list[tuple[str, int, int]], int]
     return cuts, pos
 
 
-def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) -> list[Token]:
-    """Segment text into tokens with clitic decomposition.
+def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) -> TokenStream:
+    """Segment text into a stream of tokens with clitic decomposition; no `Token` is built until one is read.
 
     Proclitic spans and the stem span partition each token span left to
-    right; unsegmentable words become single-stem tokens. Its spans skip
-    `OffsetSpan`'s check: run offsets shifted by the run's start are valid.
-    Each surface run and each word is worked out once and kept in the
-    lexicon's memo tables (`Lexicon.tokenize_memos`, module ones without a
-    lexicon); a run whose word is in `variants` is worked out on each call,
-    since the caller may change that table between calls.
+    right; unsegmentable words become single-stem tokens. Each surface run
+    and each word is worked out once and kept in the lexicon's memo tables
+    (`Lexicon.tokenize_memos`, module ones without a lexicon); a run whose
+    word is in `variants` is worked out on each call, since the caller may
+    change that table between calls.
     """
     runs, splits = _MEMOS if lexicon is None else lexicon.tokenize_memos
-    tokens: list[Token] = []
-    new = tuple.__new__
+    starts, words_out = [], []
     for rmatch in _RUN_RE.finditer(text):
         run = rmatch.group()
         record = runs.get(run)
@@ -253,19 +291,10 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
         word, words = record
         if variants and word in variants:
             words = _normalized_words(run, lexicon, variants, splits)[1]
-        r0 = rmatch.start()
-        for ws, we, surface, cuts, stem_start, stem in words:
-            end = r0 + we
-            span = new(OffsetSpan, (r0 + ws, end))
-            if cuts:
-                proclitics = tuple(
-                    [new(Proclitic, (new(OffsetSpan, (r0 + cs, r0 + ce)), kind, ctext)) for kind, cs, ce, ctext in cuts]
-                )
-                stem_span = new(OffsetSpan, (r0 + stem_start, end))
-            else:
-                proclitics, stem_span = (), span
-            tokens.append(Token(span, surface, proclitics, stem_span, stem))
-    return tokens
+        for w in words:
+            starts.append(rmatch.start())
+            words_out.append(w)
+    return TokenStream(starts, words_out)
 
 
 def remember(table: dict, key, value):
@@ -276,26 +305,23 @@ def remember(table: dict, key, value):
     return value
 
 
-def _split(word: str, lexicon, splits: dict[str, tuple]) -> tuple:
-    """(word, proclitic cuts as (kind, start, end, text), stem start, stem); the word is the table's own key."""
-    split = splits.get(word)
-    if split is None:
-        cuts, stem_start = _split_clitics(word, lexicon)
-        cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
-        split = remember(splits, word, (word, cuts, stem_start, word[stem_start:]))
-    return split
-
-
 def _normalized_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
-    """(word, words) of a surface run through `normalize`'s offset map, each of its words (start, end, surface,
-    cuts, stem start, stem) as offsets into the run. Without variants a run normalizes to one word, or none:
-    `word` is that word as the split table keeps it, so equal words share one string, or "" for none."""
+    """(word, words) of a surface run through `normalize`'s offset map, each of its words a record (start, end,
+    surface, cuts, stem start, stem, whether a cut is a ب proclitic) in offsets into the run. Without variants a
+    run normalizes to one word, or none: `word` is that word as the split table keeps it, so equal words share
+    one string, or "" for none."""
     norm, omap = normalize(run, variants)
     word, out = "", []
     for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
-        word, cuts, stem_start, stem = _split(wmatch.group(), lexicon, splits)
+        word = wmatch.group()
+        split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem): equal words share one
+        if split is None:
+            cuts, stem_start = _split_clitics(word, lexicon)
+            cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
+            split = remember(splits, word, (word, cuts, stem_start, word[stem_start:]))
+        word, cuts, stem_start, stem = split
         a, b = wmatch.span()
         ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
         cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)
-        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem))
+        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem, _has_baa(cuts)))
     return word, tuple(out)

@@ -2,12 +2,15 @@
 
 The engine reference enumerates every (rule, start, alignment) combination
 directly from the rule structure, over the lookup reference's matches, and
-filters by the published winner ordering. The normalization reference folds
-one character at a time and replaces variant words from the right; the
-tokenizer reference normalizes through it, splits every word anew and computes every
-boundary through one closure; the lookup reference tries every entry form at
-the token; the scoring reference scans all gold for each system annotation. Kept deliberately separate from the program's own paths
-so the two can disagree.
+filters by the published winner ordering; what each atom's tests accept at a
+word, and the word's lookups, are worked out once per word (the stems a
+lookup reads and its ب proclitic) and kept for later sequences. The
+normalization reference folds one character at a time and replaces variant
+words from the right; the tokenizer reference normalizes through it, splits
+every word anew and computes every boundary through one closure; the lookup
+reference tries every entry form at the token; the scoring reference scans
+all gold for each system annotation. Kept deliberately separate from the
+program's own paths so the two can disagree.
 """
 
 import functools
@@ -28,39 +31,26 @@ def _test_ok(test, lex_match, smap):
     raise AssertionError(test.kind)
 
 
-def _all_alignments(rule, tokens, lookups, smap, start):
-    """Every complete alignment as (total, consumption vector, captures); `lookups[i]` is `reference_lookup` at i."""
-    results = []
-
-    def go(ai, pos, vec, caps):
-        if ai == len(rule.atoms):
-            results.append((pos - start, tuple(vec), dict(caps)))
-            return
-        atom = rule.atoms[ai]
-        choices = set()
-        if atom.gap:
-            for k in range(0, min(atom.gap, len(tokens) - pos) + 1):
-                choices.add(k)
-        else:
-            if atom.optional:
-                choices.add(0)
-            if pos < len(tokens):
-                for test in atom.tests:
-                    if test.kind == "lit":
-                        if tokens[pos].stem == test.value:
-                            choices.add(1)
-                    else:
-                        for m in lookups[pos]:
-                            if _test_ok(test, m, smap):
-                                choices.add(m.length)
-        for consumed in sorted(choices):
-            ncaps = caps
-            if atom.capture is not None and consumed > 0:
-                ncaps = {**caps, atom.capture: (pos, pos + consumed)}
-            go(ai + 1, pos + consumed, vec + [consumed], ncaps)
-
-    go(0, start, [], {})
-    return [r for r in results if "trigger" in r[2]]
+def _all_alignments(rule, accepted, n, start):
+    """Every complete alignment as (total, consumption vector, captures) over `n` tokens, grown atom by atom;
+    `accepted[pos][ai]` is the set of token counts atom `ai`'s tests accept at token `pos` (see `_word`)."""
+    partial = [(start, (), {})]  # (next token, consumption vector, captures) of each alignment of the atoms so far
+    for ai, atom in enumerate(rule.atoms):
+        grown = []
+        for pos, vec, caps in partial:
+            if atom.gap:
+                choices = range(0, min(atom.gap, n - pos) + 1)
+            else:
+                choices = accepted[pos][ai] if pos < n else frozenset()
+                if atom.optional:
+                    choices = choices | {0}
+            for consumed in choices:
+                ncaps = caps
+                if atom.capture is not None and consumed > 0:
+                    ncaps = {**caps, atom.capture: (pos, pos + consumed)}
+                grown.append((pos + consumed, vec + (consumed,), ncaps))
+        partial = grown
+    return [(pos - start, vec, caps) for pos, vec, caps in partial if "trigger" in caps]
 
 
 def _evidence(atom, tokens, lookups, smap, pos, consumed):
@@ -79,16 +69,18 @@ def _evidence(atom, tokens, lookups, smap, pos, consumed):
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output, evidence, following) tuples under the same winner policy."""
     smap = grammar.smap
-    lookups = [reference_lookup(lexicon, tokens, pos) for pos in range(len(tokens))]
+    words = [_word(grammar, lexicon, *key) for key in _keys(lexicon, tokens)]
+    lookups = [list(word[0]) for word in words]
+    accepted = [[word[1][r] for word in words] for r in range(len(grammar.rules))]  # by rule, then token
     out = []
     i = 0
     while i < len(tokens):
         candidates = []
-        for rule in grammar.rules:
-            alignments = _all_alignments(rule, tokens, lookups, smap, i)
+        for r, rule in enumerate(grammar.rules):
+            alignments = _all_alignments(rule, accepted[r], len(tokens), i)
             if not alignments:
                 continue
-            total, vec, caps = max(alignments, key=lambda r: (r[0], r[1]))
+            total, vec, caps = max(alignments, key=lambda a: (a[0], a[1]))
             candidates.append(((-rule.priority, -total, rule.decl), rule, total, vec, caps))
         if not candidates:
             i += 1
@@ -103,6 +95,28 @@ def oracle_apply(grammar, tokens, lexicon):
         following = tuple(lookups[i]) if i < len(tokens) else ()
         out.append((rule.name, (start, start + total), caps, rule.output, evidence, following))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _word(grammar, lexicon, stems, baa):
+    """(lookups, accepted) of a token whose stems from it on are `stems` and that has a ب proclitic or not:
+    `accepted[r][ai]` is the set of token counts that the tests of atom `ai` of rule `r` accept at the token.
+    Worked out once per word for every sequence a test runs through the oracle."""
+    lookups = _lookup(lexicon, stems, baa)
+    accepted = []
+    for rule in grammar.rules:
+        per_atom = []
+        for atom in rule.atoms:
+            counts = set()
+            for test in atom.tests:
+                if test.kind == "lit":
+                    if stems[0] == test.value:
+                        counts.add(1)
+                else:
+                    counts.update(m.length for m in lookups if _test_ok(test, m, grammar.smap))
+            per_atom.append(frozenset(counts))
+        accepted.append(tuple(per_atom))
+    return lookups, tuple(accepted)
 
 
 def as_tuples(raw_matches):
@@ -177,16 +191,34 @@ def _all_forms(lexicon):
     return forms
 
 
+@functools.lru_cache(maxsize=None)
+def _longest_form(lexicon):
+    return max((len(words) for _, words, _ in _all_forms(lexicon)), default=1)
+
+
+def _keys(lexicon, tokens):
+    """What the lookup at each token reads: the stems from it on, as many as the longest form has, and its ب proclitic."""
+    stems, longest = [tok.stem for tok in tokens], _longest_form(lexicon)
+    return [
+        (tuple(stems[i : i + longest]), any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics))
+        for i, tok in enumerate(tokens)
+    ]
+
+
 def reference_lookup(lexicon, tokens, i):
     """Lexicon matches at token i: every entry and its suffixed forms compared with the stems from i on."""
-    stems = tuple(tok.stem for tok in tokens[i:])
+    return list(_lookup(lexicon, *_keys(lexicon, tokens)[i]))
+
+
+@functools.lru_cache(maxsize=None)
+def _lookup(lexicon, stems, baa):
     out = [LexMatch(entry, len(words), suffixed) for entry, words, suffixed in _all_forms(lexicon)
            if stems[: len(words)] == words]
-    if any(p.kind == "preposition" and p.text == "ب" for p in tokens[i].proclitics):
+    if baa:
         out += [LexMatch(e, 1, via_proclitic=True) for e in lexicon.entries
                 if e.words == ("ب",) and e.cls is LexClass.PREP]
     order = {LexClass.PREP_LOCUTION: 0, LexClass.PREP: 1}
-    return sorted(out, key=lambda m: (-m.length, order.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
+    return tuple(sorted(out, key=lambda m: (-m.length, order.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic)))
 
 
 def reference_score(gold_docs, system_docs, trigger_exact):

@@ -260,3 +260,21 @@ def test_score_equals_reference_scan(docs):
         assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
         assert [r.annotation for r in report.bruit] == bruit
         assert [r.annotation for r in report.silence] == silence
+
+
+_SPANS = st.tuples(st.integers(0, 28), st.integers(1, 4)).map(lambda sw: OffsetSpan(sw[0], min(sw[0] + sw[1], 30)))
+_LABELED = st.lists(st.tuples(_SPANS, st.sampled_from(_CATEGORIES)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LABELED, _LABELED)
+def test_span_overlap_scan_that_stops_at_the_first_gold_past_the_end_equals_a_full_scan(gold_pairs, system_pairs):
+    """Spans over a whole text, adjacent ones included: the scan may stop early only where no later gold overlaps."""
+    text = "ا" * 30
+    gold = [_doc("d", text, [SpatialAnnotation(span=s, category=c, trigger=s) for s, c in gold_pairs])]
+    system = [_doc("d", text, [SpatialAnnotation(span=s, category=c, trigger=s, rule="r") for s, c in system_pairs])]
+    report = score(gold, system, MatchMode.SPAN_OVERLAP)
+    counts, bruit, silence = reference_score(gold, system, trigger_exact=False)
+    assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
+    assert [r.annotation for r in report.bruit] == bruit
+    assert [r.annotation for r in report.silence] == silence

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import re
 
@@ -7,7 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makan.textnorm import OffsetSpan, Proclitic, Token, load_variant_table, normalize, tokenize
+from makan.engine import apply
+from makan.textnorm import (
+    OffsetSpan,
+    Proclitic,
+    Token,
+    TokenStream,
+    load_variant_table,
+    normalize,
+    token_stream,
+    tokenize,
+)
 from oracle import reference_normalize, reference_tokenize
 
 # letters, diacritics, proclitic letters, punctuation and digits mixed in
@@ -319,3 +330,77 @@ def test_token_and_lex_match_survive_pickle_and_deepcopy(bundle):
         assert copy.deepcopy(obj) == obj
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(obj, protocol)) == obj
+
+
+def test_token_stream_indexes_like_a_list(bundle):
+    tokens = tokenize("وعن بيت اللواريه بالطائرة", bundle[1], bundle[3])
+    as_list = list(tokens)
+    assert isinstance(tokens, TokenStream) and len(tokens) == len(as_list) == 4
+    assert all(type(tok) is Token for tok in as_list)
+    for i in range(-len(tokens), len(tokens)):
+        assert tokens[i] == as_list[i]
+    for i in (len(tokens), -len(tokens) - 1):
+        with pytest.raises(IndexError):
+            tokens[i]
+    assert tokens[-1].stem == "طائرة" and [p.text for p in tokens[-1].proclitics] == ["ب", "ال"]
+
+
+@settings(max_examples=100)
+@given(st.integers(-6, 6) | st.none(), st.integers(-6, 6) | st.none(), st.sampled_from([None, 1, 2, -1, -2]))
+def test_token_stream_slices_like_a_list(bundle, a, b, step):
+    tokens = tokenize("وعن بيت اللواريه بالطائرة", bundle[1], bundle[3])
+    assert tokens[a:b:step] == list(tokens)[a:b:step]
+    assert type(tokens[a:b:step]) is list
+
+
+def test_token_stream_equals_a_sequence_of_equal_tokens_either_way(bundle):
+    tokens = tokenize("على المقعد وبالبيت", bundle[1])
+    as_list = list(tokens)
+    assert tokens == as_list and as_list == tokens and not tokens != as_list
+    assert tokens == tuple(as_list) and tokens == tokenize("على المقعد وبالبيت", bundle[1])
+    assert tokens != as_list[::-1] and as_list[::-1] != tokens
+    assert tokens != as_list[:-1] and as_list[:-1] != tokens
+    assert tokens != "على" and tokenize("", bundle[1]) != "" and tokens != [(t.span, t.stem) for t in as_list]
+    assert tokenize("", bundle[1]) == []
+    assert token_stream(as_list) == tokens and token_stream(tokens) is tokens
+
+
+def test_token_stream_is_immutable_and_unhashable(bundle):
+    tokens = tokenize("على المقعد", bundle[1])
+    with pytest.raises(AttributeError):
+        tokens.stems = ()
+    with pytest.raises(TypeError):
+        hash(tokens)
+
+
+def test_stream_tokens_survive_pickle_and_deepcopy(bundle):
+    tokens = tokenize("وبالبيتِ على المقعد", bundle[1])
+    for obj in (tokens[0], list(tokens), tokens):
+        assert copy.deepcopy(obj) == obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) == obj
+
+
+def test_apply_gives_equal_matches_on_a_stream_and_on_its_list(bundle, suite_gold):
+    smap, lex, grammar, variants = bundle
+    for doc in suite_gold:
+        tokens = tokenize(doc.text, lex, variants)
+        assert apply(grammar, tokens, lex) == apply(grammar, list(tokens), lex)
+        for i in range(len(tokens)):
+            assert lex.lookup(tokens, i) == lex.lookup(list(tokens), i)
+
+
+def test_tokenize_leaves_fewer_tracked_objects_than_one_per_ten_tokens(bundle, suite_gold):
+    lex, variants = bundle[1], bundle[3]
+    text = "\n".join(doc.text for doc in suite_gold)
+    tokenize(text, lex, variants)  # the run and split tables filled: only the call's own objects remain
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tokens = tokenize(text, lex, variants)
+        left = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(tokens) > 500
+    assert left < len(tokens) / 10, f"{left} tracked objects for {len(tokens)} tokens"
