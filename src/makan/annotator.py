@@ -7,6 +7,7 @@ without the `rule` field.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -101,38 +102,58 @@ def annotate(
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# `document_to_json` lays out by hand the bytes of `json.dumps(schema dict, ensure_ascii=False, indent=2)`:
+# `indent` sends `json.dumps` down its pure-Python encoder. Strings go through the function that encoder uses,
+# int span bounds through `%d`, and any other value through `json.dumps` itself, re-indented to its depth.
 
-def _span_json(span: OffsetSpan) -> dict:
-    return {"start": span.start, "end": span.end}
+_encode_str = json.encoder.encode_basestring
+_FIELD = "\n      "  # an annotation's fields
+_BOUND = "\n        "  # a span's bounds
+_INT_SPAN = '{\n        "start": %d,\n        "end": %d\n      }'
 
 
-def _ann_json(a: SpatialAnnotation) -> dict:
-    obj = {
-        "start": a.span.start,
-        "end": a.span.end,
-        "category": a.category,
-        "trigger": _span_json(a.trigger),
-    }
+def _value(value, pad: str) -> str:
+    """`value` as `json.dumps(..., ensure_ascii=False, indent=2)` writes it at the depth whose line break is `pad`."""
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return "%d" % value
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", pad)
+
+
+def _span_json(span: OffsetSpan) -> str:
+    start, end = span.start, span.end
+    if type(start) is int and type(end) is int:
+        return _INT_SPAN % (start, end)
+    return '{%s"start": %s,%s"end": %s%s}' % (_BOUND, _value(start, _BOUND), _BOUND, _value(end, _BOUND), _FIELD)
+
+
+def _ann_json(a: SpatialAnnotation) -> str:
+    parts = ['{\n      "start": %s,\n      "end": %s,\n      "category": %s,\n      "trigger": %s' % (
+        _value(a.span.start, _FIELD), _value(a.span.end, _FIELD), _value(a.category, _FIELD), _span_json(a.trigger))]
     if a.site is not None:
-        obj["site"] = _span_json(a.site)
+        parts += (',\n      "site": ', _span_json(a.site))
     if a.target is not None:
-        obj["target"] = _span_json(a.target)
+        parts += (',\n      "target": ', _span_json(a.target))
     if a.attributes:
-        obj["attributes"] = a.attributes
+        parts += (',\n      "attributes": ', _value(a.attributes, _FIELD))
     if a.alternates:
-        obj["alternates"] = list(a.alternates)
+        parts += (',\n      "alternates": ', _value(list(a.alternates), _FIELD))
     if a.rule is not None:
-        obj["rule"] = a.rule
-    return obj
+        parts += (',\n      "rule": ', _value(a.rule, _FIELD))
+    parts.append("\n    }")
+    return "".join(parts)
 
 
 def document_to_json(doc: AnnotatedDocument) -> str:
-    obj = {
-        "doc_id": doc.doc_id,
-        "text": doc.text,
-        "annotations": [_ann_json(a) for a in doc.annotations],
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    """`json.dumps` of the schema dict with `ensure_ascii=False` and `indent=2`, plus a newline, byte for byte."""
+    anns = [_ann_json(a) for a in doc.annotations]
+    return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": %s\n}\n' % (
+        _value(doc.doc_id, "\n  "),
+        _value(doc.text, "\n  "),
+        "[\n    " + ",\n    ".join(anns) + "\n  ]" if anns else "[]",
+    )
 
 
 def write_annotations(doc: AnnotatedDocument, sink) -> None:
@@ -155,9 +176,13 @@ def _parse_span(obj, text_len: int, where: str) -> OffsetSpan:
     return OffsetSpan(start, end)
 
 
+_SPAN_KEYS = ("trigger", "site", "target")
+
+
 def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> AnnotatedDocument:
     """Read and validate an annotation document; raises AnnotationFormatError."""
-    smap = smap or semmap.default_map()
+    if smap is None:
+        smap = semmap.default_map()
     if hasattr(source, "read"):
         data, name = source.read(), getattr(source, "name", "<stream>")
     else:
@@ -176,31 +201,43 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
     text, raw_anns = obj["text"], obj.get("annotations", [])
     if not isinstance(raw_anns, list):
         raise AnnotationFormatError(f"{name}: annotations must be a list")
-    anns = []
+    n, anns = len(text), []
+    resolves = functools.cache(lambda path: semmap.resolve(smap, path) is not None)  # each distinct path once a call
+    # A span that is well formed is built here; `_parse_span` sees only one that fails, and words the error.
     for idx, raw in enumerate(raw_anns):
-        where = f"{name}: annotation {idx}"
         if not isinstance(raw, dict):
-            raise AnnotationFormatError(f"{where}: must be an object")
+            raise AnnotationFormatError(f"{name}: annotation {idx}: must be an object")
         category = raw.get("category")
-        if not isinstance(category, str) or semmap.resolve(smap, category) is None:
-            raise AnnotationFormatError(f"{where}: unknown category path {category!r}")
-        span = _parse_span({"start": raw.get("start"), "end": raw.get("end")}, len(text), where)
+        if not isinstance(category, str) or not resolves(category):
+            raise AnnotationFormatError(f"{name}: annotation {idx}: unknown category path {category!r}")
+        start, end = raw.get("start"), raw.get("end")
+        if type(start) is int and type(end) is int and 0 <= start < end <= n:
+            span = OffsetSpan(start, end)
+        else:
+            span = _parse_span({"start": start, "end": end}, n, f"{name}: annotation {idx}")
         if "trigger" not in raw:
-            raise AnnotationFormatError(f"{where}: missing trigger span")
-        trigger = _parse_span(raw["trigger"], len(text), where + " (trigger)")
-        site = _parse_span(raw["site"], len(text), where + " (site)") if "site" in raw else None
-        target = _parse_span(raw["target"], len(text), where + " (target)") if "target" in raw else None
+            raise AnnotationFormatError(f"{name}: annotation {idx}: missing trigger span")
+        spans = []
+        for key in _SPAN_KEYS:
+            value = raw.get(key)
+            if type(value) is dict:
+                s, e = value.get("start"), value.get("end")
+                if type(s) is int and type(e) is int and 0 <= s < e <= n:
+                    spans.append(OffsetSpan(s, e))
+                    continue
+            spans.append(_parse_span(value, n, f"{name}: annotation {idx} ({key})") if key in raw else None)
+        trigger, site, target = spans
         alternates = raw.get("alternates", [])
         if not isinstance(alternates, list):
-            raise AnnotationFormatError(f"{where}: alternates must be a list")
+            raise AnnotationFormatError(f"{name}: annotation {idx}: alternates must be a list")
         for alt in alternates:
-            if not isinstance(alt, str) or semmap.resolve(smap, alt) is None:
-                raise AnnotationFormatError(f"{where}: unknown alternate category {alt!r}")
+            if not isinstance(alt, str) or not resolves(alt):
+                raise AnnotationFormatError(f"{name}: annotation {idx}: unknown alternate category {alt!r}")
         attributes, rule = raw.get("attributes", {}), raw.get("rule")
         if not isinstance(attributes, dict):
-            raise AnnotationFormatError(f"{where}: attributes must be an object")
+            raise AnnotationFormatError(f"{name}: annotation {idx}: attributes must be an object")
         if rule is not None and not isinstance(rule, str):
-            raise AnnotationFormatError(f"{where}: rule must be a string")
+            raise AnnotationFormatError(f"{name}: annotation {idx}: rule must be a string")
         anns.append(
             SpatialAnnotation(
                 span=span,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 import random
@@ -110,6 +111,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     """
     mode = MatchMode(mode)
     smap = semmap.default_map()
+    top_level = functools.cache(lambda path: semmap.top_level(smap, path))  # each distinct category once a call
     gold_by_id, sys_by_id = _by_id(gold_docs, "gold"), _by_id(system_docs, "system")
     if set(gold_by_id) != set(sys_by_id):
         missing = sorted(set(gold_by_id) ^ set(sys_by_id))
@@ -122,7 +124,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         taken: set[int] = set()
         sys_anns = sorted(sys_doc.annotations, key=lambda a: (a.trigger.start, a.span.start))
         gold_anns = list(gold_doc.annotations)
-        gold_cats = [semmap.top_level(smap, g.category) for g in gold_anns]
+        gold_cats = [top_level(g.category) for g in gold_anns]
         # gold indices in candidate order: a system annotation takes the first untaken one it matches
         order = sorted(range(len(gold_anns)), key=lambda k: (gold_anns[k].span.start, gold_anns[k].trigger.start, k))
         starts = [gold_anns[k].span.start for k in order]  # ascending: no gold from the first past an end overlaps
@@ -131,7 +133,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
             for idx in reversed(order):
                 queues.setdefault((gold_anns[idx].trigger, gold_cats[idx]), []).append(idx)
         for ann in sys_anns:
-            cat = semmap.top_level(smap, ann.category)
+            cat = top_level(ann.category)
             if mode is MatchMode.TRIGGER_EXACT:
                 queue = queues.get((ann.trigger, cat))
                 hit = queue.pop() if queue else None

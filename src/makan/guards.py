@@ -1,12 +1,15 @@
 """Guard predicates evaluated on raw matches before annotations are emitted.
 
 Blocking guards veto a match; DUAL_SENSE never vetoes, it attaches the
-trigger's alternate senses. All guards are pure.
+trigger's alternate senses. All guards are pure. Each guard reads the
+columns of a `textnorm.TokenStream`; `run_guards` also takes a list of
+`Token`s.
 """
 
 from __future__ import annotations
 
 from .lexicon import NOUN_CLASSES, LexClass
+from .textnorm import token_stream
 
 # Negation particles checked in the scope window (كي لا is covered by لا).
 NEG_PARTICLES = frozenset({"لا", "لم", "لن", "ما", "ليس"})
@@ -22,7 +25,7 @@ def guard_neg_scope(tokens, match) -> bool:
     when the match has no verb capture) within the scope window."""
     anchor = match.captures.get("verb") or match.captures["trigger"]
     lo = max(0, anchor[0] - NEG_WINDOW)
-    return any(tok.stem in NEG_PARTICLES for tok in tokens[lo : anchor[0]])
+    return not NEG_PARTICLES.isdisjoint(tokens.stems[lo : anchor[0]])
 
 
 def guard_abstract_site(tokens, match) -> bool:
@@ -57,16 +60,13 @@ def guard_plural_site(tokens, match) -> bool:
     span = match.captures.get("site")
     if span is None:
         return True
-    head = tokens[span[0]]
-    if head.stem.endswith(_PLURAL_ENDINGS):
+    if tokens.stems[span[0]].endswith(_PLURAL_ENDINGS):
         return False
     site = match.evidence.get("site")
     if site is not None and site.suffixed:
         return False
-    for tok in tokens[span[1] : span[1] + 2]:
-        if any(p.kind == "coordination" for p in tok.proclitics):
-            return False
-    return True
+    # a word record's cuts are (kind, start, end, text): see `textnorm._normalized_words`
+    return not any(cut[0] == "coordination" for word in tokens.words[span[1] : span[1] + 2] for cut in word[3])
 
 
 def guard_dual_sense(tokens, match) -> list[str]:
@@ -90,7 +90,8 @@ KNOWN_GUARDS = frozenset(BLOCKING_GUARDS) | {"DUAL_SENSE"}
 
 
 def run_guards(guard_names, tokens, match) -> tuple[bool, list[str]]:
-    """Evaluate a match's guards; returns (vetoed, alternate categories)."""
+    """Evaluate a match's guards over a token stream or a list of `Token`s; returns (vetoed, alternate categories)."""
+    tokens = token_stream(tokens)
     alternates: list[str] = []
     for name in guard_names:
         if name == "DUAL_SENSE":

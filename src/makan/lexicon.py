@@ -125,7 +125,8 @@ class Lexicon:
     """
 
     def __init__(self, entries: list[LexEntry], smap: semmap.SpatialityMap | None = None):
-        smap = smap or semmap.default_map()
+        if smap is None:
+            smap = semmap.default_map()
         seen: set[tuple[str, LexClass]] = set()
         for e in entries:
             if (e.lemma, e.cls) in seen:

@@ -1,4 +1,4 @@
-"""Independent brute-force references for the grammar engine, normalization, the tokenizer and scoring.
+"""Independent brute-force references for the engine, normalization, the tokenizer, scoring and annotation files.
 
 The engine reference enumerates every (rule, start, alignment) combination
 directly from the rule structure, over the lookup reference's matches, and
@@ -9,13 +9,17 @@ normalization reference folds one character at a time and replaces variant
 words from the right; the tokenizer reference normalizes through it, splits
 every word anew and computes every boundary through one closure; the lookup
 reference tries every entry form at the token; the scoring reference scans
-all gold for each system annotation. Kept deliberately separate from the
+all gold for each system annotation. The annotation-file references write
+through `json.dumps` with `indent=2` and read with a check per field in
+turn, each span through one parser. Kept deliberately separate from the
 program's own paths so the two can disagree.
 """
 
 import functools
+import json
 
 from makan import semmap
+from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation
 from makan.lexicon import PRONOUN_SUFFIXES, LexClass, LexMatch
 from makan.semmap import subsumes
 from makan.textnorm import _FOLD, _REMOVED, _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics
@@ -250,3 +254,78 @@ def reference_score(gold_docs, system_docs, trigger_exact):
                 counts[semmap.top_level(smap, g.category)][2] += 1
                 silence.append(g)
     return counts, bruit, silence
+
+
+def reference_document_json(doc):
+    """`doc`'s schema dict through `json.dumps(..., ensure_ascii=False, indent=2)`, plus a newline."""
+
+    def span(s):
+        return {"start": s.start, "end": s.end}
+
+    anns = []
+    for a in doc.annotations:
+        obj = {"start": a.span.start, "end": a.span.end, "category": a.category, "trigger": span(a.trigger)}
+        if a.site is not None:
+            obj["site"] = span(a.site)
+        if a.target is not None:
+            obj["target"] = span(a.target)
+        if a.attributes:
+            obj["attributes"] = a.attributes
+        if a.alternates:
+            obj["alternates"] = list(a.alternates)
+        if a.rule is not None:
+            obj["rule"] = a.rule
+        anns.append(obj)
+    obj = {"doc_id": doc.doc_id, "text": doc.text, "annotations": anns}
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+
+
+def _reference_span(obj, text_len, where):
+    if not isinstance(obj, dict) or type(obj.get("start")) is not int or type(obj.get("end")) is not int:
+        raise AnnotationFormatError(f"{where}: span must be an object with integer start/end")
+    start, end = obj["start"], obj["end"]
+    if not (0 <= start < end <= text_len):
+        raise AnnotationFormatError(f"{where}: span [{start}, {end}) out of bounds for text of length {text_len}")
+    return OffsetSpan(start, end)
+
+
+def reference_read_annotations(source, smap=None):
+    """An annotation document read from a text stream, each field checked in turn and each category resolved anew."""
+    smap = semmap.default_map() if smap is None else smap
+    data, name = source.read(), getattr(source, "name", "<stream>")
+    try:
+        obj = json.loads(data)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise AnnotationFormatError(f"{name}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str) or not isinstance(obj.get("text"), str):
+        raise AnnotationFormatError(f"{name}: document must have string doc_id and text")
+    text, raw_anns = obj["text"], obj.get("annotations", [])
+    if not isinstance(raw_anns, list):
+        raise AnnotationFormatError(f"{name}: annotations must be a list")
+    anns = []
+    for idx, raw in enumerate(raw_anns):
+        where = f"{name}: annotation {idx}"
+        if not isinstance(raw, dict):
+            raise AnnotationFormatError(f"{where}: must be an object")
+        category = raw.get("category")
+        if not isinstance(category, str) or semmap.resolve(smap, category) is None:
+            raise AnnotationFormatError(f"{where}: unknown category path {category!r}")
+        span = _reference_span({"start": raw.get("start"), "end": raw.get("end")}, len(text), where)
+        if "trigger" not in raw:
+            raise AnnotationFormatError(f"{where}: missing trigger span")
+        trigger = _reference_span(raw["trigger"], len(text), where + " (trigger)")
+        site = _reference_span(raw["site"], len(text), where + " (site)") if "site" in raw else None
+        target = _reference_span(raw["target"], len(text), where + " (target)") if "target" in raw else None
+        alternates = raw.get("alternates", [])
+        if not isinstance(alternates, list):
+            raise AnnotationFormatError(f"{where}: alternates must be a list")
+        for alt in alternates:
+            if not isinstance(alt, str) or semmap.resolve(smap, alt) is None:
+                raise AnnotationFormatError(f"{where}: unknown alternate category {alt!r}")
+        attributes, rule = raw.get("attributes", {}), raw.get("rule")
+        if not isinstance(attributes, dict):
+            raise AnnotationFormatError(f"{where}: attributes must be an object")
+        if rule is not None and not isinstance(rule, str):
+            raise AnnotationFormatError(f"{where}: rule must be a string")
+        anns.append(SpatialAnnotation(span, category, trigger, site, target, attributes, tuple(alternates), rule))
+    return AnnotatedDocument(obj["doc_id"], text, tuple(anns))

@@ -5,14 +5,17 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from makan import annotate, guards, read_annotations, write_annotations
-from makan.annotator import AnnotationFormatError, document_to_json
+from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation, document_to_json
 from makan.engine import apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
-from makan.semmap import TOP_LEVEL, top_level
+from makan.semmap import TOP_LEVEL, SpatialityMap, top_level
 from makan.textnorm import OffsetSpan, tokenize
+from oracle import reference_document_json
 
 
 def test_support_example(run):
@@ -101,6 +104,45 @@ def test_round_trip_via_stream(run):
     assert read_annotations(io.StringIO(buf.getvalue())) == doc
 
 
+# Characters JSON escapes or that need care: quotes, backslashes, controls, line separators, lone surrogates.
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\u2029\ud800\udfffé😀على') | st.characters(), max_size=12
+)
+# Bounds a hand-built span may hold besides ints: a bool (JSON `true`) or a float.
+_SPAN = st.builds(
+    lambda start, length: OffsetSpan(start, start + length),
+    st.integers(0, 10**12) | st.booleans() | st.floats(0, 1e6),
+    st.integers(1, 9),
+) | st.just(OffsetSpan(False, True))
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+_SPATIAL_ANNOTATION = st.builds(
+    SpatialAnnotation,
+    span=_SPAN,
+    category=st.sampled_from(TOP_LEVEL) | _TEXT,
+    trigger=_SPAN,
+    site=st.none() | _SPAN,
+    target=st.none() | _SPAN,
+    attributes=st.dictionaries(_TEXT, _JSON_VALUE, max_size=2),
+    alternates=st.lists(_TEXT, max_size=2).map(tuple),
+    rule=st.none() | _TEXT,
+)
+
+
+_DOCUMENT = st.builds(
+    AnnotatedDocument, doc_id=_TEXT, text=_TEXT, annotations=st.lists(_SPATIAL_ANNOTATION, max_size=3).map(tuple)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOCUMENT)
+def test_document_json_equals_json_dumps_byte_for_byte(doc):
+    assert document_to_json(doc) == reference_document_json(doc)
+
+
 def test_read_rejects_out_of_bounds_span(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -137,6 +179,14 @@ def test_read_rejects_unknown_category(tmp_path):
     )
     with pytest.raises(AnnotationFormatError, match="TOPOLOGICAL.BOGUS"):
         read_annotations(path)
+
+
+def test_read_with_an_empty_map_resolves_no_category():
+    # An empty map is a map, not a request for the default one.
+    ann = {"start": 0, "end": 2, "category": "TOPOLOGICAL", "trigger": {"start": 0, "end": 2}}
+    data = json.dumps({"doc_id": "x", "text": "نص", "annotations": [ann]}, ensure_ascii=False)
+    with pytest.raises(AnnotationFormatError, match=r"annotation 0: unknown category path 'TOPOLOGICAL'"):
+        read_annotations(io.StringIO(data), SpatialityMap({}))
 
 
 def test_read_rejects_invalid_json(tmp_path):

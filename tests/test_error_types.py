@@ -2,7 +2,8 @@
 
 Each property feeds generated input to one reader and accepts success or the
 reader's documented error; an IndexError, KeyError, TypeError or any other
-exception fails the property.
+exception fails the property. The annotation reader also gives what its
+reference in `oracle.py` gives: an equal document or the same error message.
 """
 
 import io
@@ -10,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from makan.annotator import AnnotationFormatError, read_annotations
 from makan.engine import GrammarError, compile
 from makan.lexicon import LexiconError, load
 from makan.textnorm import load_variant_table
+from oracle import reference_read_annotations
 
 _DSL_WORDS = [
     "RULE", "PRIO", ":", "=>", "GUARD", ",", "[", "]", "|", "(", ")?", "=", "GAP", "SENSE", "FLAG",
@@ -94,3 +97,63 @@ def test_variant_table_raises_only_value_error(content):
 def test_read_annotations_raises_only_format_error(document):
     data = json.dumps(document, ensure_ascii=False)
     _raises_only(AnnotationFormatError, read_annotations, io.StringIO(data))
+
+
+_TEXTS = ["نص", "جلست المرأة على المقعد."]
+_PATHS = ["TOPOLOGICAL", "TOPOLOGICAL.SUPPORT", "DIRECTIONAL.GOAL", "PROJECTIVE.ORIENTATIONAL.FRONTAL"]
+_FIELDS = ["start", "end", "category", "trigger", "site", "target", "attributes", "alternates", "rule"]
+_INT_SPAN = st.fixed_dictionaries({"start": st.integers(-1, 25), "end": st.integers(-1, 25)})
+# Values that break a field in its own way; any field may also take any of `_ANN_VALUES`.
+_BROKEN = {
+    "trigger": _INT_SPAN,
+    "site": _INT_SPAN,
+    "target": _INT_SPAN,
+    "alternates": st.tuples(st.lists(st.sampled_from(_PATHS), max_size=2), _JSON_SCALARS).map(lambda t: [*t[0], t[1]]),
+}
+
+
+@st.composite
+def _document(draw, field):
+    """A document the reader accepts, but with `field` of one of its annotations, if any, dropped or replaced;
+    the field "annotation" replaces the annotation itself."""
+    text = draw(st.sampled_from(_TEXTS))
+    span = st.integers(0, len(text) - 1).flatmap(
+        lambda start: st.fixed_dictionaries({"start": st.just(start), "end": st.integers(start + 1, len(text))})
+    )
+    annotation = st.fixed_dictionaries(
+        {"start": st.just(0), "end": st.just(len(text)), "category": st.sampled_from(_PATHS), "trigger": span},
+        optional={
+            "site": span,
+            "target": span,
+            "attributes": st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+            "alternates": st.lists(st.sampled_from(_PATHS), max_size=2),
+            "rule": st.text(max_size=3),
+        },
+    )
+    anns = draw(st.lists(annotation, max_size=4))
+    if field is not None and anns:
+        idx = draw(st.integers(0, len(anns) - 1))
+        ann = anns[idx]
+        if field == "annotation":
+            anns[idx] = draw(_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=2))
+        elif draw(st.booleans()):
+            ann.pop(field, None)
+        else:
+            ann[field] = draw(_BROKEN.get(field, st.integers(-1, len(text) + 1)) | _ANN_VALUES)
+    return {"doc_id": draw(st.text(max_size=3)), "text": text, "annotations": anns}
+
+
+def _outcome(read, data):
+    try:
+        return read(io.StringIO(data))
+    except AnnotationFormatError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [None, "annotation", *_FIELDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_read_annotations_equals_reference_reader(field, data):
+    document = data.draw(_DOCUMENT | _document(None) if field is None else _document(field))
+    serialized = json.dumps(document, ensure_ascii=False)
+    assert _outcome(read_annotations, serialized) == _outcome(reference_read_annotations, serialized)

@@ -9,7 +9,7 @@ from makan.annotator import annotate, document_to_json
 from makan.engine import compile
 from makan.lexicon import LexClass, Lexicon, LexiconError, _parse_line, load, seed_lexicon
 from makan.rulepack import rule_pack
-from makan.semmap import default_map
+from makan.semmap import SpatialityMap, default_map
 from makan.textnorm import normalize, tokenize
 from oracle import reference_lookup
 
@@ -158,6 +158,16 @@ def test_constructed_lexicon_rejects_unknown_flag():
     )
     with pytest.raises(LexiconError, match="NOPE"):
         Lexicon([entry], default_map())
+
+
+def test_constructed_lexicon_with_an_empty_map_resolves_no_sense():
+    from makan.lexicon import LexEntry
+
+    entry = LexEntry(
+        lemma="على", words=("على",), cls=LexClass.PREP, senses=frozenset({"TOPOLOGICAL"}), flags=frozenset()
+    )
+    with pytest.raises(LexiconError, match="unresolved sense path TOPOLOGICAL"):
+        Lexicon([entry], SpatialityMap({}))
 
 
 @pytest.mark.parametrize("lemma", ["َّ", "ــ", "في َ"], ids=["diacritics", "tatweel", "empty-word"])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makan.engine import apply
+from makan.guards import run_guards
 from makan.textnorm import (
     OffsetSpan,
     Proclitic,
@@ -383,11 +384,18 @@ def test_stream_tokens_survive_pickle_and_deepcopy(bundle):
 
 def test_apply_gives_equal_matches_on_a_stream_and_on_its_list(bundle, suite_gold):
     smap, lex, grammar, variants = bundle
+    vetoes = 0
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
-        assert apply(grammar, tokens, lex) == apply(grammar, list(tokens), lex)
+        matches = apply(grammar, tokens, lex)
+        assert matches == apply(grammar, list(tokens), lex)
+        for match in matches:
+            verdict = run_guards(match.guards, tokens, match)
+            assert verdict == run_guards(match.guards, list(tokens), match)
+            vetoes += verdict[0]
         for i in range(len(tokens)):
             assert lex.lookup(tokens, i) == lex.lookup(list(tokens), i)
+    assert vetoes == 10  # the suite's vetoed raw matches: the guards are compared on both verdicts
 
 
 def test_tokenize_leaves_fewer_tracked_objects_than_one_per_ten_tokens(bundle, suite_gold):
