@@ -40,25 +40,26 @@ class AnnotatedDocument:
 
 
 def _token_hull(tokens, rng: tuple[int, int]) -> OffsetSpan:
-    first = tokens[rng[0]]
-    return first.span if rng[1] - rng[0] == 1 else OffsetSpan(first.span.start, tokens[rng[1] - 1].span.end)
+    starts, words = tokens.starts, tokens.words
+    return OffsetSpan(starts[rng[0]] + words[rng[0]][0], starts[rng[1] - 1] + words[rng[1] - 1][1])
 
 
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
-    """The annotation of a match that passed its guards; it builds only the tokens its captures start and end on."""
-    trig_rng = match.captures["trigger"]
+    """The annotation of a match that passed its guards, read off the stream's run starts and word records."""
+    starts, words = tokens.starts, tokens.words  # a record: (start, end, surface, cuts, stem start, stem, key)
+    first, last = match.captures["trigger"]
     trig_ev = match.evidence.get("trigger")
-    tok = tokens[trig_rng[0]]
+    r0, word = starts[first], words[first]
     site_span = None
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
-        trigger_span = next(p.span for p in tok.proclitics if p.kind == "preposition")
-        site_span = tok.stem_span
+        _, cs, ce, _ = next(cut for cut in word[3] if cut[0] == "preposition")
+        trigger_span = OffsetSpan(r0 + cs, r0 + ce)
+        site_span = OffsetSpan(r0 + word[4], r0 + word[1])
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        end = tok.span.end if trig_rng[1] - trig_rng[0] == 1 else tokens[trig_rng[1] - 1].span.end
-        trigger_span = OffsetSpan(tok.stem_span.start, end)
+        trigger_span = OffsetSpan(r0 + word[4], starts[last - 1] + words[last - 1][1])
     if "site" in match.captures:
         site_span = _token_hull(tokens, match.captures["site"])
     target_span = _token_hull(tokens, match.captures["target"]) if "target" in match.captures else None

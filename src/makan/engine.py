@@ -17,15 +17,19 @@ after the winner's trigger token.
 
 `compile` reduces each test to what it accepts (a stem, a class, a sense's
 subtree of map paths, a flag) and indexes rules by their first atom's keys.
-`apply` tries only the rules the current token can start, plus those opening
-with a gap or an optional atom, in (priority desc, declaration) order, and
-stops at the first that cannot beat the winner found: winners are unchanged.
+What a test accepts at a token depends only on its word type, as a NooJ
+grammar reads a word's dictionary codes: `apply` keeps one record per type,
+and visits only tokens that can start a rule, trying those rules in
+(priority desc, declaration) order up to the first that cannot beat the
+winner found: winners are unchanged.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import itemgetter
 
 from . import semmap
 from .guards import KNOWN_GUARDS
@@ -35,6 +39,7 @@ from .textnorm import normalize, remember, token_stream
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
 MAX_GAP = 5
+_GAPS = {n: tuple((k, None) for k in range(n, -1, -1)) for n in range(1, MAX_GAP + 1)}  # a gap's options
 
 
 class GrammarError(ValueError):
@@ -87,10 +92,10 @@ class CompiledGrammar:
     """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed.
 
     It is applied with the lexicon it was compiled for, `lexicon`, and owns
-    the memo tables of a word type's candidate rules (see `apply`), filled
-    lazily and each emptied when it reaches `textnorm.MEMO_LIMIT` entries.
-    They hold values only, so no answer changes and threads may share a
-    grammar: a race at worst works an entry out twice.
+    one table of word-type records (see `apply`), filled lazily and emptied
+    when it reaches `textnorm.MEMO_LIMIT` entries. A record holds values
+    only, so no answer changes and threads may share a grammar: a race at
+    worst works an entry out twice.
     """
 
     def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap, lexicon: Lexicon):
@@ -104,10 +109,11 @@ class CompiledGrammar:
                 for key in test.accepts if test.kind == "sense" else (test.accepts,):
                     self.first.setdefault(key, []).append(rank)
         # ranks whose first atom, a gap or an optional one, lets them start anywhere
-        self.always = tuple(
-            r for r, rule in enumerate(self.ordered) if rule.atoms[0].gap or rule.atoms[0].optional
-        )
-        self._ranks: tuple[dict, dict] = ({}, {})  # by whether the token has a ب proclitic: stem -> candidate ranks
+        self.always = tuple(r for r, rule in enumerate(self.ordered) if rule.atoms[0].gap or rule.atoms[0].optional)
+        # each candidate's atoms as `_best_alignment` reads them: (a gap's options or None, atom index, atom)
+        ids = count()
+        self.steps = tuple(tuple((_GAPS.get(a.gap), next(ids), a) for a in rule.atoms) for rule in self.ordered)
+        self._types: dict = {}  # type key -> (lookups, candidates, options by atom index, stem): see `apply`
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -317,42 +323,56 @@ def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> Compil
 # ---------------------------------------------------------------------------
 # matching
 
-def _best_alignment(atoms, ai: int, stems, lookups, pos: int):
-    """Best alignment of `atoms[ai:]` at token `pos` of the stem column `stems` as (total, picks), or None.
+def _atom_options(atom: PatternAtom, lookups, stem) -> tuple:
+    """An atom's options at a token of a type (its lookups, its stem): (tokens consumed, evidence), longest first.
 
-    `picks` holds each atom's (tokens consumed, evidence), the evidence being
-    the first match in (test, lookup) order for that length: guards read it.
-    One atom's options differ in length, so the greatest (total, first length)
-    is the greatest total, then each atom's length from left to right. A
-    module-level function, not a closure over itself, so a call leaves no
-    reference cycle for the garbage collector.
+    The evidence is the first match in (test, lookup) order for that length,
+    which the guards read, or None for a skipped optional atom or a literal.
     """
-    if ai == len(atoms):
-        return (0, ())
-    atom = atoms[ai]
-    if atom.gap:
-        options = dict.fromkeys(range(min(atom.gap, len(stems) - pos) + 1))
-    else:
-        options = {0: None} if atom.optional else {}
-        if pos < len(stems):
-            for test in atom.tests:
-                kind, accepts = test.kind, test.accepts
-                if kind == "lit":
-                    if stems[pos] == accepts:
-                        options.setdefault(1, None)
-                    continue
-                for m in lookups[pos]:
-                    if (
-                        m.entry.cls is accepts if kind == "class"
-                        else accepts in m.entry.flags if kind == "flag"
-                        else not accepts.isdisjoint(m.entry.senses)
-                    ):
-                        options.setdefault(m.length, m)
+    options = {0: None} if atom.optional else {}
+    for test in atom.tests:
+        kind, accepts = test.kind, test.accepts
+        if kind == "lit":
+            if stem == accepts:
+                options.setdefault(1, None)
+            continue
+        for m in lookups:
+            if (
+                m.entry.cls is accepts if kind == "class"
+                else accepts in m.entry.flags if kind == "flag"
+                else not accepts.isdisjoint(m.entry.senses)
+            ):
+                options.setdefault(m.length, m)
+    return tuple(sorted(options.items(), reverse=True))  # lengths differ: evidence is never compared
+
+
+def _best_alignment(steps, ai: int, recs, pos: int, options):
+    """Best alignment of `steps[ai:]` (see `CompiledGrammar.steps`) at token `pos` as (total, picks), or None.
+
+    `options` are those of `steps[ai]` at `pos`; a later atom's are read from
+    `recs`, each token's type record and then one past the last token. `picks`
+    holds each atom's option. Options come longest first and only a greater
+    total displaces the best, so the greatest total wins, then each atom's
+    length from the left. Module-level, not a closure, so it leaves no cycle.
+    """
+    if ai + 1 == len(steps):
+        return (options[0][0], options[:1]) if options else None
+    gap, index, atom = steps[ai + 1]
+    last = ai + 2 == len(steps)
     best = None
-    for consumed, m in options.items():
-        rest = _best_alignment(atoms, ai + 1, stems, lookups, pos + consumed)
-        if rest is not None and (best is None or (rest[0] + consumed, consumed) > (best[0], best[1][0][0])):
-            best = (rest[0] + consumed, ((consumed, m), *rest[1]))
+    for pick in options:
+        at = pos + pick[0]
+        if gap:
+            nxt = gap[max(0, len(gap) + at - len(recs)) :]  # no longer than the tokens left
+        else:
+            nxt = recs[at][2].get(index)
+            if nxt is None:
+                nxt = recs[at][2][index] = _atom_options(atom, recs[at][0], recs[at][3])
+        if not nxt:
+            continue
+        rest = (nxt[0][0], nxt[:1]) if last else _best_alignment(steps, ai + 1, recs, at, nxt)
+        if rest is not None and (best is None or rest[0] + pick[0] > best[0]):
+            best = (rest[0] + pick[0], (pick, *rest[1]))
     return best
 
 
@@ -361,49 +381,53 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
     winner order; one winner per start; resume after the winner's trigger.
 
     `lexicon` must be the one the grammar was compiled for, else ValueError.
-    It reads the stem and ب columns of `textnorm.token_stream(tokens)`. A
-    token's lookups and candidate rules depend only on its word type, its
-    stem with or without a ب proclitic, unless the stem starts a locution:
-    each type is looked up once a call (the lexicon keeps its matches), and
-    its candidates are kept on the grammar, across calls."""
+    It reads the stem and key columns of `textnorm.token_stream(tokens)`; a
+    token that starts a multiword form with the next is keyed by its type and
+    the next `lexicon.longest` - 1 stems too. Each distinct key is looked up
+    once a call. Its record on the grammar holds its lookups, its candidate
+    rules in winner order with their first atom's options, and later atoms'
+    options there, filled as read. Only tokens with candidates are visited."""
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
     tokens = token_stream(tokens)
-    stems = tokens.stems
-    seen = ({}, {})  # as `grammar._ranks`, for this call's word types: stem -> (lookups, candidate ranks)
-    lookups, candidates = [], []  # per token: its lookups, its candidate ranks in winner order
-    for i, (stem, baa) in enumerate(zip(stems, tokens.baa)):
-        hit = seen[baa].get(stem)
-        if hit is None:
-            found = lexicon.lookup(tokens, i)
-            fixed = stem not in lexicon.locution_starts  # else its lookups depend on the next token
-            ranks = grammar._ranks[baa].get(stem)
-            if ranks is None:
-                ranks = set(grammar.always).union(grammar.first.get(stem, ()))
-                for m in found:
-                    for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
-                        ranks.update(grammar.first.get(k, ()))
-                ranks = tuple(sorted(ranks))
-                if fixed:
-                    remember(grammar._ranks[baa], stem, ranks)
-            hit = (found, ranks)
-            if fixed:
-                seen[baa][stem] = hit
-        lookups.append(hit[0])
-        candidates.append(hit[1])
+    stems, keys, n = tokens.stems, tokens.keys, len(tokens)
+    if lexicon.locution_pairs:
+        keys, longest = list(keys), lexicon.longest
+        for i in compress(range(n), map(lexicon.locution_pairs.__contains__, zip(stems, stems[1:]))):
+            keys[i] = (keys[i], stems[i + 1 : i + longest])
+    seen = dict(zip(keys, range(n)))  # each distinct key at a token it is on
+    types, first, ordered, steps = grammar._types, grammar.first, grammar.ordered, grammar.steps
+    for key, i in seen.items():
+        found = lexicon.lookup(tokens, i)
+        rec = types.get(key)
+        if rec is None:
+            stem = stems[i]
+            ranks = set(grammar.always).union(first.get(stem, ()))
+            for m in found:
+                for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
+                    ranks.update(first.get(k, ()))
+            cands = tuple(  # a leading gap's options depend on the tokens left: None
+                (ordered[r], steps[r], None if steps[r][0][0] else _atom_options(steps[r][0][2], found, stem))
+                for r in sorted(ranks)
+            )
+            rec = remember(types, key, (tuple(found), cands, {}, stem))
+        seen[key] = rec
+    recs = [*map(seen.get, keys), ((), (), {}, None)]  # and a record past the last token
     out: list[RawMatch] = []
-    i = 0
-    while i < len(stems):
+    resume = 0
+    for i in compress(range(n), map(itemgetter(1), recs)):
+        if i < resume:
+            continue
         winner, total = None, 0
-        for rank in candidates[i]:
-            rule = grammar.ordered[rank]
+        for rule, st, options in recs[i][1]:
             if winner is not None and rule.priority < winner.priority:
                 break  # candidates come in winner order: only an equal priority and a greater total can still win
-            al = _best_alignment(rule.atoms, 0, stems, lookups, i)
+            if options is None:
+                options = st[0][0][max(0, len(st[0][0]) + i - len(recs)) :]
+            al = _best_alignment(st, 0, recs, i, options)
             if al is not None and al[0] > total:
                 winner, (total, picks) = rule, al
         if winner is None:
-            i += 1
             continue
         captures, evidence, pos = {}, {}, i
         for atom, (consumed, m) in zip(winner.atoms, picks):
@@ -411,16 +435,7 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
                 captures[atom.capture] = (pos, pos + consumed)
                 evidence[atom.capture] = m
             pos += consumed
-        start, i = i, captures["trigger"][1]  # resume after the trigger
-        out.append(
-            RawMatch(
-                rule=winner.name,
-                span=(start, start + total),
-                captures=captures,
-                output=winner.output,
-                guards=winner.guards,
-                evidence=evidence,
-                following=tuple(lookups[i]) if i < len(stems) else (),
-            )
-        )
+        resume = captures["trigger"][1]
+        out.append(RawMatch(rule=winner.name, span=(i, i + total), captures=captures, output=winner.output,
+                            guards=winner.guards, evidence=evidence, following=recs[resume][0]))
     return out

@@ -8,8 +8,10 @@ columns of a `textnorm.TokenStream`; `run_guards` also takes a list of
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .lexicon import NOUN_CLASSES, LexClass
-from .textnorm import token_stream
+from .textnorm import TokenStream, token_stream
 
 # Negation particles checked in the scope window (كي لا is covered by لا).
 NEG_PARTICLES = frozenset({"لا", "لم", "لن", "ما", "ليس"})
@@ -90,8 +92,14 @@ KNOWN_GUARDS = frozenset(BLOCKING_GUARDS) | {"DUAL_SENSE"}
 
 
 def run_guards(guard_names, tokens, match) -> tuple[bool, list[str]]:
-    """Evaluate a match's guards over a token stream or a list of `Token`s; returns (vetoed, alternate categories)."""
-    tokens = token_stream(tokens)
+    """Evaluate a match's guards over a token stream or a list of `Token`s; returns (vetoed, alternate categories).
+
+    Of a list it reads only the tokens a guard can reach, `NEG_WINDOW` before the match to two past it."""
+    if type(tokens) is not TokenStream:
+        lo, hi = max(0, match.span[0] - NEG_WINDOW), min(len(tokens), match.span[1] + 2)
+        tokens = token_stream([tokens[j] for j in range(lo, hi)])
+        shifted = {name: (a - lo, b - lo) for name, (a, b) in match.captures.items()}
+        match = replace(match, span=(match.span[0] - lo, match.span[1] - lo), captures=shifted)
     alternates: list[str] = []
     for name in guard_names:
         if name == "DUAL_SENSE":

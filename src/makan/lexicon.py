@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import semmap
-from .textnorm import normalize, remember, token_stream
+from .textnorm import TokenStream, normalize, remember, token_stream
 
 
 class LexClass(str, enum.Enum):
@@ -116,8 +116,8 @@ class Lexicon:
     """Immutable after construction: no answer it gives ever changes.
 
     It owns memo tables, filled lazily and each emptied when it reaches
-    `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each word type, a
-    stem with or without a ب proclitic, outside locution starts; and for
+    `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each word type (a
+    token stream's key) where no multiword form starts; and for
     `textnorm.tokenize`, surface run -> words and word -> clitic split.
     Each follows from the entries alone and holds values only, so threads
     may share a lexicon, tokenizing and annotating at once: a race at worst
@@ -153,12 +153,13 @@ class Lexicon:
                     self._index(e.words[:-1] + (variant,), e, suffixed=True)
         for alts in (*self._by_first.values(), *self._by_pair.values()):
             alts.sort(key=lambda t: (-len(t[0]), _CLASS_ORDER.get(t[1].cls, 2), t[1].lemma))
-        # first words of multiword forms: the only stems whose matches depend on the next token
-        self.locution_starts = frozenset(pair[0] for pair in self._by_pair)
+        # first two words of multiword forms: only where they start do a word's matches depend on the next tokens
+        self.locution_pairs = frozenset(self._by_pair)
+        self.longest = max((len(e.words) for e in entries), default=1)  # words in the longest form
         self._baa = tuple(  # what a ب proclitic matches: the PREP entries ب
             LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
         )
-        self._lookups: tuple[dict, dict] = ({}, {})  # by whether the token has a ب proclitic: stem -> its matches
+        self._lookups: dict = {}  # word type -> its matches
         self.tokenize_memos: tuple[dict, dict] = ({}, {})  # see `textnorm.tokenize`
 
     def _index(self, words: tuple[str, ...], entry: LexEntry, suffixed: bool):
@@ -175,28 +176,25 @@ class Lexicon:
 
         Ordered by covered length descending, PREP_LOCUTION before PREP on
         ties. A ب proclitic on the token also yields a one-token PREP match.
-        It reads the stem and ب columns of `textnorm.token_stream(tokens)`.
+        It reads the stem and key columns of a `textnorm.TokenStream`; of any
+        other sequence of `Token`s it reads only tokens i to i + `longest`.
         """
-        tokens = token_stream(tokens)
         if not 0 <= i < len(tokens):
             raise IndexError(f"token index {i} out of range")
-        stems, baa = tokens.stems, tokens.baa[i]
-        stem = stems[i]
-        fixed = stem not in self.locution_starts  # else its matches depend on the next tokens
-        found = self._lookups[baa].get(stem) if fixed else None
+        if type(tokens) is not TokenStream:
+            tokens, i = token_stream([tokens[j] for j in range(i, min(len(tokens), i + self.longest))]), 0
+        stems, stem, key = tokens.stems, tokens.stems[i], tokens.keys[i]
+        forms = self._by_pair.get(stems[i : i + 2], ())  # without any, the matches are the word type's alone
+        found = None if forms else self._lookups.get(key)
         if found is None:
-            found = []
             # each list is in the output order already, and every multiword form outranks a one-word form
-            if not fixed and i + 1 < len(stems):
-                for words, entry, suffixed in self._by_pair.get((stem, stems[i + 1]), ()):
-                    if stems[i : i + len(words)] == words:
-                        found.append(LexMatch(entry, len(words), suffixed))
+            found = [LexMatch(e, len(words), suf) for words, e, suf in forms if stems[i : i + len(words)] == words]
             found += [LexMatch(entry, 1, suffixed) for _, entry, suffixed in self._by_first.get(stem, ())]
-            if baa and self._baa:
+            if type(key) is tuple and self._baa:  # the key ("ب", stem) of a word with a ب proclitic
                 found += self._baa
                 found.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
-            if fixed:
-                remember(self._lookups[baa], stem, tuple(found))
+            if not forms:
+                remember(self._lookups, key, tuple(found))
         return list(found)
 
 

@@ -116,10 +116,11 @@ class TokenStream(Sequence):
     """`tokenize`'s immutable sequence of `Token`s as columns; it equals any sequence of equal `Token`s.
 
     `starts[i]` is the offset of token i's surface run and `words[i]` its word record, shared by every token of
-    that run; `stems` and `baa` (a ب proclitic) are read off the records. An index builds a `Token`, a slice a list.
+    that run; `stems` and `keys`, each token's word type (see `_type_key`), are read off the records. An index
+    builds a `Token`, a slice a list.
     """
 
-    __slots__ = ("starts", "words", "stems", "baa")
+    __slots__ = ("starts", "words", "stems", "keys")
 
     def __init__(self, starts, words):
         for name, column in zip(self.__slots__, (starts, words, [w[5] for w in words], [w[6] for w in words])):
@@ -151,8 +152,9 @@ class TokenStream(Sequence):
         return f"TokenStream({list(self)!r})"
 
 
-def _has_baa(cuts) -> bool:
-    return any(kind == "preposition" and text == "ب" for kind, _, _, text in cuts)
+def _type_key(stem: str, cuts):
+    """A word's type, its stem or ("ب", stem) with a ب proclitic: it fixes the matches where no locution starts."""
+    return ("ب", stem) if any(kind == "preposition" and text == "ب" for kind, _, _, text in cuts) else stem
 
 
 def token_stream(tokens) -> TokenStream:
@@ -164,7 +166,8 @@ def token_stream(tokens) -> TokenStream:
         return tokens
     cuts = [tuple([(p.kind, *p.span, p.text) for p in t.proclitics]) for t in tokens]
     words = [
-        (t.span.start, t.span.end, t.surface, c, t.stem_span.start, t.stem, _has_baa(c)) for t, c in zip(tokens, cuts)
+        (t.span.start, t.span.end, t.surface, c, t.stem_span.start, t.stem, _type_key(t.stem, c))
+        for t, c in zip(tokens, cuts)
     ]
     return TokenStream([0] * len(words), words)
 
@@ -307,21 +310,21 @@ def remember(table: dict, key, value):
 
 def _normalized_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
     """(word, words) of a surface run through `normalize`'s offset map, each of its words a record (start, end,
-    surface, cuts, stem start, stem, whether a cut is a ب proclitic) in offsets into the run. Without variants a
-    run normalizes to one word, or none: `word` is that word as the split table keeps it, so equal words share
-    one string, or "" for none."""
+    surface, cuts, stem start, stem, type key) in offsets into the run. Without variants a run normalizes to one
+    word, or none: `word` is that word as the split table keeps it, so equal words share one string, or "" for none."""
     norm, omap = normalize(run, variants)
     word, out = "", []
     for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
         word = wmatch.group()
-        split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem): equal words share one
-        if split is None:
+        split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem, type key)
+        if split is None:  # equal words share one split, so one word and one stem string
             cuts, stem_start = _split_clitics(word, lexicon)
             cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
-            split = remember(splits, word, (word, cuts, stem_start, word[stem_start:]))
-        word, cuts, stem_start, stem = split
+            stem = word[stem_start:]
+            split = remember(splits, word, (word, cuts, stem_start, stem, _type_key(stem, cuts)))
+        word, cuts, stem_start, stem, key = split
         a, b = wmatch.span()
         ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
         cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)
-        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem, _has_baa(cuts)))
+        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem, key))
     return word, tuple(out)

@@ -1,3 +1,5 @@
+from collections.abc import Sequence
+
 import pytest
 
 from makan import guards
@@ -130,3 +132,36 @@ def test_unknown_guard_name_raises(bundle):
     source = "RULE r PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL GUARD NOPE"
     with pytest.raises(GrammarError, match=r"rule r: unknown guard NOPE \(line 1, col 1\)"):
         compile(source, lex, smap)
+
+
+class _CountedTokens(Sequence):
+    """A sequence of `Token`s that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += len(range(len(self.items))[i]) if type(i) is slice else 1
+        return self.items[i]
+
+
+def test_lookup_and_guards_on_a_token_list_read_only_the_tokens_they_reach(bundle, suite_gold):
+    smap, lex, grammar, variants = bundle
+    stream = tokenize("\n".join(d.text for d in suite_gold * 4), lex, variants)
+    assert len(stream) > 2000
+    counted = _CountedTokens(list(stream))
+    for i in range(0, len(stream), 7):
+        counted.reads = 0
+        assert lex.lookup(counted, i) == lex.lookup(stream, i)
+        assert counted.reads <= lex.longest
+    verdicts = set()
+    for match in apply(grammar, stream, lex):
+        counted.reads = 0
+        verdict = guards.run_guards(match.guards, counted, match)
+        assert verdict == guards.run_guards(match.guards, stream, match)
+        assert counted.reads <= guards.NEG_WINDOW + match.span[1] - match.span[0] + 2
+        verdicts.add(verdict[0])
+    assert verdicts == {True, False}

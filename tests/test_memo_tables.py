@@ -2,8 +2,9 @@
 
 `tokenize` keeps surface run -> words and word -> split on the lexicon (on
 the module without one), `Lexicon.lookup` keeps a word type's matches, and
-`apply` keeps a word type's candidate rules on the grammar, which is applied
-with the one lexicon it was compiled for.
+`apply` keeps a word type's record (lookups, candidate rules, atom options)
+on the grammar, which is applied with the one lexicon it was compiled for; a
+token where a multiword form can start is keyed by the stems after it too.
 Every output below is compared with the output of resources built afresh
 for that one call.
 """
@@ -55,7 +56,7 @@ _OPS = st.lists(
 def _tables():
     out = list(NONE_MEMOS)
     for lex, grammar in zip(LEXICONS, GRAMMARS):
-        out += [*lex.tokenize_memos, *lex._lookups, *grammar._ranks]
+        out += [*lex.tokenize_memos, lex._lookups, grammar._types]
     return out
 
 
@@ -65,6 +66,7 @@ def _tables():
 @example([("annotate", "في البيت", 0, 2), ("mutate", "البيت", "المقعد", None), ("annotate", "في البيت", 0, 2)])
 @example([("annotate", "جلست على المقعد", 0, None), ("annotate", "جلست على المقعد", 1, None)])
 @example([("annotate", "جلس على المقعد", 0, None), ("annotate", "جلس على ضفة النهر", 0, None)])
+@example([("annotate", "في قلب البيت في البيت", 0, None), ("annotate", "في البيت", 0, None)])
 @example([("tokenize", "واجهته فوقي", 0, None), ("tokenize", "واجهته فوقي", 1, None), ("tokenize", "فوقي", None, None)])
 def test_long_lived_tables_equal_fresh_ones(ops):
     live = {"اللواريه": "اللوار"}  # a variant table the caller changes between calls
@@ -107,7 +109,7 @@ def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
         assert annotate(text, lex, grammar, SMAP, SHIPPED) == annotate(
             text, fresh, compile(RULES, fresh, SMAP), SMAP, SHIPPED
         )
-        assert all(len(table) <= 3 for table in (*lex.tokenize_memos, *lex._lookups, *grammar._ranks))
+        assert all(len(table) <= 3 for table in (*lex.tokenize_memos, lex._lookups, grammar._types))
 
 
 def test_threads_sharing_the_tables_get_the_answers_of_one_thread(monkeypatch):
