@@ -85,7 +85,9 @@ def annotate(
     variants: dict[str, str] | None = None,
     doc_id: str = "",
 ) -> AnnotatedDocument:
-    """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations."""
+    """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations.
+
+    They come out in strictly increasing `span.start`, since `engine.apply` resumes after each trigger."""
     # The grammar was validated against its own map; another map must hold every rule output.
     unresolved = [] if smap is grammar.smap else [r.output for r in grammar.rules if r.output not in smap]
     if unresolved:
@@ -97,52 +99,37 @@ def annotate(
         if vetoed:
             continue
         annotations.append(_convert(match, tokens, alternates))
-    annotations.sort(key=lambda a: (a.span.start, a.trigger.start))
     return AnnotatedDocument(doc_id=doc_id, text=text, annotations=tuple(annotations))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 #
-# `document_to_json` lays out by hand the bytes of `json.dumps(schema dict, ensure_ascii=False, indent=2)`:
-# `indent` sends `json.dumps` down its pure-Python encoder. Strings go through the function that encoder uses,
-# int span bounds through `%d`, and any other value through `json.dumps` itself, re-indented to its depth.
+# `document_to_json` lays out by hand the bytes of `json.dumps(schema dict, ensure_ascii=False, indent=2)`, whose
+# `indent` sends it down the pure-Python encoder. Each field has one path, which refuses a value of a type that
+# `read_annotations` refuses: strings (`doc_id`, `text`, `category`, `rule`, each alternate) go through that
+# encoder's own string function, which raises `TypeError` for a value that is not a `str`; span bounds, `int`s as
+# `OffsetSpan` holds them, through `%d`; `attributes` through `json.dumps` itself, re-indented to its depth.
 
 _encode_str = json.encoder.encode_basestring
-_FIELD = "\n      "  # an annotation's fields
-_BOUND = "\n        "  # a span's bounds
-_INT_SPAN = '{\n        "start": %d,\n        "end": %d\n      }'
-
-
-def _value(value, pad: str) -> str:
-    """`value` as `json.dumps(..., ensure_ascii=False, indent=2)` writes it at the depth whose line break is `pad`."""
-    if type(value) is str:
-        return _encode_str(value)
-    if type(value) is int:
-        return "%d" % value
-    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", pad)
-
-
-def _span_json(span: OffsetSpan) -> str:
-    start, end = span.start, span.end
-    if type(start) is int and type(end) is int:
-        return _INT_SPAN % (start, end)
-    return '{%s"start": %s,%s"end": %s%s}' % (_BOUND, _value(start, _BOUND), _BOUND, _value(end, _BOUND), _FIELD)
+_HEAD = '{\n      "start": %d,\n      "end": %d,\n      "category": %s,\n      "trigger": '
+_SPAN = '{\n        "start": %d,\n        "end": %d\n      }'
+_ITEM = ",\n        "  # between the items of an annotation's list
 
 
 def _ann_json(a: SpatialAnnotation) -> str:
-    parts = ['{\n      "start": %s,\n      "end": %s,\n      "category": %s,\n      "trigger": %s' % (
-        _value(a.span.start, _FIELD), _value(a.span.end, _FIELD), _value(a.category, _FIELD), _span_json(a.trigger))]
+    parts = [_HEAD % (*a.span, _encode_str(a.category)), _SPAN % a.trigger]
     if a.site is not None:
-        parts += (',\n      "site": ', _span_json(a.site))
+        parts += (',\n      "site": ', _SPAN % a.site)
     if a.target is not None:
-        parts += (',\n      "target": ', _span_json(a.target))
+        parts += (',\n      "target": ', _SPAN % a.target)
     if a.attributes:
-        parts += (',\n      "attributes": ', _value(a.attributes, _FIELD))
+        attributes = json.dumps(a.attributes, ensure_ascii=False, indent=2)
+        parts += (',\n      "attributes": ', attributes.replace("\n", "\n      "))
     if a.alternates:
-        parts += (',\n      "alternates": ', _value(list(a.alternates), _FIELD))
+        parts += (',\n      "alternates": [\n        ', _ITEM.join(map(_encode_str, a.alternates)), "\n      ]")
     if a.rule is not None:
-        parts += (',\n      "rule": ', _value(a.rule, _FIELD))
+        parts += (',\n      "rule": ', _encode_str(a.rule))
     parts.append("\n    }")
     return "".join(parts)
 
@@ -151,8 +138,8 @@ def document_to_json(doc: AnnotatedDocument) -> str:
     """`json.dumps` of the schema dict with `ensure_ascii=False` and `indent=2`, plus a newline, byte for byte."""
     anns = [_ann_json(a) for a in doc.annotations]
     return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": %s\n}\n' % (
-        _value(doc.doc_id, "\n  "),
-        _value(doc.text, "\n  "),
+        _encode_str(doc.doc_id),
+        _encode_str(doc.text),
         "[\n    " + ",\n    ".join(anns) + "\n  ]" if anns else "[]",
     )
 

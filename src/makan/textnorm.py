@@ -41,15 +41,23 @@ ARTICLE = "ال"
 # within a call survives on such a text.
 MEMO_LIMIT = 1 << 15
 
-# `tokenize`'s memo tables without a lexicon: surface run -> (word, words), word -> split.
-_MEMOS: tuple[dict, dict] = ({}, {})
 
+class OffsetSpan(tuple):
+    """Half-open [start, end) span of Unicode scalar indices into the original text.
 
-class _Record(tuple):
-    """An immutable tuple with the fields `__match_args__` names, equal only to a record of its own type."""
+    An immutable pair of `int`s (a bool is refused), equal only to an `OffsetSpan`.
+    """
 
     __slots__ = ()
+    __match_args__ = ("start", "end")
     __hash__ = tuple.__hash__  # else defining `__eq__` drops it
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+
+    def __new__(cls, start: int, end: int):
+        if type(start) is not int or type(end) is not int or start < 0 or end <= start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -61,21 +69,7 @@ class _Record(tuple):
         return tuple(self)
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__match_args__, self))})"
-
-
-class OffsetSpan(_Record):
-    """Half-open [start, end) span of Unicode scalar indices into the original text."""
-
-    __slots__ = ()
-    __match_args__ = ("start", "end")
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
-
-    def __new__(cls, start: int, end: int):
-        if start < 0 or end <= start:
-            raise ValueError(f"invalid span [{start}, {end})")
-        return tuple.__new__(cls, (start, end))
+        return f"{type(self).__name__}(start={self[0]!r}, end={self[1]!r})"
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
@@ -84,21 +78,17 @@ class OffsetSpan(_Record):
         return self.start < other.end and other.start < self.end
 
 
-class Proclitic(_Record):
-    __slots__ = ()
-    __match_args__ = ("span", "kind", "text")
-    span = property(itemgetter(0))  # OffsetSpan
-    kind = property(itemgetter(1))  # coordination | preposition | article
-    text = property(itemgetter(2))  # normalized form
-
-    def __new__(cls, span: OffsetSpan, kind: str, text: str):
-        return tuple.__new__(cls, (span, kind, text))
+@dataclass(frozen=True, slots=True)
+class Proclitic:
+    span: OffsetSpan
+    kind: str                 # coordination | preposition | article
+    text: str                 # normalized form
 
 
 @dataclass(frozen=True, slots=True)
 class Token:
     span: OffsetSpan          # whole word in the original text
-    surface: str              # original substring, diacritics and all
+    surface: str              # original text of `span`: a mark after the last letter lies outside it
     proclitics: tuple[Proclitic, ...]
     stem_span: OffsetSpan     # residue after proclitic detachment
     stem: str                 # normalized residue
@@ -280,11 +270,11 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     Proclitic spans and the stem span partition each token span left to
     right; unsegmentable words become single-stem tokens. Each surface run
     and each word is worked out once and kept in the lexicon's memo tables
-    (`Lexicon.tokenize_memos`, module ones without a lexicon); a run whose
-    word is in `variants` is worked out on each call, since the caller may
-    change that table between calls.
+    (`Lexicon.tokenize_memos`; without a lexicon, fresh tables each call); a
+    run whose word is in `variants` is worked out on each call, since the
+    caller may change that table between calls.
     """
-    runs, splits = _MEMOS if lexicon is None else lexicon.tokenize_memos
+    runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
     starts, words_out = [], []
     for rmatch in _RUN_RE.finditer(text):
         run = rmatch.group()

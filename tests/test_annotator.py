@@ -13,7 +13,7 @@ from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnn
 from makan.engine import apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
-from makan.semmap import TOP_LEVEL, SpatialityMap, top_level
+from makan.semmap import TOP_LEVEL, SpatialityMap, default_map, top_level
 from makan.textnorm import OffsetSpan, tokenize
 from oracle import reference_document_json
 
@@ -108,17 +108,18 @@ def test_round_trip_via_stream(run):
 _TEXT = st.text(
     st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\u2029\ud800\udfffé😀على') | st.characters(), max_size=12
 )
-# Bounds a hand-built span may hold besides ints: a bool (JSON `true`) or a float.
-_SPAN = st.builds(
-    lambda start, length: OffsetSpan(start, start + length),
-    st.integers(0, 10**12) | st.booleans() | st.floats(0, 1e6),
-    st.integers(1, 9),
-) | st.just(OffsetSpan(False, True))
-_JSON_VALUE = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
-    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
-    max_leaves=4,
-)
+_SPAN = st.builds(lambda start, length: OffsetSpan(start, start + length), st.integers(0, 10**12), st.integers(1, 9))
+
+
+def _json_values(floats):
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | floats | _TEXT,
+        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
+        max_leaves=4,
+    )
+
+
+_JSON_VALUE = _json_values(st.floats())
 _SPATIAL_ANNOTATION = st.builds(
     SpatialAnnotation,
     span=_SPAN,
@@ -141,6 +142,50 @@ _DOCUMENT = st.builds(
 @given(_DOCUMENT)
 def test_document_json_equals_json_dumps_byte_for_byte(doc):
     assert document_to_json(doc) == reference_document_json(doc)
+
+
+_PATHS = sorted(default_map().nodes)
+_FINITE_JSON = _json_values(st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _readable_document(draw):
+    """A document `read_annotations` accepts: map categories and alternates, in-bounds spans, finite JSON."""
+    text = draw(_TEXT)
+    n = len(text)
+    span = st.integers(0, n - 1).flatmap(lambda s: st.integers(s + 1, n).map(lambda e: OffsetSpan(s, e)))
+    annotation = st.builds(
+        SpatialAnnotation,
+        span=span,
+        category=st.sampled_from(_PATHS),
+        trigger=span,
+        site=st.none() | span,
+        target=st.none() | span,
+        attributes=st.dictionaries(_TEXT, _FINITE_JSON, max_size=2),
+        alternates=st.lists(st.sampled_from(_PATHS), max_size=2).map(tuple),
+        rule=st.none() | _TEXT,
+    )
+    annotations = draw(st.lists(annotation, max_size=3)) if n else []
+    return AnnotatedDocument(doc_id=draw(_TEXT), text=text, annotations=tuple(annotations))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_readable_document())
+def test_every_written_document_reads_back_equal(doc):
+    assert read_annotations(io.StringIO(document_to_json(doc))) == doc
+
+
+@pytest.mark.parametrize("value", [5, b"x"])
+@pytest.mark.parametrize("field", ["doc_id", "text", "category", "rule", "alternates"])
+def test_document_json_refuses_a_string_field_that_is_not_a_str(field, value):
+    ann = SpatialAnnotation(span=OffsetSpan(0, 2), category="TOPOLOGICAL", trigger=OffsetSpan(0, 2), rule="r")
+    if field in ("doc_id", "text"):
+        doc = AnnotatedDocument(**{"doc_id": "d", "text": "في", field: value}, annotations=(ann,))
+    else:
+        ann = dataclasses.replace(ann, **{field: (value,) if field == "alternates" else value})
+        doc = AnnotatedDocument(doc_id="d", text="في", annotations=(ann,))
+    with pytest.raises(TypeError):
+        document_to_json(doc)
 
 
 def test_read_rejects_out_of_bounds_span(tmp_path):
@@ -303,6 +348,8 @@ def test_multi_sentence_document(run, suite_gold):
     triggers = [a.trigger for a in doc.annotations]
     for a, b in zip(triggers, triggers[1:]):
         assert a.end <= b.start
+    starts = [a.span.start for a in doc.annotations]  # as `annotate` emits them: it does not sort
+    assert all(a < b for a, b in zip(starts, starts[1:]))
 
 
 # `tokenize` drops sentence punctuation, so e24's trailing optional site runs

@@ -1,7 +1,7 @@
 """Word-type memo tables kept across calls give the answers of freshly built resources.
 
-`tokenize` keeps surface run -> words and word -> split on the lexicon (on
-the module without one), `Lexicon.lookup` keeps a word type's matches, and
+`tokenize` keeps surface run -> words and word -> split on the lexicon (fresh
+tables each call without one), `Lexicon.lookup` keeps a word type's matches, and
 `apply` keeps a word type's record (lookups, candidate rules, atom options)
 on the grammar, which is applied with the one lexicon it was compiled for; a
 token where a multiword form can start is keyed by the stems after it too.
@@ -33,7 +33,6 @@ ENTRIES = (SEED.entries, tuple(e for n, e in enumerate(SEED.entries) if n % 3))
 LEXICONS = tuple(Lexicon(list(entries), SMAP) for entries in ENTRIES)
 GRAMMARS = tuple(compile(RULES, lex, SMAP) for lex in LEXICONS)
 SHIPPED = load_variant_table(resources.files("makan").joinpath("resources/variants.tsv"))
-NONE_MEMOS = ({}, {})  # the module's lexicon-free tables while a test below runs: long-lived across its examples
 LIMIT = 16  # low, so that the tables fill past it and are emptied again and again
 
 _SUITE = resources.files("makan").joinpath("resources/suite")
@@ -54,7 +53,7 @@ _OPS = st.lists(
 
 
 def _tables():
-    out = list(NONE_MEMOS)
+    out = []
     for lex, grammar in zip(LEXICONS, GRAMMARS):
         out += [*lex.tokenize_memos, lex._lookups, grammar._types]
     return out
@@ -73,7 +72,6 @@ def test_long_lived_tables_equal_fresh_ones(ops):
     tables = (SHIPPED, {"سين": "سان", "المقعد": "الكرسي"}, live)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textnorm, "MEMO_LIMIT", LIMIT)
-        mp.setattr(textnorm, "_MEMOS", NONE_MEMOS)
         for kind, text, which, v in ops:
             if kind == "mutate":
                 if which is None:
@@ -88,10 +86,7 @@ def test_long_lived_tables_equal_fresh_ones(ops):
                 fresh_lex = Lexicon(list(ENTRIES[which]), SMAP)
                 assert got == annotate(text, fresh_lex, compile(RULES, fresh_lex, SMAP), SMAP, snapshot)
             elif which is None:
-                got = tokenize(text, None, variants)
-                with pytest.MonkeyPatch.context() as fresh:
-                    fresh.setattr(textnorm, "_MEMOS", ({}, {}))
-                    assert got == tokenize(text, None, snapshot)
+                assert tokenize(text, None, variants) == tokenize(text, None, snapshot)
             else:
                 assert tokenize(text, LEXICONS[which], variants) == tokenize(
                     text, Lexicon(list(ENTRIES[which]), SMAP), snapshot

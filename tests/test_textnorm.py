@@ -221,7 +221,10 @@ def test_offset_span_rejects_empty():
         OffsetSpan(3, 3)
 
 
-@pytest.mark.parametrize("start,end", [(-1, 2), (4, 2)])
+# Bounds are ints only: a bool (JSON `true`), a float or a str would write a file `read_annotations` refuses.
+@pytest.mark.parametrize(
+    "start,end", [(-1, 2), (4, 2), (True, 2), (0, True), (False, True), (0.5, 2.0), (0, 2.0), ("a", 2), (0, "b")]
+)
 def test_offset_span_rejects_a_negative_start_or_a_reversed_span(start, end):
     with pytest.raises(ValueError, match=re.escape(f"invalid span [{start}, {end})")):
         OffsetSpan(start, end)
