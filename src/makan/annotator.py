@@ -9,27 +9,38 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import itemgetter
 
 from . import engine, guards, semmap
 from .lexicon import Lexicon
-from .textnorm import OffsetSpan, tokenize
+from .textnorm import OffsetSpan, Record, tokenize
 
 
 class AnnotationFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SpatialAnnotation:
-    span: OffsetSpan                 # trigger-to-site hull
-    category: str
-    trigger: OffsetSpan
-    site: OffsetSpan | None = None
-    target: OffsetSpan | None = None
-    attributes: dict = field(default_factory=dict)
-    alternates: tuple[str, ...] = ()
-    rule: str | None = None
+class SpatialAnnotation(Record):
+    """One standoff annotation: an immutable record (see `textnorm.Record`)."""
+
+    __slots__ = ()
+    __match_args__ = ("span", "category", "trigger", "site", "target", "attributes", "alternates", "rule")
+    span = property(itemgetter(0))        # hull of the trigger, site and target spans
+    category = property(itemgetter(1))
+    trigger = property(itemgetter(2))
+    site = property(itemgetter(3))
+    target = property(itemgetter(4))
+    attributes = property(itemgetter(5))
+    alternates = property(itemgetter(6))
+    rule = property(itemgetter(7))
+
+    def __new__(cls, span: OffsetSpan, category: str, trigger: OffsetSpan, site: OffsetSpan | None = None,
+                target: OffsetSpan | None = None, attributes: dict | None = None, alternates: tuple[str, ...] = (),
+                rule: str | None = None):
+        attributes = {} if attributes is None else attributes  # a default is a new dict, never a shared one
+        return tuple.__new__(cls, (span, category, trigger, site, target, attributes, alternates, rule))
 
 
 @dataclass(frozen=True)
@@ -47,34 +58,29 @@ def _token_hull(tokens, rng: tuple[int, int]) -> OffsetSpan:
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
     """The annotation of a match that passed its guards, read off the stream's run starts and word records."""
     starts, words = tokens.starts, tokens.words  # a record: (start, end, surface, cuts, stem start, stem, key)
-    first, last = match.captures["trigger"]
-    trig_ev = match.evidence.get("trigger")
+    rule, _, captures, output, _, evidence, _ = match
+    first, last = captures["trigger"]
+    trig_ev = evidence.get("trigger")
     r0, word = starts[first], words[first]
-    site_span = None
+    site = target = None
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
         _, cs, ce, _ = next(cut for cut in word[3] if cut[0] == "preposition")
-        trigger_span = OffsetSpan(r0 + cs, r0 + ce)
-        site_span = OffsetSpan(r0 + word[4], r0 + word[1])
+        lo, hi = r0 + cs, r0 + ce
+        site = OffsetSpan(r0 + word[4], r0 + word[1])
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        trigger_span = OffsetSpan(r0 + word[4], starts[last - 1] + words[last - 1][1])
-    if "site" in match.captures:
-        site_span = _token_hull(tokens, match.captures["site"])
-    target_span = _token_hull(tokens, match.captures["target"]) if "target" in match.captures else None
-
-    spans = [trigger_span] + [s for s in (site_span, target_span) if s is not None]
-    return SpatialAnnotation(
-        span=OffsetSpan(min(s.start for s in spans), max(s.end for s in spans)),
-        category=match.output,
-        trigger=trigger_span,
-        site=site_span,
-        target=target_span,
-        attributes=dict(trig_ev.entry.attributes) if trig_ev is not None else {},
-        alternates=tuple(alternates),
-        rule=match.rule,
-    )
+        lo, hi = r0 + word[4], starts[last - 1] + words[last - 1][1]
+    trigger = OffsetSpan(lo, hi)
+    if "site" in captures:
+        site = _token_hull(tokens, captures["site"])
+    if "target" in captures:
+        target = _token_hull(tokens, captures["target"])
+    for start, end in filter(None, (site, target)):  # the hull, from the bounds in hand
+        lo, hi = min(lo, start), max(hi, end)
+    attributes = dict(trig_ev.entry.attributes) if trig_ev is not None else {}
+    return SpatialAnnotation(OffsetSpan(lo, hi), output, trigger, site, target, attributes, tuple(alternates), rule)
 
 
 def annotate(
@@ -109,27 +115,50 @@ def annotate(
 # `indent` sends it down the pure-Python encoder. Each field has one path, which refuses a value of a type that
 # `read_annotations` refuses: strings (`doc_id`, `text`, `category`, `rule`, each alternate) go through that
 # encoder's own string function, which raises `TypeError` for a value that is not a `str`; span bounds, `int`s as
-# `OffsetSpan` holds them, through `%d`; `attributes` through `json.dumps` itself, re-indented to its depth.
+# `OffsetSpan` holds them, through `%d`; `attributes` through `json.dumps` itself, re-indented to its depth, and
+# `_check_attributes` refuses what would not read back equal.
 
 _encode_str = json.encoder.encode_basestring
-_HEAD = '{\n      "start": %d,\n      "end": %d,\n      "category": %s,\n      "trigger": '
 _SPAN = '{\n        "start": %d,\n        "end": %d\n      }'
+_HEAD = '{\n      "start": %d,\n      "end": %d,\n      "category": %s,\n      "trigger": ' + _SPAN
+_SITE = ',\n      "site": ' + _SPAN
+_TARGET = ',\n      "target": ' + _SPAN
 _ITEM = ",\n        "  # between the items of an annotation's list
 
 
+def _check_attributes(attributes) -> None:
+    """TypeError unless `attributes`, which `json.dumps` has written, reads back equal: a dict, each dict in it
+    keyed by `str`s, with no tuple (it reads back as a list) and no NaN or infinity (not JSON) at any depth."""
+    if not isinstance(attributes, dict):
+        raise TypeError(f"attributes must be a dict, not {type(attributes).__name__}")
+    values = [attributes]
+    for value in values:  # grows as it is read, to every nested value; `json.dumps` has refused a cycle
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"attribute key {key!r} is not a str")
+            values += value.values()
+        elif isinstance(value, list):
+            values += value
+        elif isinstance(value, tuple) or isinstance(value, float) and not math.isfinite(value):
+            raise TypeError(f"attribute value {value!r} would not read back equal from JSON")
+
+
 def _ann_json(a: SpatialAnnotation) -> str:
-    parts = [_HEAD % (*a.span, _encode_str(a.category)), _SPAN % a.trigger]
-    if a.site is not None:
-        parts += (',\n      "site": ', _SPAN % a.site)
-    if a.target is not None:
-        parts += (',\n      "target": ', _SPAN % a.target)
-    if a.attributes:
-        attributes = json.dumps(a.attributes, ensure_ascii=False, indent=2)
-        parts += (',\n      "attributes": ', attributes.replace("\n", "\n      "))
-    if a.alternates:
-        parts += (',\n      "alternates": [\n        ', _ITEM.join(map(_encode_str, a.alternates)), "\n      ]")
-    if a.rule is not None:
-        parts += (',\n      "rule": ', _encode_str(a.rule))
+    span, category, trigger, site, target, attributes, alternates, rule = a
+    parts = [_HEAD % (*span, _encode_str(category), *trigger)]
+    if site is not None:
+        parts.append(_SITE % site)
+    if target is not None:
+        parts.append(_TARGET % target)
+    if attributes:
+        written = json.dumps(attributes, ensure_ascii=False, indent=2)
+        _check_attributes(attributes)
+        parts += (',\n      "attributes": ', written.replace("\n", "\n      "))
+    if alternates:
+        parts += (',\n      "alternates": [\n        ', _ITEM.join(map(_encode_str, alternates)), "\n      ]")
+    if rule is not None:
+        parts += (',\n      "rule": ', _encode_str(rule))
     parts.append("\n    }")
     return "".join(parts)
 
@@ -137,20 +166,24 @@ def _ann_json(a: SpatialAnnotation) -> str:
 def document_to_json(doc: AnnotatedDocument) -> str:
     """`json.dumps` of the schema dict with `ensure_ascii=False` and `indent=2`, plus a newline, byte for byte."""
     anns = [_ann_json(a) for a in doc.annotations]
-    return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": %s\n}\n' % (
-        _encode_str(doc.doc_id),
-        _encode_str(doc.text),
-        "[\n    " + ",\n    ".join(anns) + "\n  ]" if anns else "[]",
-    )
+    head = _encode_str(doc.doc_id), _encode_str(doc.text)
+    if not anns:
+        return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": []\n}\n' % head
+    # the joined annotations, most of the document, go straight into the format: a `+` would copy them again
+    return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": [\n    %s\n  ]\n}\n' % (*head, ",\n    ".join(anns))
 
 
 def write_annotations(doc: AnnotatedDocument, sink) -> None:
-    """Write a document; `sink` is a path or a writable text file object."""
+    """Write a document; `sink` is a path or a writable text file object.
+
+    A path is opened, and so emptied, only once the document has encoded: one that cannot leaves the file as it
+    was."""
     data = document_to_json(doc)
     if hasattr(sink, "write"):
         sink.write(data)
     else:
-        with open(sink, "w", encoding="utf-8") as fh:
+        data = data.encode("utf-8")  # a lone surrogate in the text raises here
+        with open(sink, "wb") as fh:
             fh.write(data)
 
 
@@ -226,16 +259,5 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
             raise AnnotationFormatError(f"{name}: annotation {idx}: attributes must be an object")
         if rule is not None and not isinstance(rule, str):
             raise AnnotationFormatError(f"{name}: annotation {idx}: rule must be a string")
-        anns.append(
-            SpatialAnnotation(
-                span=span,
-                category=category,
-                trigger=trigger,
-                site=site,
-                target=target,
-                attributes=attributes,
-                alternates=tuple(alternates),
-                rule=rule,
-            )
-        )
+        anns.append(SpatialAnnotation(span, category, trigger, site, target, attributes, tuple(alternates), rule))
     return AnnotatedDocument(doc_id=obj["doc_id"], text=text, annotations=tuple(anns))

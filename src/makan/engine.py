@@ -27,14 +27,14 @@ winner found: winners are unchanged.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
 
 from . import semmap
 from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
-from .textnorm import normalize, remember, token_stream
+from .textnorm import Record, normalize, remember, token_stream
 
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
@@ -77,15 +77,24 @@ class Rule:
     decl: int                    # declaration index, tie-break after priority
 
 
-@dataclass(frozen=True)
-class RawMatch:
-    rule: str
-    span: tuple[int, int]                     # token index range, end exclusive
-    captures: dict[str, tuple[int, int]]
-    output: str
-    guards: tuple[str, ...]                   # the rule's guards, run before emission
-    evidence: dict[str, LexMatch | None] = field(default_factory=dict)
-    following: tuple[LexMatch, ...] = ()      # lookups of the token after the trigger, if any
+class RawMatch(Record):
+    """A rule's winning alignment at a token, before its guards run: an immutable record (see `textnorm.Record`)."""
+
+    __slots__ = ()
+    __match_args__ = ("rule", "span", "captures", "output", "guards", "evidence", "following")
+    rule = property(itemgetter(0))
+    span = property(itemgetter(1))            # token index range, end exclusive
+    captures = property(itemgetter(2))        # capture name -> token index range
+    output = property(itemgetter(3))
+    guards = property(itemgetter(4))          # the rule's guards, run before emission
+    evidence = property(itemgetter(5))        # capture name -> the lexicon match its atom took, or None
+    following = property(itemgetter(6))       # lookups of the token after the trigger, if any
+
+    def __new__(cls, rule: str, span: tuple[int, int], captures: dict[str, tuple[int, int]], output: str,
+                guards: tuple[str, ...], evidence: dict[str, LexMatch | None] | None = None,
+                following: tuple[LexMatch, ...] = ()):
+        evidence = {} if evidence is None else evidence  # a default is a new dict, never a shared one
+        return tuple.__new__(cls, (rule, span, captures, output, guards, evidence, following))
 
 
 class CompiledGrammar:
@@ -436,6 +445,6 @@ def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
                 evidence[atom.capture] = m
             pos += consumed
         resume = captures["trigger"][1]
-        out.append(RawMatch(rule=winner.name, span=(i, i + total), captures=captures, output=winner.output,
-                            guards=winner.guards, evidence=evidence, following=recs[resume][0]))
+        out.append(RawMatch(winner.name, (i, i + total), captures, winner.output, winner.guards, evidence,
+                            recs[resume][0]))
     return out

@@ -8,8 +8,6 @@ columns of a `textnorm.TokenStream`; `run_guards` also takes a list of
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .lexicon import NOUN_CLASSES, LexClass
 from .textnorm import TokenStream, token_stream
 
@@ -98,8 +96,10 @@ def run_guards(guard_names, tokens, match) -> tuple[bool, list[str]]:
     if type(tokens) is not TokenStream:
         lo, hi = max(0, match.span[0] - NEG_WINDOW), min(len(tokens), match.span[1] + 2)
         tokens = token_stream([tokens[j] for j in range(lo, hi)])
-        shifted = {name: (a - lo, b - lo) for name, (a, b) in match.captures.items()}
-        match = replace(match, span=(match.span[0] - lo, match.span[1] - lo), captures=shifted)
+        rule, (start, end), captures, output, names, evidence, following = match
+        shifted = {name: (a - lo, b - lo) for name, (a, b) in captures.items()}
+        # an `engine.RawMatch`, built through the match's type since `engine` imports this module
+        match = type(match)(rule, (start - lo, end - lo), shifted, output, names, evidence, following)
     alternates: list[str] = []
     for name in guard_names:
         if name == "DUAL_SENSE":

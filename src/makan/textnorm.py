@@ -42,22 +42,15 @@ ARTICLE = "ال"
 MEMO_LIMIT = 1 << 15
 
 
-class OffsetSpan(tuple):
-    """Half-open [start, end) span of Unicode scalar indices into the original text.
+class Record(tuple):
+    """Base of the immutable tuple-backed records: a subclass names its fields in `__match_args__`, in tuple
+    order, reads each through `property(itemgetter(i))` and builds itself in `__new__`.
 
-    An immutable pair of `int`s (a bool is refused), equal only to an `OffsetSpan`.
+    A record equals only a record of its own type, so it never equals its plain tuple. It is unhashable unless
+    a subclass restores `tuple.__hash__`, and it pickles and deep-copies through `__new__`.
     """
 
     __slots__ = ()
-    __match_args__ = ("start", "end")
-    __hash__ = tuple.__hash__  # else defining `__eq__` drops it
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
-
-    def __new__(cls, start: int, end: int):
-        if type(start) is not int or type(end) is not int or start < 0 or end <= start:
-            raise ValueError(f"invalid span [{start}, {end})")
-        return tuple.__new__(cls, (start, end))
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -69,7 +62,25 @@ class OffsetSpan(tuple):
         return tuple(self)
 
     def __repr__(self):
-        return f"{type(self).__name__}(start={self[0]!r}, end={self[1]!r})"
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self.__match_args__, self))})"
+
+
+class OffsetSpan(Record):
+    """Half-open [start, end) span of Unicode scalar indices into the original text.
+
+    An immutable pair of `int`s (a bool is refused), equal only to an `OffsetSpan`.
+    """
+
+    __slots__ = ()
+    __match_args__ = ("start", "end")
+    __hash__ = tuple.__hash__  # a `Record` is unhashable; a span holds only ints
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+
+    def __new__(cls, start: int, end: int):
+        if type(start) is not int or type(end) is not int or start < 0 or end <= start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]

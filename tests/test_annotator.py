@@ -1,7 +1,8 @@
-import dataclasses
+import copy
 import gc
 import io
 import json
+import pickle
 import weakref
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from makan import annotate, guards, read_annotations, write_annotations
 from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation, document_to_json
-from makan.engine import apply
+from makan.engine import RawMatch, apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
 from makan.semmap import TOP_LEVEL, SpatialityMap, default_map, top_level
@@ -111,15 +112,12 @@ _TEXT = st.text(
 _SPAN = st.builds(lambda start, length: OffsetSpan(start, start + length), st.integers(0, 10**12), st.integers(1, 9))
 
 
-def _json_values(floats):
-    return st.recursive(
-        st.none() | st.booleans() | st.integers() | floats | _TEXT,
-        lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
-        max_leaves=4,
-    )
-
-
-_JSON_VALUE = _json_values(st.floats())
+# The values an annotation's attributes can hold: the writer refuses NaN and infinities, which are not JSON
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=4,
+)
 _SPATIAL_ANNOTATION = st.builds(
     SpatialAnnotation,
     span=_SPAN,
@@ -145,7 +143,6 @@ def test_document_json_equals_json_dumps_byte_for_byte(doc):
 
 
 _PATHS = sorted(default_map().nodes)
-_FINITE_JSON = _json_values(st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
@@ -161,7 +158,7 @@ def _readable_document(draw):
         trigger=span,
         site=st.none() | span,
         target=st.none() | span,
-        attributes=st.dictionaries(_TEXT, _FINITE_JSON, max_size=2),
+        attributes=st.dictionaries(_TEXT, _JSON_VALUE, max_size=2),
         alternates=st.lists(st.sampled_from(_PATHS), max_size=2).map(tuple),
         rule=st.none() | _TEXT,
     )
@@ -182,10 +179,73 @@ def test_document_json_refuses_a_string_field_that_is_not_a_str(field, value):
     if field in ("doc_id", "text"):
         doc = AnnotatedDocument(**{"doc_id": "d", "text": "في", field: value}, annotations=(ann,))
     else:
-        ann = dataclasses.replace(ann, **{field: (value,) if field == "alternates" else value})
-        doc = AnnotatedDocument(doc_id="d", text="في", annotations=(ann,))
+        fields = dict(zip(ann.__match_args__, ann), **{field: (value,) if field == "alternates" else value})
+        doc = AnnotatedDocument(doc_id="d", text="في", annotations=(SpatialAnnotation(**fields),))
     with pytest.raises(TypeError):
         document_to_json(doc)
+
+
+@pytest.mark.parametrize(
+    "attributes",
+    [
+        {1: "x"},
+        {None: "x"},
+        {True: "x"},
+        {"n": {2.5: "x"}},
+        {"n": (True,)},
+        {"n": [1, {"m": ()}]},
+        {"n": float("nan")},
+        {"n": float("inf")},
+        {"n": [-float("inf")]},
+        ["n", 1],
+    ],
+)
+def test_document_json_refuses_attributes_that_would_not_read_back_equal(attributes):
+    ann = SpatialAnnotation(OffsetSpan(0, 2), "TOPOLOGICAL", OffsetSpan(0, 2), attributes=attributes)
+    with pytest.raises(TypeError):
+        document_to_json(AnnotatedDocument("d", "في", (ann,)))
+
+
+def test_write_annotations_that_cannot_encode_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text("old contents", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        write_annotations(AnnotatedDocument("d", "ab\ud800", ()), path)
+    assert path.read_text(encoding="utf-8") == "old contents"
+
+
+# Each record's fields in order, then how many of them have no default.
+_RECORDS = [
+    (RawMatch, ("r", (0, 2), {"trigger": (0, 1)}, "TOPOLOGICAL", ("NEG_SCOPE",), {"trigger": None}, ()), 5),
+    (
+        SpatialAnnotation,
+        (OffsetSpan(0, 2), "TOPOLOGICAL", OffsetSpan(0, 1), OffsetSpan(1, 2), None, {"n": 1}, ("DIRECTIONAL",), "r"),
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls,values,required", _RECORDS, ids=["RawMatch", "SpatialAnnotation"])
+def test_match_and_annotation_records_are_immutable_and_equal_only_their_own_type(cls, values, required):
+    record = cls(*values)
+    assert record == cls(**dict(zip(cls.__match_args__, values)))
+    assert record != tuple(record) and tuple(record) != record and not record == tuple(record)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(cls.__match_args__, values))})"
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(TypeError):
+        hash(record)
+    assert copy.deepcopy(record) == record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    first, second = cls(*values[:required]), cls(*values[:required])
+    defaults = ({}, ()) if cls is RawMatch else (None, None, {}, (), None)
+    assert tuple(first) == (*values[:required], *defaults)
+    name = "evidence" if cls is RawMatch else "attributes"
+    assert getattr(first, name) is not getattr(second, name)
 
 
 def test_read_rejects_out_of_bounds_span(tmp_path):
@@ -361,9 +421,8 @@ def _shifted(ann, by):
     def move(span):
         return None if span is None else OffsetSpan(span.start + by, span.end + by)
 
-    return dataclasses.replace(
-        ann, span=move(ann.span), trigger=move(ann.trigger), site=move(ann.site), target=move(ann.target)
-    )
+    span, category, trigger, site, target, attributes, alternates, rule = ann
+    return SpatialAnnotation(move(span), category, move(trigger), move(site), move(target), attributes, alternates, rule)
 
 
 def test_joining_two_suite_documents_changes_no_annotation(run, suite_system):
