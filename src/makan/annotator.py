@@ -101,7 +101,7 @@ def annotate(
     tokens = tokenize(text, lexicon, variants)
     annotations = []
     for match in engine.apply(grammar, tokens, lexicon):
-        vetoed, alternates = guards.run_guards(match.guards, tokens, match)
+        vetoed, alternates = guards.run_guards(tokens, match)
         if vetoed:
             continue
         annotations.append(_convert(match, tokens, alternates))
@@ -187,17 +187,18 @@ def write_annotations(doc: AnnotatedDocument, sink) -> None:
             fh.write(data)
 
 
-def _parse_span(obj, text_len: int, where: str) -> OffsetSpan:
+def _span(obj, n: int, name: str, idx: int, key: str = "") -> OffsetSpan:
+    """The span of `obj`'s start and end, checked once here: `OffsetSpan`'s own check would repeat a weaker one."""
+    start = end = None
+    if isinstance(obj, dict):
+        start, end = obj.get("start"), obj.get("end")
     # JSON true/false load as bool, a subclass of int: not a span bound.
-    if not isinstance(obj, dict) or type(obj.get("start")) is not int or type(obj.get("end")) is not int:
+    if type(start) is int and type(end) is int and 0 <= start < end <= n:
+        return tuple.__new__(OffsetSpan, (start, end))
+    where = f"{name}: annotation {idx}" + (f" ({key})" if key else "")
+    if type(start) is not int or type(end) is not int:
         raise AnnotationFormatError(f"{where}: span must be an object with integer start/end")
-    start, end = obj["start"], obj["end"]
-    if not (0 <= start < end <= text_len):
-        raise AnnotationFormatError(f"{where}: span [{start}, {end}) out of bounds for text of length {text_len}")
-    return OffsetSpan(start, end)
-
-
-_SPAN_KEYS = ("trigger", "site", "target")
+    raise AnnotationFormatError(f"{where}: span [{start}, {end}) out of bounds for text of length {n}")
 
 
 def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> AnnotatedDocument:
@@ -224,30 +225,18 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
         raise AnnotationFormatError(f"{name}: annotations must be a list")
     n, anns = len(text), []
     resolves = functools.cache(lambda path: semmap.resolve(smap, path) is not None)  # each distinct path once a call
-    # A span that is well formed is built here; `_parse_span` sees only one that fails, and words the error.
     for idx, raw in enumerate(raw_anns):
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{name}: annotation {idx}: must be an object")
         category = raw.get("category")
         if not isinstance(category, str) or not resolves(category):
             raise AnnotationFormatError(f"{name}: annotation {idx}: unknown category path {category!r}")
-        start, end = raw.get("start"), raw.get("end")
-        if type(start) is int and type(end) is int and 0 <= start < end <= n:
-            span = OffsetSpan(start, end)
-        else:
-            span = _parse_span({"start": start, "end": end}, n, f"{name}: annotation {idx}")
+        span = _span(raw, n, name, idx)
         if "trigger" not in raw:
             raise AnnotationFormatError(f"{name}: annotation {idx}: missing trigger span")
-        spans = []
-        for key in _SPAN_KEYS:
-            value = raw.get(key)
-            if type(value) is dict:
-                s, e = value.get("start"), value.get("end")
-                if type(s) is int and type(e) is int and 0 <= s < e <= n:
-                    spans.append(OffsetSpan(s, e))
-                    continue
-            spans.append(_parse_span(value, n, f"{name}: annotation {idx} ({key})") if key in raw else None)
-        trigger, site, target = spans
+        trigger = _span(raw["trigger"], n, name, idx, "trigger")
+        site = _span(raw["site"], n, name, idx, "site") if "site" in raw else None
+        target = _span(raw["target"], n, name, idx, "target") if "target" in raw else None
         alternates = raw.get("alternates", [])
         if not isinstance(alternates, list):
             raise AnnotationFormatError(f"{name}: annotation {idx}: alternates must be a list")

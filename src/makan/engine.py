@@ -34,7 +34,7 @@ from operator import itemgetter
 from . import semmap
 from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
-from .textnorm import Record, normalize, remember, token_stream
+from .textnorm import Record, TokenStream, normalize, remember
 
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
@@ -385,20 +385,22 @@ def _best_alignment(steps, ai: int, recs, pos: int, options):
     return best
 
 
-def apply(grammar: CompiledGrammar, tokens, lexicon: Lexicon) -> list[RawMatch]:
+def apply(grammar: CompiledGrammar, tokens: TokenStream, lexicon: Lexicon) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
     winner order; one winner per start; resume after the winner's trigger.
 
-    `lexicon` must be the one the grammar was compiled for, else ValueError.
-    It reads the stem and key columns of `textnorm.token_stream(tokens)`; a
-    token that starts a multiword form with the next is keyed by its type and
-    the next `lexicon.longest` - 1 stems too. Each distinct key is looked up
-    once a call. Its record on the grammar holds its lookups, its candidate
-    rules in winner order with their first atom's options, and later atoms'
-    options there, filled as read. Only tokens with candidates are visited."""
+    `tokens` must be a `textnorm.TokenStream`, else TypeError, and `lexicon`
+    the one the grammar was compiled for, else ValueError. It reads the stem
+    and key columns of `tokens`; a token that starts a multiword form with the
+    next is keyed by its type and the next `lexicon.longest` - 1 stems too.
+    Each distinct key is looked up once a call. Its record on the grammar
+    holds its lookups, its candidate rules in winner order with their first
+    atom's options, and later atoms' options there, filled as read. Only
+    tokens with candidates are visited."""
+    if type(tokens) is not TokenStream:
+        raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
-    tokens = token_stream(tokens)
     stems, keys, n = tokens.stems, tokens.keys, len(tokens)
     if lexicon.locution_pairs:
         keys, longest = list(keys), lexicon.longest

@@ -2,14 +2,13 @@
 
 Blocking guards veto a match; DUAL_SENSE never vetoes, it attaches the
 trigger's alternate senses. All guards are pure. Each guard reads the
-columns of a `textnorm.TokenStream`; `run_guards` also takes a list of
-`Token`s.
+columns of a `textnorm.TokenStream`.
 """
 
 from __future__ import annotations
 
 from .lexicon import NOUN_CLASSES, LexClass
-from .textnorm import TokenStream, token_stream
+from .textnorm import TokenStream
 
 # Negation particles checked in the scope window (كي لا is covered by لا).
 NEG_PARTICLES = frozenset({"لا", "لم", "لن", "ما", "ليس"})
@@ -89,19 +88,12 @@ BLOCKING_GUARDS = {
 KNOWN_GUARDS = frozenset(BLOCKING_GUARDS) | {"DUAL_SENSE"}
 
 
-def run_guards(guard_names, tokens, match) -> tuple[bool, list[str]]:
-    """Evaluate a match's guards over a token stream or a list of `Token`s; returns (vetoed, alternate categories).
-
-    Of a list it reads only the tokens a guard can reach, `NEG_WINDOW` before the match to two past it."""
+def run_guards(tokens: TokenStream, match) -> tuple[bool, list[str]]:
+    """Evaluate `match.guards` over the token stream it was found in; returns (vetoed, alternate categories)."""
     if type(tokens) is not TokenStream:
-        lo, hi = max(0, match.span[0] - NEG_WINDOW), min(len(tokens), match.span[1] + 2)
-        tokens = token_stream([tokens[j] for j in range(lo, hi)])
-        rule, (start, end), captures, output, names, evidence, following = match
-        shifted = {name: (a - lo, b - lo) for name, (a, b) in captures.items()}
-        # an `engine.RawMatch`, built through the match's type since `engine` imports this module
-        match = type(match)(rule, (start - lo, end - lo), shifted, output, names, evidence, following)
+        raise TypeError(f"run_guards takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
     alternates: list[str] = []
-    for name in guard_names:
+    for name in match.guards:
         if name == "DUAL_SENSE":
             alternates = guard_dual_sense(tokens, match)
         elif BLOCKING_GUARDS[name](tokens, match):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import semmap
-from .textnorm import TokenStream, normalize, remember, token_stream
+from .textnorm import TokenStream, normalize, remember
 
 
 class LexClass(str, enum.Enum):
@@ -171,18 +171,18 @@ class Lexicon:
         """True when `word` is a word form of some entry (used to validate clitic splits)."""
         return word in self._forms
 
-    def lookup(self, tokens, i: int) -> list[LexMatch]:
+    def lookup(self, tokens: TokenStream, i: int) -> list[LexMatch]:
         """All entries whose word sequence equals the stems starting at token i.
 
         Ordered by covered length descending, PREP_LOCUTION before PREP on
         ties. A ب proclitic on the token also yields a one-token PREP match.
-        It reads the stem and key columns of a `textnorm.TokenStream`; of any
-        other sequence of `Token`s it reads only tokens i to i + `longest`.
+        It reads the stem and key columns of a `textnorm.TokenStream`, and
+        raises TypeError given any other sequence.
         """
+        if type(tokens) is not TokenStream:
+            raise TypeError(f"lookup takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
         if not 0 <= i < len(tokens):
             raise IndexError(f"token index {i} out of range")
-        if type(tokens) is not TokenStream:
-            tokens, i = token_stream([tokens[j] for j in range(i, min(len(tokens), i + self.longest))]), 0
         stems, stem, key = tokens.stems, tokens.stems[i], tokens.keys[i]
         forms = self._by_pair.get(stems[i : i + 2], ())  # without any, the matches are the word type's alone
         found = None if forms else self._lookups.get(key)

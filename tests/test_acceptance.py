@@ -13,7 +13,7 @@ from makan.engine import apply, compile
 from makan.evaluate import MatchMode, f_measure, round2, score, split
 from makan.lexicon import Lexicon, _parse_line
 from makan.semmap import default_map
-from makan.textnorm import normalize, tokenize
+from makan.textnorm import normalize, token_stream, tokenize
 from oracle import as_tuples, oracle_apply
 
 
@@ -81,7 +81,7 @@ def test_engine_equals_brute_force_oracle_exhaustively():
     for length in range(0, 7):
         for seq in itertools.product(words, repeat=length):
             tokens = [word_tokens[w] for w in seq]
-            assert as_tuples(apply(grammar, tokens, lexicon)) == oracle_apply(
+            assert as_tuples(apply(grammar, token_stream(tokens), lexicon)) == oracle_apply(
                 grammar, tokens, lexicon
             ), seq
             checked += 1

@@ -540,11 +540,10 @@ def test_no_annotation_survives_inside_vetoed_scope(bundle, suite_system, suite_
     # post-condition audit: re-run the raw cascade and re-check every
     # emitted annotation against its rule's guards
     smap, lex, grammar, variants = bundle
-    guard_map = {rule.name: rule.guards for rule in grammar.rules}
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
         for match in apply(grammar, tokens, lex):
-            vetoed, _ = guards.run_guards(guard_map[match.rule], tokens, match)
+            vetoed, _ = guards.run_guards(tokens, match)
             emitted = [
                 a
                 for a in dict(zip([d.doc_id for d in suite_gold], suite_system))[doc.doc_id].annotations

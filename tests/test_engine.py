@@ -8,7 +8,7 @@ from makan.annotator import annotate
 from makan.engine import GrammarError, apply, compile
 from makan.lexicon import Lexicon, _parse_line
 from makan.semmap import CategoryNode, SpatialityMap, default_map
-from makan.textnorm import tokenize
+from makan.textnorm import token_stream, tokenize
 from oracle import as_tuples, oracle_apply
 
 SMAP = default_map()
@@ -134,7 +134,7 @@ def test_apply_goal_example():
 
 def test_apply_empty_token_list():
     grammar = compile(GOAL_RULE, GOAL_LEX, SMAP)
-    assert apply(grammar, [], GOAL_LEX) == []
+    assert apply(grammar, token_stream([]), GOAL_LEX) == []
 
 
 def test_bareword_literal_atom():

@@ -1,5 +1,3 @@
-from collections.abc import Sequence
-
 import pytest
 
 from makan import guards
@@ -134,34 +132,17 @@ def test_unknown_guard_name_raises(bundle):
         compile(source, lex, smap)
 
 
-class _CountedTokens(Sequence):
-    """A sequence of `Token`s that counts the items read from it."""
-
-    def __init__(self, items):
-        self.items, self.reads = items, 0
-
-    def __len__(self):
-        return len(self.items)
-
-    def __getitem__(self, i):
-        self.reads += len(range(len(self.items))[i]) if type(i) is slice else 1
-        return self.items[i]
-
-
-def test_lookup_and_guards_on_a_token_list_read_only_the_tokens_they_reach(bundle, suite_gold):
+@pytest.mark.parametrize("entry", ["apply", "lookup", "run_guards"])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_matcher_entry_points_refuse_a_plain_sequence_of_tokens(bundle, entry, container):
     smap, lex, grammar, variants = bundle
-    stream = tokenize("\n".join(d.text for d in suite_gold * 4), lex, variants)
-    assert len(stream) > 2000
-    counted = _CountedTokens(list(stream))
-    for i in range(0, len(stream), 7):
-        counted.reads = 0
-        assert lex.lookup(counted, i) == lex.lookup(stream, i)
-        assert counted.reads <= lex.longest
-    verdicts = set()
-    for match in apply(grammar, stream, lex):
-        counted.reads = 0
-        verdict = guards.run_guards(match.guards, counted, match)
-        assert verdict == guards.run_guards(match.guards, stream, match)
-        assert counted.reads <= guards.NEG_WINDOW + match.span[1] - match.span[0] + 2
-        verdicts.add(verdict[0])
-    assert verdicts == {True, False}
+    stream = tokenize("ذهبت إلى البيت", lex, variants)
+    match = apply(grammar, stream, lex)[0]
+    tokens = container(stream)
+    call = {
+        "apply": lambda: apply(grammar, tokens, lex),
+        "lookup": lambda: lex.lookup(tokens, 0),
+        "run_guards": lambda: guards.run_guards(tokens, match),
+    }[entry]
+    with pytest.raises(TypeError, match=rf"{entry} takes a TokenStream, not {container.__name__}: .*token_stream"):
+        call()

@@ -391,13 +391,13 @@ def test_apply_gives_equal_matches_on_a_stream_and_on_its_list(bundle, suite_gol
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
         matches = apply(grammar, tokens, lex)
-        assert matches == apply(grammar, list(tokens), lex)
+        assert matches == apply(grammar, token_stream(list(tokens)), lex)
         for match in matches:
-            verdict = run_guards(match.guards, tokens, match)
-            assert verdict == run_guards(match.guards, list(tokens), match)
+            verdict = run_guards(tokens, match)
+            assert verdict == run_guards(token_stream(list(tokens)), match)
             vetoes += verdict[0]
         for i in range(len(tokens)):
-            assert lex.lookup(tokens, i) == lex.lookup(list(tokens), i)
+            assert lex.lookup(tokens, i) == lex.lookup(token_stream(list(tokens)), i)
     assert vetoes == 10  # the suite's vetoed raw matches: the guards are compared on both verdicts
 
 
