@@ -7,11 +7,13 @@ without the `rule` field.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from operator import itemgetter
+from pathlib import Path
 
 from . import engine, guards, semmap
 from .lexicon import Lexicon
@@ -94,13 +96,15 @@ def annotate(
     """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations.
 
     They come out in strictly increasing `span.start`, since `engine.apply` resumes after each trigger."""
-    # The grammar was validated against its own map; another map must hold every rule output.
-    unresolved = [] if smap is grammar.smap else [r.output for r in grammar.rules if r.output not in smap]
+    if lexicon is not grammar.lexicon:
+        raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
+    # The grammar was validated against the one map; another map must hold every rule output.
+    unresolved = [] if smap is semmap.default_map() else [r.output for r in grammar.rules if r.output not in smap]
     if unresolved:
         raise ValueError(f"category {unresolved[0]} does not resolve in the given map")
     tokens = tokenize(text, lexicon, variants)
     annotations = []
-    for match in engine.apply(grammar, tokens, lexicon):
+    for match in engine.apply(grammar, tokens):
         vetoed, alternates = guards.run_guards(tokens, match)
         if vetoed:
             continue
@@ -173,18 +177,30 @@ def document_to_json(doc: AnnotatedDocument) -> str:
     return '{\n  "doc_id": %s,\n  "text": %s,\n  "annotations": [\n    %s\n  ]\n}\n' % (*head, ",\n    ".join(anns))
 
 
-def write_annotations(doc: AnnotatedDocument, sink) -> None:
-    """Write a document; `sink` is a path or a writable text file object.
+def _atomic_write(path, data: str) -> None:
+    """Write `data` to `path` as UTF-8 through a temporary file beside it and a rename: a failure leaves `path` as
+    it was, whether `data` cannot encode (a lone surrogate) or the write stops part-way."""
+    data = data.encode("utf-8")  # before the temporary file is made
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    A path is opened, and so emptied, only once the document has encoded: one that cannot leaves the file as it
-    was."""
+
+def write_annotations(doc: AnnotatedDocument, sink) -> None:
+    """Write a document; `sink` is a path, written whole or not at all (see `_atomic_write`), or a writable text
+    file object."""
     data = document_to_json(doc)
     if hasattr(sink, "write"):
         sink.write(data)
     else:
-        data = data.encode("utf-8")  # a lone surrogate in the text raises here
-        with open(sink, "wb") as fh:
-            fh.write(data)
+        _atomic_write(sink, data)
 
 
 def _span(obj, n: int, name: str, idx: int, key: str = "") -> OffsetSpan:
@@ -201,21 +217,22 @@ def _span(obj, n: int, name: str, idx: int, key: str = "") -> OffsetSpan:
     raise AnnotationFormatError(f"{where}: span [{start}, {end}) out of bounds for text of length {n}")
 
 
-def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> AnnotatedDocument:
-    """Read and validate an annotation document; raises AnnotationFormatError."""
-    if smap is None:
-        smap = semmap.default_map()
-    if hasattr(source, "read"):
-        data, name = source.read(), getattr(source, "name", "<stream>")
-    else:
-        name = str(source)
-        try:
+def read_annotations(source) -> AnnotatedDocument:
+    """Read and validate an annotation document from a path or a readable file object; every fault, a path that
+    cannot be opened or bytes that do not decode included, is an AnnotationFormatError naming the source."""
+    stream = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if stream else str(source)
+    try:
+        if stream:
+            data = source.read()
+        else:
             with open(source, encoding="utf-8") as fh:
                 data = fh.read()
-        except UnicodeDecodeError as exc:
-            raise AnnotationFormatError(f"{name}: not UTF-8: {exc}") from None
-    try:
         obj = json.loads(data)
+    except OSError as exc:
+        raise AnnotationFormatError(f"{name}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:  # from the file, or from `json.loads` of a stream's bytes
+        raise AnnotationFormatError(f"{name}: not UTF-8: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise AnnotationFormatError(f"{name}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("doc_id"), str) or not isinstance(obj.get("text"), str):
@@ -224,12 +241,12 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
     if not isinstance(raw_anns, list):
         raise AnnotationFormatError(f"{name}: annotations must be a list")
     n, anns = len(text), []
-    resolves = functools.cache(lambda path: semmap.resolve(smap, path) is not None)  # each distinct path once a call
+    categories = semmap.default_map().nodes
     for idx, raw in enumerate(raw_anns):
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{name}: annotation {idx}: must be an object")
         category = raw.get("category")
-        if not isinstance(category, str) or not resolves(category):
+        if not isinstance(category, str) or category not in categories:
             raise AnnotationFormatError(f"{name}: annotation {idx}: unknown category path {category!r}")
         span = _span(raw, n, name, idx)
         if "trigger" not in raw:
@@ -241,7 +258,7 @@ def read_annotations(source, smap: semmap.SpatialityMap | None = None) -> Annota
         if not isinstance(alternates, list):
             raise AnnotationFormatError(f"{name}: annotation {idx}: alternates must be a list")
         for alt in alternates:
-            if not isinstance(alt, str) or not resolves(alt):
+            if not isinstance(alt, str) or alt not in categories:
                 raise AnnotationFormatError(f"{name}: annotation {idx}: unknown alternate category {alt!r}")
         attributes, rule = raw.get("attributes", {}), raw.get("rule")
         if not isinstance(attributes, dict):

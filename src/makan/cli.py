@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
-from . import evaluate, rulepack, semmap
-from .annotator import AnnotationFormatError, annotate, document_to_json, read_annotations
+from . import evaluate, rulepack
+from .annotator import AnnotationFormatError, _atomic_write, annotate, read_annotations, write_annotations
 from .engine import GrammarError
 from .lexicon import LexiconError
 
@@ -67,18 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_annotate(args) -> int:
     smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
     # Read every input before writing: a bad or clashing one leaves no output.
@@ -101,14 +87,14 @@ def cmd_annotate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, (_, text) in inputs.items():
         doc = annotate(text, lexicon, grammar, smap, variants=variants, doc_id=stem)
-        _atomic_write(out_dir / f"{stem}.json", document_to_json(doc))
+        write_annotations(doc, out_dir / f"{stem}.json")
     return EXIT_OK
 
 
-def _read_doc_dir(dir_path: str, smap):
+def _read_doc_dir(dir_path: str):
     docs = {}
     for path in sorted(Path(dir_path).glob("*.json")):
-        doc = read_annotations(path, smap)
+        doc = read_annotations(path)
         if doc.doc_id in docs:
             raise AnnotationFormatError(f"{dir_path}: duplicate doc_id {doc.doc_id!r} ({path.name})")
         docs[doc.doc_id] = doc
@@ -116,7 +102,6 @@ def _read_doc_dir(dir_path: str, smap):
 
 
 def cmd_eval(args) -> int:
-    smap = semmap.default_map()
     for d in (args.gold_dir, args.system_dir):
         if not Path(d).is_dir():
             print(f"not a directory: {d}", file=sys.stderr)
@@ -129,8 +114,8 @@ def cmd_eval(args) -> int:
     if clobbered:
         print(f"output {args.out} would overwrite input {clobbered[0]}", file=sys.stderr)
         return EXIT_VALIDATION
-    gold = _read_doc_dir(args.gold_dir, smap)
-    system = _read_doc_dir(args.system_dir, smap)
+    gold = _read_doc_dir(args.gold_dir)
+    system = _read_doc_dir(args.system_dir)
     report = evaluate.score(gold.values(), system.values(), evaluate.MatchMode(args.mode))
     print(evaluate.format_table(report))
     if args.out:
@@ -176,7 +161,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except OSError as exc:  # an output path of the wrong kind or an unreadable document; names the path
+    except OSError as exc:  # an output path of the wrong kind; names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -7,7 +7,8 @@ Rule syntax (one statement per rule, `#` comments):
     inner := (capture "=")? "[" test ("|" test)* "]" | bareword-literal
     test  := CLASSNAME | "SENSE" path | "FLAG" flagname | "LIT" word
 
-A class/sense/flag test consumes a whole lexicon match, so a multiword
+A rule names each capture at most once, and a literal normalizes to one
+word. A class/sense/flag test consumes a whole lexicon match, so a multiword
 locution satisfies a single atom. Matching is leftmost. At each position the
 winner is decided by, in turn: the highest priority; the greatest total
 length; each atom's length from left to right, greatest first; the earliest
@@ -16,7 +17,7 @@ rules tied on priority and total fall to declaration order. Scanning resumes
 after the winner's trigger token.
 
 `compile` reduces each test to what it accepts (a stem, a class, a sense's
-subtree of map paths, a flag) and indexes rules by their first atom's keys.
+subtree of `semmap.BELOW`, a flag) and indexes rules by their first atom's keys.
 What a test accepts at a token depends only on its word type, as a NooJ
 grammar reads a word's dictionary codes: `apply` keeps one record per type,
 and visits only tokens that can start a rule, trying those rules in
@@ -34,7 +35,7 @@ from operator import itemgetter
 from . import semmap
 from .guards import KNOWN_GUARDS
 from .lexicon import FLAGS, LexClass, LexMatch, Lexicon
-from .textnorm import Record, TokenStream, normalize, remember
+from .textnorm import _WORD_RE, Record, TokenStream, normalize, remember
 
 CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
@@ -100,16 +101,15 @@ class RawMatch(Record):
 class CompiledGrammar:
     """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed.
 
-    It is applied with the lexicon it was compiled for, `lexicon`, and owns
+    It carries the lexicon it was compiled for, `lexicon`, and owns
     one table of word-type records (see `apply`), filled lazily and emptied
     when it reaches `textnorm.MEMO_LIMIT` entries. A record holds values
     only, so no answer changes and threads may share a grammar: a race at
     worst works an entry out twice.
     """
 
-    def __init__(self, rules: tuple[Rule, ...], smap: semmap.SpatialityMap, lexicon: Lexicon):
+    def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon):
         self.rules = rules
-        self.smap = smap
         self.lexicon = lexicon
         self.ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.decl)))  # candidate order
         self.first: dict[object, list[int]] = {}  # stem, class, sense path or flag -> ranks it starts
@@ -158,10 +158,9 @@ def _lex(source: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], below: dict[str, frozenset[str]]):
+    def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
-        self.below = below  # map path -> the path and all its descendants
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -195,17 +194,19 @@ def _parse_test(p: _Parser) -> Test:
         return Test("class", tok.text, LexClass[tok.text])
     if tok.text == "SENSE":
         path = p.next(None).text
-        return Test("sense", path, p.below.get(path))  # None when unresolved: `_rule_problem` rejects it
+        return Test("sense", path, semmap.BELOW.get(path))  # None when unresolved: `_rule_problem` rejects it
     if tok.text == "FLAG":
         flag = p.next(None).text
         return Test("flag", flag, flag)
     if tok.text == "LIT":
-        return _literal(p.next(None).text)
+        return _literal(p.next(None))
     raise GrammarError(f"unknown test {tok.text!r}", tok.line, tok.col)
 
 
-def _literal(word: str) -> Test:
-    stem = normalize(word)[0]
+def _literal(tok: _Tok) -> Test:
+    stem = normalize(tok.text)[0]
+    if not _WORD_RE.fullmatch(stem):  # else no token's stem can equal it
+        raise GrammarError(f"literal {tok.text!r} is not one word", tok.line, tok.col)
     return Test("lit", stem, stem)
 
 
@@ -225,7 +226,7 @@ def _parse_inner(p: _Parser) -> PatternAtom:
             tests.append(_parse_test(p))
         p.next("]")
         return PatternAtom(tests=tuple(tests), capture=capture)
-    return PatternAtom(tests=(_literal(p.next(None).text),), capture=capture)
+    return PatternAtom(tests=(_literal(p.next(None)),), capture=capture)
 
 
 def _parse_atom(p: _Parser) -> PatternAtom:
@@ -279,7 +280,7 @@ def _parse_rule(p: _Parser, decl: int) -> Rule:
     )
 
 
-def _rule_problem(rule: Rule, smap: semmap.SpatialityMap) -> str | None:
+def _rule_problem(rule: Rule) -> str | None:
     """Why `rule` is invalid against the map and the known guards, or None."""
     for atom in rule.atoms:
         if atom.capture is not None and atom.capture not in CAPTURE_NAMES:
@@ -287,46 +288,39 @@ def _rule_problem(rule: Rule, smap: semmap.SpatialityMap) -> str | None:
         if atom.capture == "trigger" and atom.optional:
             return "trigger capture may not be optional"
         for test in atom.tests:
-            if test.kind == "sense" and semmap.resolve(smap, test.value) is None:
+            if test.kind == "sense" and test.accepts is None:  # a path outside `semmap.BELOW`
                 return f"unresolved category path {test.value}"
             if test.kind == "flag" and test.value not in FLAGS:
                 return f"unknown flag {test.value}"
     triggers = sum(atom.capture == "trigger" for atom in rule.atoms)
     if triggers != 1:
         return f"pattern must contain exactly one trigger capture, found {triggers}"
-    if semmap.resolve(smap, rule.output) is None:
+    captures = [atom.capture for atom in rule.atoms if atom.capture is not None]
+    twice = [name for name in captures if captures.count(name) > 1]
+    if twice:  # else the later atom's capture would silently replace the earlier one's
+        return f"capture {twice[0]} is used more than once"
+    if rule.output not in semmap.BELOW:
         return f"unresolved output path {rule.output}"
     unknown = [name for name in rule.guards if name not in KNOWN_GUARDS]
     return f"unknown guard {unknown[0]}" if unknown else None
 
 
-def compile(source: str, lexicon: Lexicon, smap: semmap.SpatialityMap) -> CompiledGrammar:
-    """Parse and validate rule source against a lexicon and semantic map; the grammar keeps both."""
-    below = {path: {path} for path in smap.nodes}  # map path -> the path and all its descendants
-    for path, node in smap.nodes.items():
-        while node.parent is not None:
-            below[node.parent].add(path)
-            node = smap.nodes[node.parent]
-    below = {path: frozenset(paths) for path, paths in below.items()}
-    for entry in lexicon.entries:  # a sense outside the map would satisfy no SENSE test
-        for sense in entry.senses:
-            if sense not in below:
-                raise GrammarError(f"lexicon entry {entry.lemma}: sense {sense} is not in the grammar's map")
-    toks = _lex(source)
-    p = _Parser(toks, below)
+def compile(source: str, lexicon: Lexicon) -> CompiledGrammar:
+    """Parse and validate rule source against the semantic map; the grammar carries `lexicon`."""
+    p = _Parser(_lex(source))
     rules: list[Rule] = []
     names: set[str] = set()
     while p.peek() is not None:
         start = p.peek()
         rule = _parse_rule(p, decl=len(rules))
-        problem = _rule_problem(rule, smap)
+        problem = _rule_problem(rule)
         if problem is not None:
             raise GrammarError(f"rule {rule.name}: {problem}", start.line, start.col)
         if rule.name in names:
             raise GrammarError(f"duplicate rule name {rule.name}", start.line, start.col)
         names.add(rule.name)
         rules.append(rule)
-    return CompiledGrammar(tuple(rules), smap, lexicon)
+    return CompiledGrammar(tuple(rules), lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +379,21 @@ def _best_alignment(steps, ai: int, recs, pos: int, options):
     return best
 
 
-def apply(grammar: CompiledGrammar, tokens: TokenStream, lexicon: Lexicon) -> list[RawMatch]:
+def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
     winner order; one winner per start; resume after the winner's trigger.
 
-    `tokens` must be a `textnorm.TokenStream`, else TypeError, and `lexicon`
-    the one the grammar was compiled for, else ValueError. It reads the stem
-    and key columns of `tokens`; a token that starts a multiword form with the
-    next is keyed by its type and the next `lexicon.longest` - 1 stems too.
+    `tokens` must be a `textnorm.TokenStream`, else TypeError. It reads the
+    stem and key columns of `tokens` and looks them up in `grammar.lexicon`; a
+    token that starts a multiword form with the next is keyed by its type and
+    the next `lexicon.longest` - 1 stems too.
     Each distinct key is looked up once a call. Its record on the grammar
     holds its lookups, its candidate rules in winner order with their first
     atom's options, and later atoms' options there, filled as read. Only
     tokens with candidates are visited."""
     if type(tokens) is not TokenStream:
         raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
-    if lexicon is not grammar.lexicon:
-        raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
-    stems, keys, n = tokens.stems, tokens.keys, len(tokens)
+    lexicon, stems, keys, n = grammar.lexicon, tokens.stems, tokens.keys, len(tokens)
     if lexicon.locution_pairs:
         keys, longest = list(keys), lexicon.longest
         for i in compress(range(n), map(lexicon.locution_pairs.__contains__, zip(stems, stems[1:]))):

@@ -124,9 +124,7 @@ class Lexicon:
     works an entry out twice.
     """
 
-    def __init__(self, entries: list[LexEntry], smap: semmap.SpatialityMap | None = None):
-        if smap is None:
-            smap = semmap.default_map()
+    def __init__(self, entries: list[LexEntry]):
         seen: set[tuple[str, LexClass]] = set()
         for e in entries:
             if (e.lemma, e.cls) in seen:
@@ -135,7 +133,7 @@ class Lexicon:
             if e.cls in (LexClass.PREP, LexClass.PREP_LOCUTION) and not e.senses:
                 raise LexiconError(f"entry {e.lemma}: {e.cls.value} requires at least one sense")
             for sense in e.senses:
-                if semmap.resolve(smap, sense) is None:
+                if semmap.resolve(semmap.default_map(), sense) is None:
                     raise LexiconError(f"entry {e.lemma}: unresolved sense path {sense}")
             for flag in e.flags:
                 if flag not in FLAGS:
@@ -233,7 +231,7 @@ def read_resource(path) -> str:
         raise LexiconError(f"cannot read resource file {path}: {exc}") from None
 
 
-def load(paths, smap: semmap.SpatialityMap | None = None) -> Lexicon:
+def load(paths) -> Lexicon:
     """Load and validate a lexicon TSV, or a list of them as one lexicon; LexiconError names the file."""
     paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
     entries: list[LexEntry] = []
@@ -243,14 +241,14 @@ def load(paths, smap: semmap.SpatialityMap | None = None) -> Lexicon:
                 continue
             entries.append(_parse_line(line, lineno, str(path)))
     try:
-        return Lexicon(entries, smap)
+        return Lexicon(entries)
     except LexiconError as exc:
         raise LexiconError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
-def seed_lexicon(smap: semmap.SpatialityMap | None = None) -> Lexicon:
+def seed_lexicon() -> Lexicon:
     """The shipped baseline lexicon."""
-    return load(seed_lexicon_path(), smap)
+    return load(seed_lexicon_path())
 
 
 def seed_lexicon_path():

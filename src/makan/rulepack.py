@@ -29,12 +29,11 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
     one lexicon or one rule source. Every resource fault is a LexiconError or
     a GrammarError.
     """
-    smap = semmap.default_map()
-    lexicon = lexicon_mod.load(list(lexicon_paths) or [lexicon_mod.seed_lexicon_path()], smap)
+    lexicon = lexicon_mod.load(list(lexicon_paths) or [lexicon_mod.seed_lexicon_path()])
     rule_paths = list(rule_paths) or [rule_pack_path()]
     texts = [lexicon_mod.read_resource(p) for p in rule_paths]
     try:
-        grammar = engine.compile("\n".join(texts), lexicon, smap)
+        grammar = engine.compile("\n".join(texts), lexicon)
     except engine.GrammarError as exc:
         line, path = exc.line, None  # a line of the joined source -> its file and own line
         for path, text in zip(rule_paths, texts):
@@ -46,7 +45,7 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
         table = load_variant_table(variants_file or variants_path())
     except ValueError as exc:
         raise LexiconError(str(exc)) from None
-    return smap, lexicon, grammar, table
+    return semmap.default_map(), lexicon, grammar, table
 
 
 def load_default_resources():

@@ -6,6 +6,7 @@ used verbatim in lexicon files, rule files and annotation files.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 
 ROOT = "SPATIAL"
@@ -47,7 +48,7 @@ class CategoryNode:
 
 class SpatialityMap:
     def __init__(self, nodes: dict[str, CategoryNode]):
-        self.nodes = nodes
+        self.nodes = types.MappingProxyType(dict(nodes))  # read-only, so the map may be shared
 
     def __contains__(self, path: str) -> bool:
         return path in self.nodes
@@ -56,10 +57,12 @@ class SpatialityMap:
         return len(self.nodes)
 
 
+_MAP = SpatialityMap({path: CategoryNode(path, path.rsplit(".", 1)[-1], parent) for path, parent in _TREE})
+
+
 def default_map() -> SpatialityMap:
-    """The fixed spatiality tree: topological / projective / directional."""
-    nodes = {path: CategoryNode(id=path, label=path.rsplit(".", 1)[-1], parent=parent) for path, parent in _TREE}
-    return SpatialityMap(nodes)
+    """The fixed spatiality tree: topological / projective / directional; one shared, read-only map."""
+    return _MAP
 
 
 def resolve(smap: SpatialityMap, path: str) -> CategoryNode | None:
@@ -90,3 +93,7 @@ def top_level(smap: SpatialityMap, path: str) -> str:
     if cur.id == ROOT:
         raise ValueError("the root has no top-level category")
     return cur.id
+
+
+# path of the one map -> the path and all its descendants: what a rule's SENSE test of the path accepts
+BELOW = types.MappingProxyType({a: frozenset(d for d in _MAP.nodes if subsumes(_MAP, a, d)) for a in _MAP.nodes})

@@ -12,10 +12,9 @@ def bundle():
 
 
 @pytest.fixture(scope="session")
-def suite_gold(bundle):
-    smap = bundle[0]
+def suite_gold():
     suite = resources.files("makan").joinpath("resources/suite")
-    docs = [read_annotations(p, smap) for p in sorted(suite.iterdir(), key=lambda p: p.name)]
+    docs = [read_annotations(p) for p in sorted(suite.iterdir(), key=lambda p: p.name)]
     assert docs, "shipped suite is missing"
     return docs
 

@@ -72,7 +72,7 @@ def _evidence(atom, tokens, lookups, smap, pos, consumed):
 
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output, evidence, following) tuples under the same winner policy."""
-    smap = grammar.smap
+    smap = semmap.default_map()
     words = [_word(grammar, lexicon, *key) for key in _keys(lexicon, tokens)]
     lookups = [list(word[0]) for word in words]
     accepted = [[word[1][r] for word in words] for r in range(len(grammar.rules))]  # by rule, then token
@@ -117,7 +117,7 @@ def _word(grammar, lexicon, stems, baa):
                     if stems[0] == test.value:
                         counts.add(1)
                 else:
-                    counts.update(m.length for m in lookups if _test_ok(test, m, grammar.smap))
+                    counts.update(m.length for m in lookups if _test_ok(test, m, semmap.default_map()))
             per_atom.append(frozenset(counts))
         accepted.append(tuple(per_atom))
     return lookups, tuple(accepted)
@@ -289,9 +289,9 @@ def _reference_span(obj, text_len, where):
     return OffsetSpan(start, end)
 
 
-def reference_read_annotations(source, smap=None):
+def reference_read_annotations(source):
     """An annotation document read from a text stream, each field checked in turn and each category resolved anew."""
-    smap = semmap.default_map() if smap is None else smap
+    smap = semmap.default_map()
     data, name = source.read(), getattr(source, "name", "<stream>")
     try:
         obj = json.loads(data)

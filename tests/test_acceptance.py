@@ -12,7 +12,6 @@ from fractions import Fraction
 from makan.engine import apply, compile
 from makan.evaluate import MatchMode, f_measure, round2, score, split
 from makan.lexicon import Lexicon, _parse_line
-from makan.semmap import default_map
 from makan.textnorm import normalize, token_stream, tokenize
 from oracle import as_tuples, oracle_apply
 
@@ -67,12 +66,8 @@ RULE prep PRIO 20: trigger=[PREP] => DIRECTIONAL.GOAL
 
 
 def test_engine_equals_brute_force_oracle_exhaustively():
-    smap = default_map()
-    lexicon = Lexicon(
-        [_parse_line(line, i, "<bf>") for i, line in enumerate(_BF_TSV.splitlines(), start=1)],
-        smap,
-    )
-    grammar = compile(_BF_RULES, lexicon, smap)
+    lexicon = Lexicon([_parse_line(line, i, "<bf>") for i, line in enumerate(_BF_TSV.splitlines(), start=1)])
+    grammar = compile(_BF_RULES, lexicon)
     assert len(grammar) == 5
     words = ("alpha", "beta", "gamma", "delta", "epsilon")
     word_tokens = {w: tokenize(w, lexicon)[0] for w in words}
@@ -81,7 +76,7 @@ def test_engine_equals_brute_force_oracle_exhaustively():
     for length in range(0, 7):
         for seq in itertools.product(words, repeat=length):
             tokens = [word_tokens[w] for w in seq]
-            assert as_tuples(apply(grammar, token_stream(tokens), lexicon)) == oracle_apply(
+            assert as_tuples(apply(grammar, token_stream(tokens))) == oracle_apply(
                 grammar, tokens, lexicon
             ), seq
             checked += 1

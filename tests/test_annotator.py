@@ -1,7 +1,9 @@
 import copy
+import errno
 import gc
 import io
 import json
+import os
 import pickle
 import weakref
 
@@ -14,7 +16,7 @@ from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnn
 from makan.engine import RawMatch, apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
-from makan.semmap import TOP_LEVEL, SpatialityMap, default_map, top_level
+from makan.semmap import TOP_LEVEL, default_map, top_level
 from makan.textnorm import OffsetSpan, tokenize
 from oracle import reference_document_json
 
@@ -214,6 +216,33 @@ def test_write_annotations_that_cannot_encode_leaves_the_file_as_it_was(tmp_path
     assert path.read_text(encoding="utf-8") == "old contents"
 
 
+def test_write_annotations_that_fails_part_way_leaves_the_file_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "d.json"
+    path.write_text("old contents", encoding="utf-8")
+    fdopen = os.fdopen
+
+    class HalfWriter:  # writes half of what it is given, then fails as a full disk does
+        def __init__(self, fd, *args, **kwargs):
+            self.fh = fdopen(fd, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", HalfWriter)
+    with pytest.raises(OSError, match="No space left"):
+        write_annotations(AnnotatedDocument("d", "جلست المرأة على المقعد.", ()), path)
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]  # and no temporary file is left
+
+
 # Each record's fields in order, then how many of them have no default.
 _RECORDS = [
     (RawMatch, ("r", (0, 2), {"trigger": (0, 1)}, "TOPOLOGICAL", ("NEG_SCOPE",), {"trigger": None}, ()), 5),
@@ -284,14 +313,6 @@ def test_read_rejects_unknown_category(tmp_path):
     )
     with pytest.raises(AnnotationFormatError, match="TOPOLOGICAL.BOGUS"):
         read_annotations(path)
-
-
-def test_read_with_an_empty_map_resolves_no_category():
-    # An empty map is a map, not a request for the default one.
-    ann = {"start": 0, "end": 2, "category": "TOPOLOGICAL", "trigger": {"start": 0, "end": 2}}
-    data = json.dumps({"doc_id": "x", "text": "نص", "annotations": [ann]}, ensure_ascii=False)
-    with pytest.raises(AnnotationFormatError, match=r"annotation 0: unknown category path 'TOPOLOGICAL'"):
-        read_annotations(io.StringIO(data), SpatialityMap({}))
 
 
 def test_read_rejects_invalid_json(tmp_path):
@@ -542,7 +563,7 @@ def test_no_annotation_survives_inside_vetoed_scope(bundle, suite_system, suite_
     smap, lex, grammar, variants = bundle
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
-        for match in apply(grammar, tokens, lex):
+        for match in apply(grammar, tokens):
             vetoed, _ = guards.run_guards(tokens, match)
             emitted = [
                 a

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from makan.annotator import annotate
 from makan.engine import GrammarError, apply, compile
 from makan.lexicon import Lexicon, _parse_line
-from makan.semmap import CategoryNode, SpatialityMap, default_map
+from makan.semmap import default_map
 from makan.textnorm import token_stream, tokenize
 from oracle import as_tuples, oracle_apply
 
@@ -20,7 +21,7 @@ def _lexicon(tsv: str) -> Lexicon:
         for i, line in enumerate(tsv.strip().splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
-    return Lexicon(entries, SMAP)
+    return Lexicon(entries)
 
 
 GOAL_LEX = _lexicon(
@@ -35,7 +36,7 @@ GOAL_RULE = "RULE dir_goal PRIO 40: (verb=[VERB_MOTION])? trigger=[SENSE DIRECTI
 
 
 def test_compile_single_rule():
-    grammar = compile(GOAL_RULE, GOAL_LEX, SMAP)
+    grammar = compile(GOAL_RULE, GOAL_LEX)
     assert len(grammar) == 1
     rule = grammar.rules[0]
     assert rule.name == "dir_goal"
@@ -46,83 +47,107 @@ def test_compile_single_rule():
 
 
 def test_compile_empty_source_is_valid():
-    grammar = compile("# nothing\n\n", GOAL_LEX, SMAP)
+    grammar = compile("# nothing\n\n", GOAL_LEX)
     assert len(grammar) == 0
-    assert apply(grammar, tokenize("نحو", GOAL_LEX), GOAL_LEX) == []
+    assert apply(grammar, tokenize("نحو", GOAL_LEX)) == []
 
 
 def test_compile_rejects_two_trigger_captures():
     src = "RULE bad PRIO 1: trigger=[PREP] trigger=[NOUN_SITE] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="exactly one trigger"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
+
+
+def test_compile_rejects_a_capture_used_twice():
+    # else the second site would replace the first in the captures and the hull
+    src = "RULE r PRIO 1: site=[NOUN_SITE] trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
+    with pytest.raises(GrammarError, match=r"^rule r: capture site is used more than once \(line 1, col 1\)$"):
+        compile(src, GOAL_LEX)
+
+
+@pytest.mark.parametrize(
+    "pattern, literal, col",
+    [
+        ("trigger=[LIT ـــ]", "ـــ", 29),  # normalizes to nothing
+        ("trigger=[LIT ً]", "ً", 29),
+        ("trigger=[LIT a-b]", "a-b", 29),  # two words
+        ("trigger=[LIT a.b]", "a.b", 29),
+        ("trigger=[PREP] a-b", "a-b", 31),  # a bareword literal
+        ("trigger=x =", "=", 26),  # a stray `=` read as a bareword
+    ],
+)
+def test_compile_rejects_a_literal_that_is_not_one_word(pattern, literal, col):
+    src = f"# a literal no token can equal\nRULE r PRIO 1: {pattern} => TOPOLOGICAL.SUPPORT"
+    with pytest.raises(GrammarError, match=f"^literal {re.escape(repr(literal))} is not one word \\(line 2, col {col}\\)$"):
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_missing_trigger():
     src = "RULE bad PRIO 1: site=[NOUN_SITE] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="exactly one trigger"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_unknown_class():
     src = "RULE bad PRIO 1: trigger=[NOUN_PLACE] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="unknown test"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_unknown_flag():
     src = "RULE bad PRIO 1: trigger=[FLAG SHINY] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="SHINY"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_unresolved_paths():
     with pytest.raises(GrammarError, match="TEMPORAL.NOW"):
-        compile("RULE bad PRIO 1: trigger=[SENSE TEMPORAL.NOW] => DIRECTIONAL.GOAL", GOAL_LEX, SMAP)
+        compile("RULE bad PRIO 1: trigger=[SENSE TEMPORAL.NOW] => DIRECTIONAL.GOAL", GOAL_LEX)
     with pytest.raises(GrammarError, match="DIRECTIONAL.UP"):
-        compile("RULE bad PRIO 1: trigger=[PREP] => DIRECTIONAL.UP", GOAL_LEX, SMAP)
+        compile("RULE bad PRIO 1: trigger=[PREP] => DIRECTIONAL.UP", GOAL_LEX)
 
 
 def test_compile_rejects_duplicate_rule_names():
     src = "RULE r PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL\nRULE r PRIO 2: trigger=[PREP] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="duplicate"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_oversized_gap():
     src = "RULE r PRIO 1: trigger=[PREP] GAP 9 site=[NOUN_SITE] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="GAP"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_error_carries_location():
     src = "# comment\nRULE r PRIO x: trigger=[PREP] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="line 2"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_stray_character():
     src = "RULE r PRIO 1: (trigger=[PREP] ) => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="unexpected character"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_compile_rejects_truncated_rule():
     with pytest.raises(GrammarError, match="unexpected end"):
-        compile("RULE r PRIO 1: trigger=[PREP", GOAL_LEX, SMAP)
+        compile("RULE r PRIO 1: trigger=[PREP", GOAL_LEX)
     with pytest.raises(GrammarError, match="missing"):
-        compile("RULE r PRIO 1: trigger=[PREP]", GOAL_LEX, SMAP)
+        compile("RULE r PRIO 1: trigger=[PREP]", GOAL_LEX)
 
 
 def test_compile_rejects_unknown_capture_name():
     src = "RULE r PRIO 1: head=[PREP] trigger=[PREP] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="head"):
-        compile(src, GOAL_LEX, SMAP)
+        compile(src, GOAL_LEX)
 
 
 def test_apply_goal_example():
-    grammar = compile(GOAL_RULE, GOAL_LEX, SMAP)
+    grammar = compile(GOAL_RULE, GOAL_LEX)
     tokens = tokenize("اتجهت نحو بلدة مرسى", GOAL_LEX)
-    matches = apply(grammar, tokens, GOAL_LEX)
+    matches = apply(grammar, tokens)
     assert len(matches) == 1
     m = matches[0]
     assert m.rule == "dir_goal"
@@ -133,24 +158,24 @@ def test_apply_goal_example():
 
 
 def test_apply_empty_token_list():
-    grammar = compile(GOAL_RULE, GOAL_LEX, SMAP)
-    assert apply(grammar, token_stream([]), GOAL_LEX) == []
+    grammar = compile(GOAL_RULE, GOAL_LEX)
+    assert apply(grammar, token_stream([])) == []
 
 
 def test_bareword_literal_atom():
     src = "RULE bare PRIO 5: trigger=[PREP] مرسى => DIRECTIONAL.GOAL"
-    grammar = compile(src, GOAL_LEX, SMAP)
+    grammar = compile(src, GOAL_LEX)
     tokens = tokenize("نحو مرسى", GOAL_LEX)
-    matches = apply(grammar, tokens, GOAL_LEX)
+    matches = apply(grammar, tokens)
     assert len(matches) == 1 and matches[0].span == (0, 2)
     # the bareword is normalized at compile time, so it matches folded text
-    assert apply(grammar, tokenize("نحو مرسي", GOAL_LEX), GOAL_LEX)
+    assert apply(grammar, tokenize("نحو مرسي", GOAL_LEX))
 
 
 def test_apply_is_deterministic():
-    grammar = compile(GOAL_RULE, GOAL_LEX, SMAP)
+    grammar = compile(GOAL_RULE, GOAL_LEX)
     tokens = tokenize("اتجهت نحو بلدة مرسى", GOAL_LEX)
-    assert apply(grammar, tokens, GOAL_LEX) == apply(grammar, tokens, GOAL_LEX)
+    assert apply(grammar, tokens) == apply(grammar, tokens)
 
 
 LL_LEX = _lexicon(
@@ -168,9 +193,9 @@ RULE short PRIO 10: trigger=[PREP] [NOUN_SITE] => DIRECTIONAL.SOURCE
 
 
 def test_equal_priority_longer_match_wins():
-    grammar = compile(LL_RULES, LL_LEX, SMAP)
+    grammar = compile(LL_RULES, LL_LEX)
     tokens = tokenize("اب جد هو", LL_LEX)
-    matches = apply(grammar, tokens, LL_LEX)
+    matches = apply(grammar, tokens)
     assert [m.rule for m in matches] == ["long"]
     # against the brute-force enumeration as well
     assert as_tuples(matches) == oracle_apply(grammar, tokens, LL_LEX)
@@ -180,7 +205,7 @@ def test_one_winner_per_start_and_no_dangling_captures(bundle, suite_gold):
     smap, lex, grammar, variants = bundle
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
-        matches = apply(grammar, tokens, lex)
+        matches = apply(grammar, tokens)
         starts = [m.span[0] for m in matches]
         assert len(starts) == len(set(starts))
         for m in matches:
@@ -216,11 +241,11 @@ BF_ALPHABET = ("alpha", "beta", "gamma", "delta", "epsilon")
 
 
 def test_brute_force_equivalence_sampled():
-    grammar = compile(BF_RULES, BF_LEX, SMAP)
+    grammar = compile(BF_RULES, BF_LEX)
     for length in range(0, 5):
         for seq in itertools.product(BF_ALPHABET, repeat=length):
             tokens = tokenize(" ".join(seq), BF_LEX)
-            assert as_tuples(apply(grammar, tokens, BF_LEX)) == oracle_apply(
+            assert as_tuples(apply(grammar, tokens)) == oracle_apply(
                 grammar, tokens, BF_LEX
             ), seq
 
@@ -251,11 +276,11 @@ DISPATCH_ALPHABET = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 
 def test_dispatch_paths_equal_oracle_exhaustively():
-    grammar = compile(DISPATCH_RULES, DISPATCH_LEX, SMAP)
+    grammar = compile(DISPATCH_RULES, DISPATCH_LEX)
     for length in range(0, 5):
         for seq in itertools.product(DISPATCH_ALPHABET, repeat=length):
             tokens = tokenize(" ".join(seq), DISPATCH_LEX)
-            assert as_tuples(apply(grammar, tokens, DISPATCH_LEX)) == oracle_apply(
+            assert as_tuples(apply(grammar, tokens)) == oracle_apply(
                 grammar, tokens, DISPATCH_LEX
             ), seq
 
@@ -280,18 +305,18 @@ RULE lit PRIO 20: trigger=[LIT beta|PREP_LOCUTION] site=[NOUN_SITE|PREP_LOCUTION
 
 
 def test_equal_totals_go_to_the_alignment_longer_from_the_left():
-    grammar = compile(TIE_RULES, TIE_LEX, SMAP)
+    grammar = compile(TIE_RULES, TIE_LEX)
     for text, captures in (
         ("alpha beta beta", {"verb": (0, 1), "trigger": (2, 3)}),  # GAP 1 before beta, not GAP 0 before beta beta
         ("alpha beta", {"verb": (0, 1), "trigger": (1, 2)}),  # the optional verb, not alpha as trigger and beta as site
         ("beta beta beta", {"trigger": (0, 2), "site": (2, 3)}),  # beta beta as trigger, not LIT beta
     ):
-        (match, *_) = apply(grammar, tokenize(text, TIE_LEX), TIE_LEX)
+        (match, *_) = apply(grammar, tokenize(text, TIE_LEX))
         assert match.captures == captures, text
     for length in range(0, 6):
         for seq in itertools.product(("alpha", "beta", "gamma"), repeat=length):
             tokens = tokenize(" ".join(seq), TIE_LEX)
-            assert as_tuples(apply(grammar, tokens, TIE_LEX)) == oracle_apply(grammar, tokens, TIE_LEX), seq
+            assert as_tuples(apply(grammar, tokens)) == oracle_apply(grammar, tokens, TIE_LEX), seq
 
 
 def test_site_evidence_is_the_first_lookup_the_first_passing_test_accepts():
@@ -311,44 +336,30 @@ dusk	NOUN_SITE
         "RULE prox PRIO 1: trigger=[LIT at] site=[NOUN_SITE|NOUN_TEMPORAL] "
         "=> PROJECTIVE.DISTANCE.PROXIMITY GUARD TEMPORAL_SITE"
     )
-    grammar = compile(src, lex, SMAP)
-    (match,) = apply(grammar, tokenize("at dusk", lex), lex)
+    grammar = compile(src, lex)
+    (match,) = apply(grammar, tokenize("at dusk", lex))
     assert match.evidence["site"].entry.cls.value == "NOUN_SITE"
     assert len(annotate("at dusk", lex, grammar, SMAP).annotations) == 1
     # a literal test listed first supplies the one-token option, with no entry
     for site, cls in (("[NOUN_SITE|LIT dusk]", "NOUN_SITE"), ("[LIT dusk|NOUN_SITE]", None)):
         src = f"RULE r PRIO 1: trigger=[LIT at] site={site} => PROJECTIVE.DISTANCE.PROXIMITY"
-        grammar = compile(src, lex, SMAP)
-        (match,) = apply(grammar, tokenize("at dusk", lex), lex)
+        grammar = compile(src, lex)
+        (match,) = apply(grammar, tokenize("at dusk", lex))
         assert (match.evidence["site"] and match.evidence["site"].entry.cls.value) == cls, site
 
 
-def test_compile_rejects_lexicon_sense_missing_from_the_grammar_map():
-    extra = "TOPOLOGICAL.SUPPORT.EXTRA"
-    wider = SpatialityMap({**SMAP.nodes, extra: CategoryNode(extra, "EXTRA", "TOPOLOGICAL.SUPPORT")})
-    lex = Lexicon(
-        [_parse_line(f"on\tPREP\t{extra}", 1, "<test>"), _parse_line("box\tNOUN_SITE", 2, "<test>")], wider
-    )
-    src = "RULE r PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
-    with pytest.raises(GrammarError, match=f"lexicon entry on: sense {extra} is not in the grammar's map"):
-        compile(src, lex, SMAP)
-    (match,) = apply(compile(src, lex, wider), tokenize("on box", lex), lex)  # on its own map it matches
-    assert match.captures == {"trigger": (0, 1), "site": (1, 2)}
-
-
 def test_a_grammar_rejects_a_lexicon_it_was_not_compiled_for():
-    extra = "TOPOLOGICAL.SUPPORT.EXTRA"
-    wider = SpatialityMap({**SMAP.nodes, extra: CategoryNode(extra, "EXTRA", "TOPOLOGICAL.SUPPORT")})
     box = _parse_line("box\tNOUN_SITE", 2, "<test>")
-    own = Lexicon([_parse_line("on\tPREP\tTOPOLOGICAL.SUPPORT", 1, "<test>"), box], SMAP)
-    outside = Lexicon([_parse_line(f"on\tPREP\t{extra}", 1, "<test>"), box], wider)  # `compile` rejects it
+    own = Lexicon([_parse_line("on\tPREP\tTOPOLOGICAL.SUPPORT", 1, "<test>"), box])
+    other = Lexicon([_parse_line("on\tPREP\tDIRECTIONAL.GOAL", 1, "<test>"), box])
     src = "RULE r PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
-    grammar = compile(src, own, SMAP)
+    grammar = compile(src, own)
     assert grammar.lexicon is own
     assert len(annotate("on box", own, grammar, SMAP).annotations) == 1
-    for foreign in (outside, Lexicon(list(own.entries), SMAP)):  # an equal copy is another lexicon too
-        with pytest.raises(ValueError, match="lexicon other than the one it was compiled for"):
-            apply(grammar, tokenize("on box", foreign), foreign)
+    # `apply` looks tokens up in the grammar's lexicon, whichever lexicon split them
+    (match,) = apply(grammar, tokenize("on box", other))
+    assert match.captures == {"trigger": (0, 1), "site": (1, 2)}
+    for foreign in (other, Lexicon(list(own.entries))):  # an equal copy is another lexicon too
         with pytest.raises(ValueError, match="lexicon other than the one it was compiled for"):
             annotate("on box", foreign, grammar, SMAP)
 
@@ -370,4 +381,4 @@ _POOL = (
 def test_shipped_grammar_equals_oracle_on_random_sequences(bundle, words):
     smap, lex, grammar, variants = bundle
     tokens = tokenize(" ".join(words), lex, variants)
-    assert as_tuples(apply(grammar, tokens, lex)) == oracle_apply(grammar, tokens, lex)
+    assert as_tuples(apply(grammar, tokens)) == oracle_apply(grammar, tokens, lex)

@@ -76,8 +76,7 @@ def _with_file(content, fn):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(_DSL_WORDS), max_size=25))
 def test_compile_raises_only_grammar_error(bundle, words):
-    smap, lex, _, _ = bundle
-    _raises_only(GrammarError, compile, " ".join(words), lex, smap)
+    _raises_only(GrammarError, compile, " ".join(words), bundle[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,6 +96,21 @@ def test_variant_table_raises_only_value_error(content):
 def test_read_annotations_raises_only_format_error(document):
     data = json.dumps(document, ensure_ascii=False)
     _raises_only(AnnotationFormatError, read_annotations, io.StringIO(data))
+
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (lambda tmp: tmp / "missing.json", r"missing\.json: cannot read: No such file"),
+        (lambda tmp: tmp, r": cannot read: Is a directory"),
+        (lambda tmp: io.BytesIO(b"\x80{}"), r"^<stream>: not UTF-8: "),  # `json.loads` decodes a stream's bytes
+    ],
+    ids=["missing-path", "directory", "undecodable-bytes"],
+)
+def test_read_annotations_raises_only_format_error_on_unreadable_sources(tmp_path, source, message):
+    with pytest.raises(AnnotationFormatError, match=message):
+        read_annotations(source(tmp_path))
 
 
 _TEXTS = ["نص", "جلست المرأة على المقعد."]

@@ -8,7 +8,7 @@ from makan.textnorm import tokenize
 def _raw_matches(bundle, text):
     smap, lex, grammar, variants = bundle
     tokens = tokenize(text, lex, variants)
-    return tokens, apply(grammar, tokens, lex)
+    return tokens, apply(grammar, tokens)
 
 
 def test_negated_goal_is_vetoed(bundle, run):
@@ -126,10 +126,10 @@ def test_guards_are_pure(bundle):
 
 
 def test_unknown_guard_name_raises(bundle):
-    smap, lex, _, _ = bundle
+    lex = bundle[1]
     source = "RULE r PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL GUARD NOPE"
     with pytest.raises(GrammarError, match=r"rule r: unknown guard NOPE \(line 1, col 1\)"):
-        compile(source, lex, smap)
+        compile(source, lex)
 
 
 @pytest.mark.parametrize("entry", ["apply", "lookup", "run_guards"])
@@ -137,10 +137,10 @@ def test_unknown_guard_name_raises(bundle):
 def test_matcher_entry_points_refuse_a_plain_sequence_of_tokens(bundle, entry, container):
     smap, lex, grammar, variants = bundle
     stream = tokenize("ذهبت إلى البيت", lex, variants)
-    match = apply(grammar, stream, lex)[0]
+    match = apply(grammar, stream)[0]
     tokens = container(stream)
     call = {
-        "apply": lambda: apply(grammar, tokens, lex),
+        "apply": lambda: apply(grammar, tokens),
         "lookup": lambda: lex.lookup(tokens, 0),
         "run_guards": lambda: guards.run_guards(tokens, match),
     }[entry]

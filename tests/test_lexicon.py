@@ -9,7 +9,6 @@ from makan.annotator import annotate, document_to_json
 from makan.engine import compile
 from makan.lexicon import LexClass, Lexicon, LexiconError, _parse_line, load, seed_lexicon
 from makan.rulepack import rule_pack
-from makan.semmap import SpatialityMap, default_map
 from makan.textnorm import normalize, tokenize
 from oracle import reference_lookup
 
@@ -157,17 +156,17 @@ def test_constructed_lexicon_rejects_unknown_flag():
         lemma="س", words=("س",), cls=LexClass.NOUN_SITE, senses=frozenset(), flags=frozenset({"NOPE"})
     )
     with pytest.raises(LexiconError, match="NOPE"):
-        Lexicon([entry], default_map())
+        Lexicon([entry])
 
 
-def test_constructed_lexicon_with_an_empty_map_resolves_no_sense():
+def test_constructed_lexicon_rejects_a_sense_outside_the_map():
     from makan.lexicon import LexEntry
 
     entry = LexEntry(
-        lemma="على", words=("على",), cls=LexClass.PREP, senses=frozenset({"TOPOLOGICAL"}), flags=frozenset()
+        lemma="على", words=("على",), cls=LexClass.PREP, senses=frozenset({"TOPOLOGICAL.BOGUS"}), flags=frozenset()
     )
-    with pytest.raises(LexiconError, match="unresolved sense path TOPOLOGICAL"):
-        Lexicon([entry], SpatialityMap({}))
+    with pytest.raises(LexiconError, match="unresolved sense path TOPOLOGICAL.BOGUS"):
+        Lexicon([entry])
 
 
 @pytest.mark.parametrize("lemma", ["َّ", "ــ", "في َ"], ids=["diacritics", "tatweel", "empty-word"])
@@ -223,7 +222,7 @@ def test_constructed_lexicon_rejects_attributes_that_are_not_name_scalar_pairs(a
 
     entry = LexEntry("س", ("س",), LexClass.NOUN_SITE, frozenset(), frozenset(), attributes)
     with pytest.raises(LexiconError, match="entry س: attribute"):
-        Lexicon([entry], default_map())
+        Lexicon([entry])
 
 
 # 1-, 2- and 3-word forms sharing first words, one lemma under two classes,
@@ -267,9 +266,9 @@ def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construc
     smap, lex, grammar, variants = bundle
     entries = [replace(e, attributes=(("n", 10**5000),)) if e.lemma == "فوق" else e for e in lex.entries]
     try:
-        big = Lexicon(entries, smap)
+        big = Lexicon(entries)
     except LexiconError as exc:
         assert "entry فوق: attribute 'n'" in str(exc)
         return
-    doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big, smap), smap, variants)
+    doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big), smap, variants)
     assert json.loads(document_to_json(doc))["annotations"][0]["attributes"] == {"n": 10**5000}

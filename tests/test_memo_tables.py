@@ -27,16 +27,16 @@ from makan.textnorm import load_variant_table, tokenize
 
 SMAP = default_map()
 RULES = rule_pack()
-SEED = seed_lexicon(SMAP)
+SEED = seed_lexicon()
 # Two lexicons, each with its own grammar: the seed and the seed less every third entry, so splits and lookups differ.
 ENTRIES = (SEED.entries, tuple(e for n, e in enumerate(SEED.entries) if n % 3))
-LEXICONS = tuple(Lexicon(list(entries), SMAP) for entries in ENTRIES)
-GRAMMARS = tuple(compile(RULES, lex, SMAP) for lex in LEXICONS)
+LEXICONS = tuple(Lexicon(list(entries)) for entries in ENTRIES)
+GRAMMARS = tuple(compile(RULES, lex) for lex in LEXICONS)
 SHIPPED = load_variant_table(resources.files("makan").joinpath("resources/variants.tsv"))
 LIMIT = 16  # low, so that the tables fill past it and are emptied again and again
 
 _SUITE = resources.files("makan").joinpath("resources/suite")
-_WORDS = sorted({w for p in _SUITE.iterdir() for w in read_annotations(p, SMAP).text.split()})
+_WORDS = sorted({w for p in _SUITE.iterdir() for w in read_annotations(p).text.split()})
 # suite words, some vocalized, and variant-table words bare, vocalized and with proclitics
 _POOL = _WORDS + [w + "ِ" for w in _WORDS[::7]] + ["سين", "سِين", "اللواريه", "واللواريه", "وبالبيتِ", "ـ", "َ"]
 # words split differently by the two lexicons or without one, and locution words (whose rules depend on the next word)
@@ -83,13 +83,13 @@ def test_long_lived_tables_equal_fresh_ones(ops):
             snapshot = None if variants is None else dict(variants)
             if kind == "annotate":
                 got = annotate(text, LEXICONS[which], GRAMMARS[which], SMAP, variants)
-                fresh_lex = Lexicon(list(ENTRIES[which]), SMAP)
-                assert got == annotate(text, fresh_lex, compile(RULES, fresh_lex, SMAP), SMAP, snapshot)
+                fresh_lex = Lexicon(list(ENTRIES[which]))
+                assert got == annotate(text, fresh_lex, compile(RULES, fresh_lex), SMAP, snapshot)
             elif which is None:
                 assert tokenize(text, None, variants) == tokenize(text, None, snapshot)
             else:
                 assert tokenize(text, LEXICONS[which], variants) == tokenize(
-                    text, Lexicon(list(ENTRIES[which]), SMAP), snapshot
+                    text, Lexicon(list(ENTRIES[which])), snapshot
                 )
             assert all(len(table) <= LIMIT for table in _tables())
 
@@ -97,22 +97,22 @@ def test_long_lived_tables_equal_fresh_ones(ops):
 def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
     assert textnorm.MEMO_LIMIT > 18_182  # the distinct surface runs of a 25k-word vocalized text stay within a call
     monkeypatch.setattr(textnorm, "MEMO_LIMIT", 3)
-    lex = Lexicon(list(SEED.entries), SMAP)
-    grammar = compile(RULES, lex, SMAP)
+    lex = Lexicon(list(SEED.entries))
+    grammar = compile(RULES, lex)
     for text in ["جلست المرأة على المقعد", "وبالبيتِ سين", "الكتاب فوق المقعد", "نظر نحو البحر"] * 2:
-        fresh = Lexicon(list(SEED.entries), SMAP)
+        fresh = Lexicon(list(SEED.entries))
         assert annotate(text, lex, grammar, SMAP, SHIPPED) == annotate(
-            text, fresh, compile(RULES, fresh, SMAP), SMAP, SHIPPED
+            text, fresh, compile(RULES, fresh), SMAP, SHIPPED
         )
         assert all(len(table) <= 3 for table in (*lex.tokenize_memos, lex._lookups, grammar._types))
 
 
 def test_threads_sharing_the_tables_get_the_answers_of_one_thread(monkeypatch):
     monkeypatch.setattr(textnorm, "MEMO_LIMIT", 8)  # so that threads empty the tables under each other
-    texts = [read_annotations(p, SMAP).text for p in sorted(_SUITE.iterdir(), key=lambda p: p.name)]
-    lex = Lexicon(list(SEED.entries), SMAP)
-    grammar = compile(RULES, lex, SMAP)
-    seed_grammar = compile(RULES, SEED, SMAP)
+    texts = [read_annotations(p).text for p in sorted(_SUITE.iterdir(), key=lambda p: p.name)]
+    lex = Lexicon(list(SEED.entries))
+    grammar = compile(RULES, lex)
+    seed_grammar = compile(RULES, SEED)
     expected = [annotate(text, SEED, seed_grammar, SMAP, SHIPPED) for text in texts]
     results = {}
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from makan.semmap import ROOT, TOP_LEVEL, default_map, resolve, subsumes, top_level
+from makan.semmap import BELOW, ROOT, TOP_LEVEL, CategoryNode, default_map, resolve, subsumes, top_level
 
 
 def test_default_map_has_expected_nodes():
@@ -16,6 +16,16 @@ def test_default_map_has_expected_nodes():
         "DIRECTIONAL.GAZE",
     ):
         assert resolve(smap, path) is not None
+
+
+def test_default_map_is_one_shared_read_only_map():
+    smap = default_map()
+    assert default_map() is smap
+    with pytest.raises(TypeError):
+        smap.nodes["TOPOLOGICAL.EXTRA"] = CategoryNode("TOPOLOGICAL.EXTRA", "EXTRA", "TOPOLOGICAL")
+    # what a SENSE test of each path accepts: the path and every path below it
+    assert BELOW == {a: frozenset(d for d in smap.nodes if subsumes(smap, a, d)) for a in smap.nodes}
+    assert BELOW["SPATIAL"] == set(smap.nodes) and BELOW["DIRECTIONAL.GAZE"] == {"DIRECTIONAL.GAZE"}
 
 
 def test_root_and_top_level_children():

@@ -390,8 +390,8 @@ def test_apply_gives_equal_matches_on_a_stream_and_on_its_list(bundle, suite_gol
     vetoes = 0
     for doc in suite_gold:
         tokens = tokenize(doc.text, lex, variants)
-        matches = apply(grammar, tokens, lex)
-        assert matches == apply(grammar, token_stream(list(tokens)), lex)
+        matches = apply(grammar, tokens)
+        assert matches == apply(grammar, token_stream(list(tokens)))
         for match in matches:
             verdict = run_guards(tokens, match)
             assert verdict == run_guards(token_stream(list(tokens)), match)
