@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
+import stat
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -52,13 +53,12 @@ class AnnotatedDocument:
     annotations: tuple[SpatialAnnotation, ...]
 
 
-def _token_hull(tokens, rng: tuple[int, int]) -> OffsetSpan:
-    starts, words = tokens.starts, tokens.words
-    return OffsetSpan(starts[rng[0]] + words[rng[0]][0], starts[rng[1] - 1] + words[rng[1] - 1][1])
-
-
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
-    """The annotation of a match that passed its guards, read off the stream's run starts and word records."""
+    """The annotation of a match that passed its guards, read off the stream's run starts and word records.
+
+    `tokenize` makes each record with 0 <= start < end and a stem start inside the word, and a stream's words in
+    order, so each span is valid as built and skips `OffsetSpan`'s check; but a medium's trigger, one letter that a
+    variant longer than its source word can map onto the letter after it, is checked."""
     starts, words = tokens.starts, tokens.words  # a record: (start, end, surface, cuts, stem start, stem, key)
     rule, _, captures, output, _, evidence, _ = match
     first, last = captures["trigger"]
@@ -68,21 +68,26 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
         _, cs, ce, _ = next(cut for cut in word[3] if cut[0] == "preposition")
-        lo, hi = r0 + cs, r0 + ce
-        site = OffsetSpan(r0 + word[4], r0 + word[1])
+        trigger = OffsetSpan(r0 + cs, r0 + ce)
+        site = tuple.__new__(OffsetSpan, (r0 + word[4], r0 + word[1]))
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        lo, hi = r0 + word[4], starts[last - 1] + words[last - 1][1]
-    trigger = OffsetSpan(lo, hi)
+        trigger = tuple.__new__(OffsetSpan, (r0 + word[4], starts[last - 1] + words[last - 1][1]))
+    lo, hi = trigger
     if "site" in captures:
-        site = _token_hull(tokens, captures["site"])
+        a, b = captures["site"]
+        site = tuple.__new__(OffsetSpan, (starts[a] + words[a][0], starts[b - 1] + words[b - 1][1]))
     if "target" in captures:
-        target = _token_hull(tokens, captures["target"])
-    for start, end in filter(None, (site, target)):  # the hull, from the bounds in hand
-        lo, hi = min(lo, start), max(hi, end)
+        a, b = captures["target"]
+        target = tuple.__new__(OffsetSpan, (starts[a] + words[a][0], starts[b - 1] + words[b - 1][1]))
+    if site is not None:  # the hull, from the bounds in hand
+        lo, hi = min(lo, site[0]), max(hi, site[1])
+    if target is not None:
+        lo, hi = min(lo, target[0]), max(hi, target[1])
     attributes = dict(trig_ev.entry.attributes) if trig_ev is not None else {}
-    return SpatialAnnotation(OffsetSpan(lo, hi), output, trigger, site, target, attributes, tuple(alternates), rule)
+    hull = tuple.__new__(OffsetSpan, (lo, hi))
+    return tuple.__new__(SpatialAnnotation, (hull, output, trigger, site, target, attributes, tuple(alternates), rule))
 
 
 def annotate(
@@ -179,12 +184,25 @@ def document_to_json(doc: AnnotatedDocument) -> str:
 
 def _atomic_write(path, data: str) -> None:
     """Write `data` to `path` as UTF-8 through a temporary file beside it and a rename: a failure leaves `path` as
-    it was, whether `data` cannot encode (a lone surrogate) or the write stops part-way."""
+    it was, whether `data` cannot encode (a lone surrogate) or the write stops part-way. A new file takes the mode
+    the umask gives; a file written over keeps its own."""
     data = data.encode("utf-8")  # before the temporary file is made
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    while True:  # a random name beside the target, made only if no file has it
+        tmp = path.with_name(f".tmp-{secrets.token_hex(8)}{path.suffix}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(tmp, mode)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -265,5 +283,6 @@ def read_annotations(source) -> AnnotatedDocument:
             raise AnnotationFormatError(f"{name}: annotation {idx}: attributes must be an object")
         if rule is not None and not isinstance(rule, str):
             raise AnnotationFormatError(f"{name}: annotation {idx}: rule must be a string")
-        anns.append(SpatialAnnotation(span, category, trigger, site, target, attributes, tuple(alternates), rule))
+        fields = span, category, trigger, site, target, attributes, tuple(alternates), rule  # each checked above
+        anns.append(tuple.__new__(SpatialAnnotation, fields))
     return AnnotatedDocument(doc_id=obj["doc_id"], text=text, annotations=tuple(anns))

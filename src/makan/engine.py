@@ -439,6 +439,7 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
                 evidence[atom.capture] = m
             pos += consumed
         resume = captures["trigger"][1]
-        out.append(RawMatch(winner.name, (i, i + total), captures, winner.output, winner.guards, evidence,
-                            recs[resume][0]))
+        # every field is in hand, `evidence` included: built without the constructor's default
+        out.append(tuple.__new__(RawMatch, (winner.name, (i, i + total), captures, winner.output, winner.guards,
+                                            evidence, recs[resume][0])))
     return out

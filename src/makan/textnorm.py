@@ -124,7 +124,8 @@ class TokenStream(Sequence):
     __slots__ = ("starts", "words", "stems", "keys")
 
     def __init__(self, starts, words):
-        for name, column in zip(self.__slots__, (starts, words, [w[5] for w in words], [w[6] for w in words])):
+        stems, keys = list(map(itemgetter(5), words)), list(map(itemgetter(6), words))
+        for name, column in zip(self.__slots__, (starts, words, stems, keys)):
             object.__setattr__(self, name, tuple(column))
 
     def __setattr__(self, name, value):
@@ -288,7 +289,7 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
     starts, words_out = [], []
     for rmatch in _RUN_RE.finditer(text):
-        run = rmatch.group()
+        run = rmatch[0]
         record = runs.get(run)
         if record is None:
             record = remember(runs, run, _normalized_words(run, lexicon, None, splits))

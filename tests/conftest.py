@@ -1,3 +1,5 @@
+import os
+import sys
 from importlib import resources
 
 import pytest
@@ -36,3 +38,15 @@ def run(bundle):
         return annotate(text, lex, grammar, smap, variants=variants, doc_id="t")
 
     return _run
+
+
+@pytest.fixture()
+def umask_022():
+    """The process umask at 022 for the test, as most systems set it; restored after. POSIX modes only."""
+    if sys.platform == "win32":
+        pytest.skip("Windows keeps no POSIX file modes")
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)

@@ -5,10 +5,13 @@ import io
 import json
 import os
 import pickle
+import re
+import secrets
+import stat
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makan import annotate, guards, read_annotations, write_annotations
@@ -17,8 +20,9 @@ from makan.engine import RawMatch, apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
 from makan.semmap import TOP_LEVEL, default_map, top_level
-from makan.textnorm import OffsetSpan, tokenize
+from makan.textnorm import _WORD_RE, OffsetSpan, normalize, tokenize
 from oracle import reference_document_json
+from strategies import edited_sentences, word_texts
 
 
 def test_support_example(run):
@@ -243,6 +247,29 @@ def test_write_annotations_that_fails_part_way_leaves_the_file_as_it_was(tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == ["d.json"]  # and no temporary file is left
 
 
+def test_write_annotations_gives_a_new_file_the_umask_mode_and_keeps_an_old_files_mode(tmp_path, umask_022):
+    doc = AnnotatedDocument("d", "في", ())
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("old contents", encoding="utf-8")
+    old.chmod(0o640)
+    write_annotations(doc, new)
+    write_annotations(doc, old)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert old.read_text(encoding="utf-8") == new.read_text(encoding="utf-8") == document_to_json(doc)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+
+
+def test_write_annotations_draws_another_temporary_name_when_one_is_taken(tmp_path, monkeypatch):
+    names = iter(["taken", "free"])
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: next(names))
+    taken = tmp_path / ".tmp-taken.json"
+    taken.write_text("another writer's", encoding="utf-8")
+    write_annotations(AnnotatedDocument("d", "في", ()), tmp_path / "d.json")
+    assert taken.read_text(encoding="utf-8") == "another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".tmp-taken.json", "d.json"]
+
+
 # Each record's fields in order, then how many of them have no default.
 _RECORDS = [
     (RawMatch, ("r", (0, 2), {"trigger": (0, 1)}, "TOPOLOGICAL", ("NEG_SCOPE",), {"trigger": None}, ()), 5),
@@ -403,18 +430,34 @@ def test_read_rejects_mistyped_annotation_field(field, value):
         read_annotations(io.StringIO(data))
 
 
-def test_annotate_never_crashes_on_arbitrary_text(run):
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+def test_annotate_never_crashes_on_arbitrary_text(run, bundle, suite_gold):
+    # Suite sentences with words marked (harakat, tatweel) or swapped for lexicon, suite and variant-table words
+    # behind proclitics make annotations: `_convert` builds their spans without `OffsetSpan`'s check, so each must
+    # still pass it.
+    lex, variants = bundle[1], bundle[3]
+    suite_words = {w for d in suite_gold for w in _WORD_RE.findall(normalize(d.text)[0])}
+    vocabulary = sorted(lex._forms | suite_words | variants.keys() | set(variants.values()))
+    sentences = [d.text for d in suite_gold]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(max_size=80))
+    @given(st.text(max_size=80) | word_texts(vocabulary) | edited_sentences(sentences, vocabulary))
+    @example("غادَرَ أخي رامي بِالباخِرةِ، لكنه عـاد بالطّائرة")  # two media: a proclitic trigger, a stem site
     def _fuzz(text):
         doc = run(text)
         for ann in doc.annotations:
-            assert 0 <= ann.span.start < ann.span.end <= len(text)
+            for span in (ann.span, ann.trigger, ann.site, ann.target):
+                if span is not None:
+                    assert type(span) is OffsetSpan and OffsetSpan(*span) == span
+                    assert 0 <= span.start < span.end <= len(text)
 
     _fuzz()
+
+
+def test_a_medium_trigger_that_a_variant_maps_onto_no_letter_is_refused(bundle):
+    # ط reads as بالطائرة: its ب and the ا after it both map to the one source letter, so the ب trigger is empty
+    smap, lex, grammar, _ = bundle
+    with pytest.raises(ValueError, match=re.escape("invalid span [4, 4)")):
+        annotate("عاد ط", lex, grammar, smap, variants={"ط": "بالطائرة"})
 
 
 def test_multi_sentence_document(run, suite_gold):

@@ -1,4 +1,5 @@
 import json
+import stat
 from importlib import resources
 from pathlib import Path
 
@@ -284,6 +285,18 @@ def test_annotate_rejects_inputs_sharing_a_stem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(first) in err and str(second) in err
     assert not out.exists()
+
+
+def test_annotate_writes_new_files_with_the_umask_mode_and_keeps_an_old_files_mode(tmp_path, umask_022):
+    inputs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path in inputs:
+        path.write_text("جلست المرأة على المقعد.", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "b.json").write_text("old contents", encoding="utf-8")
+    (out / "b.json").chmod(0o640)
+    assert main(["annotate", "--out", str(out), *map(str, inputs)]) == 0
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()} == {"a.json": 0o644, "b.json": 0o640}
 
 
 def test_annotate_refuses_to_overwrite_an_input(tmp_path, monkeypatch, capsys):
