@@ -124,8 +124,8 @@ def annotate(
 # `indent` sends it down the pure-Python encoder. Each field has one path, which refuses a value of a type that
 # `read_annotations` refuses: strings (`doc_id`, `text`, `category`, `rule`, each alternate) go through that
 # encoder's own string function, which raises `TypeError` for a value that is not a `str`; span bounds, `int`s as
-# `OffsetSpan` holds them, through `%d`; `attributes` through `json.dumps` itself, re-indented to its depth, and
-# `_check_attributes` refuses what would not read back equal.
+# `OffsetSpan` holds them, through `%d`; `attributes` through `_attribute_json`, which lays them out at their depth
+# and refuses in the same walk what would not read back equal.
 
 _encode_str = json.encoder.encode_basestring
 _SPAN = '{\n        "start": %d,\n        "end": %d\n      }'
@@ -135,22 +135,36 @@ _TARGET = ',\n      "target": ' + _SPAN
 _ITEM = ",\n        "  # between the items of an annotation's list
 
 
-def _check_attributes(attributes) -> None:
-    """TypeError unless `attributes`, which `json.dumps` has written, reads back equal: a dict, each dict in it
-    keyed by `str`s, with no tuple (it reads back as a list) and no NaN or infinity (not JSON) at any depth."""
-    if not isinstance(attributes, dict):
-        raise TypeError(f"attributes must be a dict, not {type(attributes).__name__}")
-    values = [attributes]
-    for value in values:  # grows as it is read, to every nested value; `json.dumps` has refused a cycle
-        if isinstance(value, dict):
-            for key in value:
-                if not isinstance(key, str):
-                    raise TypeError(f"attribute key {key!r} is not a str")
-            values += value.values()
-        elif isinstance(value, list):
-            values += value
-        elif isinstance(value, tuple) or isinstance(value, float) and not math.isfinite(value):
-            raise TypeError(f"attribute value {value!r} would not read back equal from JSON")
+def _attribute_json(value, pad: str, containers: tuple = ()) -> str:
+    """`value` as `json.dumps(value, ensure_ascii=False, indent=2)` lays it out, each line after the first indented
+    by `pad`; TypeError unless it reads back equal: each dict keyed by `str`s, no tuple (it reads back as a list),
+    no NaN or infinity (not JSON) and nothing else JSON cannot hold. A container that holds itself is a ValueError,
+    as it is to `json.dumps`; `containers` holds the ids of those the value lies in."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, list)):
+        raise TypeError(f"attribute value {value!r} would not read back equal from JSON")
+    brackets = "{}" if is_dict else "[]"
+    if not value:
+        return brackets
+    if id(value) in containers:
+        raise ValueError("Circular reference detected")
+    containers, inner = (*containers, id(value)), pad + "  "
+    if is_dict:
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"attribute key {key!r} is not a str")
+        items = [_encode_str(key) + ": " + _attribute_json(item, inner, containers) for key, item in value.items()]
+    else:
+        items = [_attribute_json(item, inner, containers) for item in value]
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
 
 
 def _ann_json(a: SpatialAnnotation) -> str:
@@ -161,9 +175,9 @@ def _ann_json(a: SpatialAnnotation) -> str:
     if target is not None:
         parts.append(_TARGET % target)
     if attributes:
-        written = json.dumps(attributes, ensure_ascii=False, indent=2)
-        _check_attributes(attributes)
-        parts += (',\n      "attributes": ', written.replace("\n", "\n      "))
+        if not isinstance(attributes, dict):
+            raise TypeError(f"attributes must be a dict, not {type(attributes).__name__}")
+        parts += (',\n      "attributes": ', _attribute_json(attributes, "      "))
     if alternates:
         parts += (',\n      "alternates": [\n        ', _ITEM.join(map(_encode_str, alternates)), "\n      ]")
     if rule is not None:

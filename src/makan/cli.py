@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 data mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -153,6 +154,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     commands = {"annotate": cmd_annotate, "eval": cmd_eval, "check": cmd_check, "split": cmd_split}
+    # A command builds no reference cycle, so reference counting frees all it drops: the cyclic collector, paused
+    # until it returns, would only walk the caller's heap and the command's live objects.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return commands[args.command](args)
     except (LexiconError, GrammarError, AnnotationFormatError) as exc:
@@ -164,6 +169,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path of the wrong kind; names the path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

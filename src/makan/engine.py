@@ -103,9 +103,10 @@ class CompiledGrammar:
 
     It carries the lexicon it was compiled for, `lexicon`, and owns
     one table of word-type records (see `apply`), filled lazily and emptied
-    when it reaches `textnorm.MEMO_LIMIT` entries. A record holds values
-    only, so no answer changes and threads may share a grammar: a race at
-    worst works an entry out twice.
+    when it reaches `textnorm.MEMO_LIMIT` entries, and one record for past the
+    last token, filled lazily too. A record holds values only, so no answer
+    changes and threads may share a grammar: a race at worst works an entry
+    out twice.
     """
 
     def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon):
@@ -123,6 +124,7 @@ class CompiledGrammar:
         ids = count()
         self.steps = tuple(tuple((_GAPS.get(a.gap), next(ids), a) for a in rule.atoms) for rule in self.ordered)
         self._types: dict = {}  # type key -> (lookups, candidates, options by atom index, stem): see `apply`
+        self._end = ((), (), {}, None)  # the record `apply` reads one past the last token, with no type
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -415,7 +417,7 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
             )
             rec = remember(types, key, (tuple(found), cands, {}, stem))
         seen[key] = rec
-    recs = [*map(seen.get, keys), ((), (), {}, None)]  # and a record past the last token
+    recs = [*map(seen.get, keys), grammar._end]
     out: list[RawMatch] = []
     resume = 0
     for i in compress(range(n), map(itemgetter(1), recs)):

@@ -210,9 +210,10 @@ def load_variant_table(path) -> dict[str, str]:
     """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
 
     Both columns are normalized on load, may not normalize to nothing and
-    are each one word (one `_WORD_RE` match); a canonical form may not itself
-    be listed as a variant (the table must be idempotent). Every failure, a
-    missing or undecodable file included, is a ValueError naming the file.
+    are each one word (one `_WORD_RE` match); a canonical form may have no
+    more letters than its variant and may not itself be listed as a variant
+    (the table must be idempotent). Every failure, a missing or undecodable
+    file included, is a ValueError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -235,6 +236,8 @@ def load_variant_table(path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: variant {parts[0]!r} is not one word")
         if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
             raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} is not one word")
+        if len(canonical) > len(variant):  # else two of its letters would map onto one source letter
+            raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} has more letters than variant {parts[0]!r}")
         table[variant] = canonical
     for canonical in table.values():
         if canonical in table:

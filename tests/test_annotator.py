@@ -212,6 +212,41 @@ def test_document_json_refuses_attributes_that_would_not_read_back_equal(attribu
         document_to_json(AnnotatedDocument("d", "في", (ann,)))
 
 
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def test_document_json_writes_subclasses_of_str_int_and_float_as_json_dumps_does():
+    # `re.I` is an `IntFlag`, whose own repr is not its number
+    attributes = {_Str("n"): [_Int(3), _Float(0.5), _Str("x"), re.I]}
+    ann = SpatialAnnotation(OffsetSpan(0, 2), "TOPOLOGICAL", OffsetSpan(0, 2), attributes=attributes)
+    doc = AnnotatedDocument("d", "في", (ann,))
+    assert document_to_json(doc) == reference_document_json(doc)
+
+
+def test_document_json_refuses_attributes_that_hold_themselves_as_json_dumps_does():
+    looped, shared = {}, [1]
+    looped["n"] = [looped]
+    for attributes, error in (({"n": looped}, ValueError), ({"a": shared, "b": [shared]}, None)):
+        ann = SpatialAnnotation(OffsetSpan(0, 2), "TOPOLOGICAL", OffsetSpan(0, 2), attributes=attributes)
+        doc = AnnotatedDocument("d", "في", (ann,))
+        if error is None:  # a value held twice, not inside itself, is written each time
+            assert document_to_json(doc) == reference_document_json(doc)
+        else:
+            with pytest.raises(error, match="Circular reference"):
+                document_to_json(doc)
+            with pytest.raises(error, match="Circular reference"):
+                reference_document_json(doc)
+
+
 def test_write_annotations_that_cannot_encode_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "d.json"
     path.write_text("old contents", encoding="utf-8")

@@ -1,3 +1,4 @@
+import gc
 import json
 import stat
 from importlib import resources
@@ -5,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from makan.cli import main
-from makan.lexicon import seed_lexicon_path
+from makan import cli
+from makan.cli import build_parser, cmd_annotate, cmd_eval, main
+from makan.lexicon import LexiconError, seed_lexicon_path
 from makan.rulepack import rule_pack_path, variants_path
 
 
@@ -329,3 +331,78 @@ def test_annotate_rejects_non_utf8_resource(tmp_path, suite_texts, capsys, flag)
     assert main(["annotate", flag, str(bad), "--out", str(out), *inputs]) == 2
     assert str(bad) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, outcome, code",
+    [
+        (["check"], 0, 0),
+        (["annotate"], None, 1),  # a usage error: no command runs
+        (["check"], 1, 1),
+        (["check"], LexiconError("bad lexicon"), 2),
+        (["check"], ValueError("mismatch"), 3),
+        (["check"], RuntimeError("not caught"), None),
+    ],
+)
+def test_a_command_runs_with_the_collector_paused_and_leaves_it_as_it_was(
+    monkeypatch, capsys, enabled, argv, outcome, code
+):
+    during = []
+
+    def command(args):
+        during.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "cmd_check", command)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if code is None:
+            with pytest.raises(RuntimeError, match="not caught"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if outcome is None else [False])
+    assert after is enabled
+
+
+def test_annotate_and_eval_leave_no_cyclic_garbage_that_grows_with_their_input(tmp_path, suite_gold, capsys):
+    """What the collector, paused while a command runs, would have to free: for one suite text and for all 47."""
+    gold_all = _materialize_suite(tmp_path, suite_gold)
+    first = sorted(gold_all.glob("*.json"))[0]
+    gold_one = tmp_path / "gold_one"
+    gold_one.mkdir()
+    (gold_one / first.name).write_bytes(first.read_bytes())
+    texts = tmp_path / "texts"
+    texts.mkdir()
+    for doc in suite_gold:
+        (texts / f"{doc.doc_id}.txt").write_text(doc.text, encoding="utf-8")
+    inputs = sorted(str(p) for p in texts.glob("*.txt"))
+    one = [p for p in inputs if Path(p).stem == first.stem]
+    parser = build_parser()
+
+    def garbage(command, argv):
+        args = parser.parse_args(argv)  # before the count: argparse leaves cycles of its own, as it does in `main`
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert command(args) == 0
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    for name, paths in (("s1", one), ("s", inputs)):
+        assert garbage(cmd_annotate, ["annotate", "--out", str(tmp_path / name), *paths]) == 0
+    scored = [
+        garbage(cmd_eval, ["eval", "--out", str(tmp_path / f"{n}.json"), str(g), str(tmp_path / n)])
+        for n, g in (("s1", gold_one), ("s", gold_all))
+    ]
+    assert scored[1] <= scored[0], scored

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from makan import textnorm
+from makan import engine, textnorm
 from makan.annotator import annotate, read_annotations
 from makan.engine import compile
 from makan.lexicon import Lexicon, seed_lexicon
@@ -105,6 +105,22 @@ def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
             text, fresh, compile(RULES, fresh), SMAP, SHIPPED
         )
         assert all(len(table) <= 3 for table in (*lex.tokenize_memos, lex._lookups, grammar._types))
+
+
+def test_a_warm_grammar_works_out_no_atom_options_again(monkeypatch):
+    # the options of an atom one past the last token included: the grammar keeps that record too
+    texts = [read_annotations(p).text for p in sorted(_SUITE.iterdir(), key=lambda p: p.name)]
+    lex = Lexicon(list(SEED.entries))
+    grammar = compile(RULES, lex)
+    for text in texts:
+        annotate(text, lex, grammar, SMAP, SHIPPED)
+    calls = []
+    options = engine._atom_options
+    monkeypatch.setattr(engine, "_atom_options", lambda *args: calls.append(args) or options(*args))
+    warm = [annotate(text, lex, grammar, SMAP, SHIPPED) for text in texts]
+    assert calls == []
+    fresh = Lexicon(list(SEED.entries))
+    assert warm == [annotate(text, fresh, compile(RULES, fresh), SMAP, SHIPPED) for text in texts]
 
 
 def test_threads_sharing_the_tables_get_the_answers_of_one_thread(monkeypatch):

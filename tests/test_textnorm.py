@@ -107,6 +107,14 @@ def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, 
         load_variant_table(path)
 
 
+def test_variant_table_rejects_a_canonical_form_with_more_letters_than_its_variant(tmp_path):
+    # its extra letters would map onto the variant's last letter: the article of بالطائرة onto no letter at all
+    path = tmp_path / "variants.tsv"
+    path.write_text("سين\tسان\nطا\tبالطائرة\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: canonical form 'بالطائرة' has more letters than")):
+        load_variant_table(path)
+
+
 @settings(max_examples=200)
 @given(_ARABIC_SOUP)
 @example("ﻻَ x 𝒜ّ ۀ")  # characters past the table's end map to themselves
