@@ -56,9 +56,8 @@ class AnnotatedDocument:
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
     """The annotation of a match that passed its guards, read off the stream's run starts and word records.
 
-    `tokenize` makes each record with 0 <= start < end and a stem start inside the word, and a stream's words in
-    order, so each span is valid as built and skips `OffsetSpan`'s check; but a medium's trigger, one letter that a
-    variant longer than its source word can map onto the letter after it, is checked."""
+    `tokenize` makes each record with 0 <= start < end, cuts and a stem start inside the word at rising offsets, and a
+    stream's words in order, so each span is valid as built and skips `OffsetSpan`'s check."""
     starts, words = tokens.starts, tokens.words  # a record: (start, end, surface, cuts, stem start, stem, key)
     rule, _, captures, output, _, evidence, _ = match
     first, last = captures["trigger"]
@@ -68,7 +67,7 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
         _, cs, ce, _ = next(cut for cut in word[3] if cut[0] == "preposition")
-        trigger = OffsetSpan(r0 + cs, r0 + ce)
+        trigger = tuple.__new__(OffsetSpan, (r0 + cs, r0 + ce))
         site = tuple.__new__(OffsetSpan, (r0 + word[4], r0 + word[1]))
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
@@ -280,6 +279,8 @@ def read_annotations(source) -> AnnotatedDocument:
         category = raw.get("category")
         if not isinstance(category, str) or category not in categories:
             raise AnnotationFormatError(f"{name}: annotation {idx}: unknown category path {category!r}")
+        if category == semmap.ROOT:  # scoring counts by top-level category, which the root lies above
+            raise AnnotationFormatError(f"{name}: annotation {idx}: category {category!r} is the root, not a category")
         span = _span(raw, n, name, idx)
         if "trigger" not in raw:
             raise AnnotationFormatError(f"{name}: annotation {idx}: missing trigger span")

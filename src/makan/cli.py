@@ -137,8 +137,16 @@ def cmd_split(args) -> int:
     if not args.inputs:
         print("no input documents to split", file=sys.stderr)
         return EXIT_USAGE
-    work, evalset = evaluate.split(list(args.inputs), args.seed)
-    out_dir = Path(args.out)
+    try:
+        work, evalset = evaluate.split(args.inputs, args.seed)
+    except ValueError as exc:  # a repeated input
+        print(f"cannot split: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    out_dir, inputs = Path(args.out), {Path(p).resolve(): p for p in args.inputs}
+    clash = [(m, inputs[m.resolve()]) for m in (out_dir / "work.txt", out_dir / "eval.txt") if m.resolve() in inputs]
+    if clash:
+        print("output {} would overwrite input {}".format(*clash[0]), file=sys.stderr)
+        return EXIT_VALIDATION
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "work.txt", "".join(p + "\n" for p in work))
     _atomic_write(out_dir / "eval.txt", "".join(p + "\n" for p in evalset))

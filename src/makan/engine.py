@@ -303,6 +303,8 @@ def _rule_problem(rule: Rule) -> str | None:
         return f"capture {twice[0]} is used more than once"
     if rule.output not in semmap.BELOW:
         return f"unresolved output path {rule.output}"
+    if rule.output == semmap.ROOT:  # else scoring, by top-level category, could not count its annotations
+        return f"output path {rule.output} is the root, not a category"
     unknown = [name for name in rule.guards if name not in KNOWN_GUARDS]
     return f"unknown guard {unknown[0]}" if unknown else None
 

@@ -171,10 +171,12 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
 
 
 def split(doc_ids, seed: int) -> tuple[list, list]:
-    """Deterministic shuffle by seed; first ceil(0.75*n) to work, rest to eval."""
+    """Deterministic shuffle by seed; first ceil(0.75*n) to work, rest to eval. Ids must be distinct."""
     ids = list(doc_ids)
     if not ids:
         raise ValueError("cannot split an empty document list")
+    if len(set(ids)) < len(ids):  # else one document could land in both sets
+        raise ValueError(f"document {next(i for i, n in Counter(ids).items() if n > 1)!r} is listed more than once")
     rng = random.Random(seed)
     rng.shuffle(ids)
     k = math.ceil(0.75 * len(ids))

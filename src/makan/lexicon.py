@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import semmap
-from .textnorm import TokenStream, normalize, remember
+from .textnorm import _WORD_RE, TokenStream, normalize, remember
 
 
 class LexClass(str, enum.Enum):
@@ -210,8 +210,10 @@ def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
     senses = frozenset(s.strip() for s in raw_senses.split(";") if s.strip())
     flags = frozenset(f.strip() for f in raw_flags.split(",") if f.strip())
     words = tuple(normalize(w)[0] for w in raw_lemma.split(" ") if w)
-    if not all(words):
-        raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has a word that normalizes to nothing")
+    for word in words:
+        if not _WORD_RE.fullmatch(word):  # else no token's stem can equal it
+            problem = f"{word!r}, which is not one word" if word else "a word that normalizes to nothing"
+            raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has {problem}")
     try:  # a JSON object loads as its (name, value) pairs
         attributes = json.loads(raw_attributes, object_pairs_hook=tuple) if raw_attributes else ()
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep

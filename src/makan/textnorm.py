@@ -106,7 +106,7 @@ class Token:
 
 
 def _token(r0: int, word: tuple) -> Token:
-    """The token of a word record (see `_normalized_words`) in the surface run at `r0`."""
+    """The token of a word record (see `_normalized_word`) in the surface run at `r0`."""
     ws, we, surface, cuts, stem_start, stem, _ = word
     span = OffsetSpan(r0 + ws, r0 + we)
     proclitics = tuple([Proclitic(OffsetSpan(r0 + cs, r0 + ce), kind, ctext) for kind, cs, ce, ctext in cuts])
@@ -174,7 +174,7 @@ def token_stream(tokens) -> TokenStream:
     return TokenStream([0] * len(words), words)
 
 
-def normalize(text: str, variants: dict[str, str] | None = None) -> tuple[str, list[int]]:
+def normalize(text: str) -> tuple[str, list[int]]:
     """Normalize text and return (normalized, offset map).
 
     The offset map has one entry per output character giving the index of the
@@ -182,28 +182,7 @@ def normalize(text: str, variants: dict[str, str] | None = None) -> tuple[str, l
     """
     norm = text.translate(_TABLE)
     omap = list(range(len(text))) if len(norm) == len(text) else [i for i, ch in enumerate(text) if ch not in _REMOVED]
-    if variants:
-        norm, omap = _apply_variants(norm, omap, variants)
     return norm, omap
-
-
-def _apply_variants(norm: str, omap: list[int], variants: dict[str, str]) -> tuple[str, list[int]]:
-    # Whole-word replacement only: transliteration variants are listed as
-    # standalone words in the variant table.
-    out: list[str] = []
-    nmap: list[int] = []
-    last = 0
-    for m in _WORD_RE.finditer(norm):
-        repl = variants.get(m.group())
-        if repl is not None:
-            a, b = m.span()  # the replacement's last character keeps the span end on the word's last one
-            out += (norm[last:a], repl)
-            nmap += omap[last:a]
-            nmap += [omap[b - 1 if j == len(repl) - 1 else a + min(j, b - a - 1)] for j in range(len(repl))]
-            last = b
-    out.append(norm[last:])
-    nmap += omap[last:]
-    return "".join(out), nmap
 
 
 def load_variant_table(path) -> dict[str, str]:
@@ -287,22 +266,23 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     and each word is worked out once and kept in the lexicon's memo tables
     (`Lexicon.tokenize_memos`; without a lexicon, fresh tables each call); a
     run whose word is in `variants` is worked out on each call, since the
-    caller may change that table between calls.
+    caller may change that table between calls. A run meeting a variant whose canonical form is not one word
+    with no more letters, as a table file (`load_variant_table`) requires, raises ValueError.
     """
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
-    starts, words_out = [], []
+    starts, words = [], []
     for rmatch in _RUN_RE.finditer(text):
         run = rmatch[0]
         record = runs.get(run)
         if record is None:
-            record = remember(runs, run, _normalized_words(run, lexicon, None, splits))
-        word, words = record
+            record = remember(runs, run, _normalized_word(run, lexicon, None, splits))
+        word, w = record
         if variants and word in variants:
-            words = _normalized_words(run, lexicon, variants, splits)[1]
-        for w in words:
+            w = _normalized_word(run, lexicon, variants, splits)[1]
+        if w is not None:
             starts.append(rmatch.start())
-            words_out.append(w)
-    return TokenStream(starts, words_out)
+            words.append(w)
+    return TokenStream(starts, words)
 
 
 def remember(table: dict, key, value):
@@ -313,23 +293,26 @@ def remember(table: dict, key, value):
     return value
 
 
-def _normalized_words(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
-    """(word, words) of a surface run through `normalize`'s offset map, each of its words a record (start, end,
-    surface, cuts, stem start, stem, type key) in offsets into the run. Without variants a run normalizes to one
-    word, or none: `word` is that word as the split table keeps it, so equal words share one string, or "" for none."""
-    norm, omap = normalize(run, variants)
-    word, out = "", []
-    for wmatch in _WORD_RE.finditer(norm):  # a variant's canonical form may hold several words
-        word = wmatch.group()
-        split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem, type key)
-        if split is None:  # equal words share one split, so one word and one stem string
-            cuts, stem_start = _split_clitics(word, lexicon)
-            cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
-            stem = word[stem_start:]
-            split = remember(splits, word, (word, cuts, stem_start, stem, _type_key(stem, cuts)))
-        word, cuts, stem_start, stem, key = split
-        a, b = wmatch.span()
-        ws, we = omap[a], omap[b - 1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
-        cuts = tuple((kind, omap[a + cs], omap[a + ce], ctext) for kind, cs, ce, ctext in cuts)
-        out.append((ws, we, run[ws:we], cuts, omap[a + stem_start], stem, key))
-    return word, tuple(out)
+def _normalized_word(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
+    """(word, record) of a surface run through `normalize`'s offset map: `word` is the one word the run normalizes
+    to, as the split table keeps it so that equal words share one string, and its record is (start, end, surface,
+    cuts, stem start, stem, type key) in offsets into the run; ("", None) for a run of marks alone. A word in
+    `variants` is replaced by its canonical form, whose last letter maps onto the word's last letter."""
+    word, omap = normalize(run)
+    if not word:
+        return word, None
+    canonical = variants.get(word) if variants else None
+    if canonical is not None:
+        if not (_WORD_RE.fullmatch(canonical) and len(canonical) <= len(word)):  # else two letters share one
+            raise ValueError(f"canonical form {canonical!r} of variant {word!r} is not one word no longer than it")
+        word, omap = canonical, omap[: len(canonical) - 1] + omap[-1:]
+    split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem, type key)
+    if split is None:  # equal words share one split, so one word and one stem string
+        cuts, stem_start = _split_clitics(word, lexicon)
+        cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
+        stem = word[stem_start:]
+        split = remember(splits, word, (word, cuts, stem_start, stem, _type_key(stem, cuts)))
+    word, cuts, stem_start, stem, key = split
+    ws, we = omap[0], omap[-1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
+    cuts = tuple((kind, omap[cs], omap[ce], ctext) for kind, cs, ce, ctext in cuts)
+    return word, (ws, we, run[ws:we], cuts, omap[stem_start], stem, key)

@@ -310,6 +310,8 @@ def reference_read_annotations(source):
         category = raw.get("category")
         if not isinstance(category, str) or semmap.resolve(smap, category) is None:
             raise AnnotationFormatError(f"{where}: unknown category path {category!r}")
+        if category == semmap.ROOT:
+            raise AnnotationFormatError(f"{where}: category {category!r} is the root, not a category")
         span = _reference_span({"start": raw.get("start"), "end": raw.get("end")}, len(text), where)
         if "trigger" not in raw:
             raise AnnotationFormatError(f"{where}: missing trigger span")

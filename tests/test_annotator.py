@@ -19,7 +19,7 @@ from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnn
 from makan.engine import RawMatch, apply
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
-from makan.semmap import TOP_LEVEL, default_map, top_level
+from makan.semmap import ROOT, TOP_LEVEL, default_map, top_level
 from makan.textnorm import _WORD_RE, OffsetSpan, normalize, tokenize
 from oracle import reference_document_json
 from strategies import edited_sentences, word_texts
@@ -148,7 +148,7 @@ def test_document_json_equals_json_dumps_byte_for_byte(doc):
     assert document_to_json(doc) == reference_document_json(doc)
 
 
-_PATHS = sorted(default_map().nodes)
+_PATHS = sorted(default_map().nodes.keys() - {ROOT})  # the root is no annotation's category, but may be an alternate
 
 
 @st.composite
@@ -165,7 +165,7 @@ def _readable_document(draw):
         site=st.none() | span,
         target=st.none() | span,
         attributes=st.dictionaries(_TEXT, _JSON_VALUE, max_size=2),
-        alternates=st.lists(st.sampled_from(_PATHS), max_size=2).map(tuple),
+        alternates=st.lists(st.sampled_from([ROOT, *_PATHS]), max_size=2).map(tuple),
         rule=st.none() | _TEXT,
     )
     annotations = draw(st.lists(annotation, max_size=3)) if n else []
@@ -377,6 +377,15 @@ def test_read_rejects_unknown_category(tmp_path):
         read_annotations(path)
 
 
+def test_read_rejects_the_root_as_a_category():
+    ann = {"start": 0, "end": 2, "category": "TOPOLOGICAL.SUPPORT", "trigger": {"start": 0, "end": 2}}
+    data = json.dumps({"doc_id": "x", "text": "نص", "annotations": [ann, {**ann, "category": ROOT}]})
+    source = io.StringIO(data)
+    source.name = "root.json"
+    with pytest.raises(AnnotationFormatError, match=r"^root\.json: annotation 1: category 'SPATIAL' is the root"):
+        read_annotations(source)
+
+
 def test_read_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope", encoding="utf-8")
@@ -489,9 +498,11 @@ def test_annotate_never_crashes_on_arbitrary_text(run, bundle, suite_gold):
 
 
 def test_a_medium_trigger_that_a_variant_maps_onto_no_letter_is_refused(bundle):
-    # ط reads as بالطائرة: its ب and the ا after it both map to the one source letter, so the ب trigger is empty
+    # ط would read as بالطائرة: its ب and the ا after it would both map to the one source letter, so a canonical
+    # form with more letters than its variant is refused where the word is made
     smap, lex, grammar, _ = bundle
-    with pytest.raises(ValueError, match=re.escape("invalid span [4, 4)")):
+    message = "canonical form 'بالطائرة' of variant 'ط' is not one word no longer than it"
+    with pytest.raises(ValueError, match=re.escape(message)):
         annotate("عاد ط", lex, grammar, smap, variants={"ط": "بالطائرة"})
 
 
@@ -680,5 +691,5 @@ def test_trigger_text_normalizes_to_a_lexicon_form(bundle, suite_system):
         acceptable.update(base + s for s in PRONOUN_SUFFIXES)
     for doc in suite_system:
         for ann in doc.annotations:
-            surface = normalize(ann.trigger.slice(doc.text), bundle[3])[0]
+            surface = normalize(ann.trigger.slice(doc.text))[0]
             assert surface in acceptable, (doc.doc_id, surface)

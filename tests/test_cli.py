@@ -258,6 +258,28 @@ def test_split_is_byte_identical(tmp_path):
     assert (out1 / "eval.txt").read_bytes() == (out2 / "eval.txt").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "inputs, named",
+    [
+        pytest.param(["work.txt", "b.txt", "c.txt", "d.txt"], "would overwrite input work.txt", id="overwrite-input"),
+        pytest.param(["b.txt", "./eval.txt"], "would overwrite input ./eval.txt", id="overwrite-input-by-another-name"),
+        pytest.param(["b.txt", "b.txt", "c.txt", "d.txt"], "'b.txt' is listed more than once", id="repeated-input"),
+    ],
+)
+def test_split_that_would_overwrite_or_repeat_an_input_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, inputs, named
+):
+    monkeypatch.chdir(tmp_path)
+    for name in {Path(p).name for p in inputs}:
+        Path(name).write_text("keep", encoding="utf-8")
+    before = sorted(map(str, Path().rglob("*")))
+    assert main(["split", "--out", ".", *inputs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and named in err
+    assert sorted(map(str, Path().rglob("*"))) == before
+    assert all(Path(p).read_text(encoding="utf-8") == "keep" for p in inputs)
+
+
 def test_split_without_inputs_fails(capsys):
     assert main(["split", "--seed", "1"]) == 1
 

@@ -82,6 +82,13 @@ def test_compile_rejects_a_literal_that_is_not_one_word(pattern, literal, col):
         compile(src, GOAL_LEX)
 
 
+def test_compile_rejects_the_root_as_an_output():
+    # scoring counts annotations by top-level category, and the root lies above them all
+    src = "# the root\n  RULE r PRIO 1: trigger=[PREP] => SPATIAL"
+    with pytest.raises(GrammarError, match=r"^rule r: output path SPATIAL is the root, not a category \(line 2, col 3\)$"):
+        compile(src, GOAL_LEX)
+
+
 def test_compile_rejects_missing_trigger():
     src = "RULE bad PRIO 1: site=[NOUN_SITE] => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="exactly one trigger"):

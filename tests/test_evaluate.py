@@ -190,6 +190,12 @@ def test_split_proportions_and_determinism():
         split([], seed=0)
 
 
+def test_split_rejects_a_repeated_id():
+    # else the one document could land in both the work and the eval set
+    with pytest.raises(ValueError, match="document 'a' is listed more than once"):
+        split(["a", "a", "b", "c"], 1)
+
+
 def test_split_partition_many_sizes_and_seeds():
     import math
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -173,6 +174,14 @@ def test_constructed_lexicon_rejects_a_sense_outside_the_map():
 def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
     path = _write(tmp_path, f"# header\n{lemma}\tNOUN_SITE\n")
     with pytest.raises(LexiconError, match=r"lex\.tsv:2: .*normalizes to nothing"):
+        load(path)
+
+
+@pytest.mark.parametrize("lemma, word", [("\ufeffفوق", "\ufeffفوق"), ("على-ظهر", "علي-ظهر"), ("في a.b", "a.b")])
+def test_load_rejects_a_lemma_word_that_is_not_one_word(tmp_path, lemma, word):
+    # a BOM left by an editor, or a word joined by punctuation: no token's stem can equal it
+    path = _write(tmp_path, f"# header\n{lemma}\tPREP\tTOPOLOGICAL.SUPPORT\n")
+    with pytest.raises(LexiconError, match=re.escape(f"lex.tsv:2: lemma {lemma!r} has {word!r}, which is not one word")):
         load(path)
 
 

@@ -59,17 +59,20 @@ def _tables():
     return out
 
 
-@settings(max_examples=100, deadline=None)
-@given(_OPS)
-@example([("tokenize", "سين", 0, None), ("mutate", "سين", "سان", None), ("tokenize", "سين", 0, 2)])
-@example([("annotate", "في البيت", 0, 2), ("mutate", "البيت", "المقعد", None), ("annotate", "في البيت", 0, 2)])
-@example([("annotate", "جلست على المقعد", 0, None), ("annotate", "جلست على المقعد", 1, None)])
-@example([("annotate", "جلس على المقعد", 0, None), ("annotate", "جلس على ضفة النهر", 0, None)])
-@example([("annotate", "في قلب البيت في البيت", 0, None), ("annotate", "في البيت", 0, None)])
-@example([("tokenize", "واجهته فوقي", 0, None), ("tokenize", "واجهته فوقي", 1, None), ("tokenize", "فوقي", None, None)])
-def test_long_lived_tables_equal_fresh_ones(ops):
+def _outcome(call, *args):
+    """What a call gives: its value, or the ValueError of a variant its text meets that the rule refuses."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        assert str(exc).startswith("canonical form ")
+        return ValueError, str(exc)
+
+
+def _run(ops) -> list:
+    """Each call's outcome, with the long-lived tables and with resources built afresh, required equal."""
     live = {"اللواريه": "اللوار"}  # a variant table the caller changes between calls
     tables = (SHIPPED, {"سين": "سان", "المقعد": "الكرسي"}, live)
+    outcomes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textnorm, "MEMO_LIMIT", LIMIT)
         for kind, text, which, v in ops:
@@ -82,16 +85,37 @@ def test_long_lived_tables_equal_fresh_ones(ops):
             variants = None if v is None else tables[v]
             snapshot = None if variants is None else dict(variants)
             if kind == "annotate":
-                got = annotate(text, LEXICONS[which], GRAMMARS[which], SMAP, variants)
+                got = _outcome(annotate, text, LEXICONS[which], GRAMMARS[which], SMAP, variants)
                 fresh_lex = Lexicon(list(ENTRIES[which]))
-                assert got == annotate(text, fresh_lex, compile(RULES, fresh_lex), SMAP, snapshot)
+                assert got == _outcome(annotate, text, fresh_lex, compile(RULES, fresh_lex), SMAP, snapshot)
             elif which is None:
-                assert tokenize(text, None, variants) == tokenize(text, None, snapshot)
+                got = _outcome(tokenize, text, None, variants)
+                assert got == _outcome(tokenize, text, None, snapshot)
             else:
-                assert tokenize(text, LEXICONS[which], variants) == tokenize(
-                    text, Lexicon(list(ENTRIES[which])), snapshot
-                )
+                got = _outcome(tokenize, text, LEXICONS[which], variants)
+                assert got == _outcome(tokenize, text, Lexicon(list(ENTRIES[which])), snapshot)
+            outcomes.append(got)
             assert all(len(table) <= LIMIT for table in _tables())
+    return outcomes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OPS)
+@example([("tokenize", "سين", 0, None), ("mutate", "سين", "سان", None), ("tokenize", "سين", 0, 2)])
+@example([("annotate", "في المقعد", 0, 2), ("mutate", "المقعد", "البيت", None), ("annotate", "في المقعد", 0, 2)])
+@example([("annotate", "جلست على المقعد", 0, None), ("annotate", "جلست على المقعد", 1, None)])
+@example([("annotate", "جلس على المقعد", 0, None), ("annotate", "جلس على ضفة النهر", 0, None)])
+@example([("annotate", "في قلب البيت في البيت", 0, None), ("annotate", "في البيت", 0, None)])
+@example([("tokenize", "واجهته فوقي", 0, None), ("tokenize", "واجهته فوقي", 1, None), ("tokenize", "فوقي", None, None)])
+def test_long_lived_tables_equal_fresh_ones(ops):
+    _run(ops)
+
+
+def test_a_lengthening_variant_is_refused_alike_by_long_lived_and_fresh_tables():
+    # البيت read as المقعد, one letter longer: its last two letters would map onto the one source letter ت
+    ops = [("annotate", "في البيت", 0, 2), ("mutate", "البيت", "المقعد", None), ("annotate", "في البيت", 0, 2)]
+    message = "canonical form 'المقعد' of variant 'البيت' is not one word no longer than it"
+    assert _run(ops)[1] == (ValueError, message)
 
 
 def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from makan.annotator import annotate
 from makan.engine import apply
 from makan.guards import run_guards
 from makan.textnorm import (
+    _WORD_RE,
     OffsetSpan,
     Proclitic,
     Token,
@@ -53,20 +55,25 @@ def test_normalize_preserves_ta_marbuta():
     assert normalize("طائرة")[0].endswith("ة")
 
 
+def _words(tokens):
+    return ["".join(p.text for p in t.proclitics) + t.stem for t in tokens]
+
+
 def test_transliteration_variants_fold_to_one_form(bundle):
-    variants = bundle[3]
-    a, _ = normalize("سين جيرمان", variants)
-    b, _ = normalize("سان جيرمان", variants)
-    assert a == b
+    lex, variants = bundle[1], bundle[3]
+    assert _words(tokenize("سين جيرمان", lex, variants)) == _words(tokenize("سان جيرمان", lex, variants))
+    assert tokenize("سِين جيرمان", lex, variants) == reference_tokenize("سِين جيرمان", lex, variants)
 
 
-def test_variant_replacement_keeps_offsets_total():
+def test_variant_replacement_keeps_token_spans_on_the_source_word():
+    # a shorter canonical form's last letter maps onto the variant's last letter, the rest onto its first letters
     variants = {"اللواريه": normalize("اللوار")[0]}
     text = "ضفة اللواريه هنا"
-    norm, omap = normalize(text, variants)
-    assert len(omap) == len(norm)
-    assert all(0 <= i < len(text) for i in omap)
-    assert omap == sorted(omap)
+    tokens = tokenize(text, None, variants)
+    assert tokens == reference_tokenize(text, None, variants)
+    assert [(t.span, t.surface, t.stem, t.stem_span) for t in tokens][1] == (
+        OffsetSpan(4, 12), "اللواريه", "لوار", OffsetSpan(6, 12)
+    )
 
 
 def test_variant_table_rejects_non_idempotent(tmp_path):
@@ -119,9 +126,27 @@ def test_variant_table_rejects_a_canonical_form_with_more_letters_than_its_varia
 @given(_ARABIC_SOUP)
 @example("ﻻَ x 𝒜ّ ۀ")  # characters past the table's end map to themselves
 @example("اَبّ أ سِين")  # marked words that the variant tables below replace
-def test_normalize_equals_reference_normalize(bundle, text):
-    for variants in (None, bundle[3], {"ا": "اا", "اب": "ب"}):  # the shipped table, and words that lengthen and shorten
-        assert normalize(text, variants) == reference_normalize(text, variants)
+def test_normalize_equals_reference_normalize(text):
+    assert normalize(text) == reference_normalize(text)
+
+
+_REFUSED = "canonical form {1!r} of variant {0!r} is not one word no longer than it"
+
+
+@settings(max_examples=200)
+@given(_ARABIC_SOUP)
+@example("اَبّ أ سِين")  # marked words that the variant tables below replace
+@example("اَبّ سِين")
+def test_tokenize_with_variants_equals_reference_tokenize(bundle, text):
+    # the shipped table, a word that shortens and one that would lengthen, which is refused where it is met
+    for variants in (bundle[3], {"اب": "ب", "ا": "اا"}):
+        words = _WORD_RE.findall(normalize(text)[0])
+        refused = [(w, variants[w]) for w in words if w in variants and len(variants[w]) > len(w)]
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(_REFUSED.format(*refused[0]))):
+                tokenize(text, bundle[1], variants)
+        else:
+            assert tokenize(text, bundle[1], variants) == reference_tokenize(text, bundle[1], variants)
 
 
 @settings(max_examples=200)
@@ -134,11 +159,11 @@ def test_normalize_idempotent(text):
 
 @settings(max_examples=200)
 @given(_ARABIC_SOUP)
-def test_normalize_idempotent_with_variants(bundle, text):
+def test_tokenize_idempotent_with_variants(bundle, text):
+    # a table's canonical forms are no variants, so the words of its tokens tokenize to themselves
     variants = bundle[3]
-    once, _ = normalize(text, variants)
-    twice, _ = normalize(once, variants)
-    assert once == twice
+    once = _words(tokenize(text, None, variants))
+    assert _words(tokenize(" ".join(once), None, variants)) == once
 
 
 def test_tokenize_detaches_prep_and_article(bundle):
@@ -298,13 +323,52 @@ def test_tokenize_equals_reference_tokenizer(bundle, with_lexicon, with_variants
     check()
 
 
-def test_variant_with_a_two_word_canonical_form_equals_reference_tokenizer(bundle):
-    variants = {"سانجيرمان": "سان جيرمان"}
-    # the last: a run of marks alone, with no word, before the variant's run of two words
-    for text in ("قال سانجيرمان هنا", "قال سَانْجِيرمان وسانجيرمان", "قال ـ سانجيرمان"):
-        tokens = tokenize(text, bundle[1], variants)
-        assert tokens == reference_tokenize(text, bundle[1], variants)
-        assert [t.stem for t in tokens[1:3]] == ["سان", "جيرمان"]
+@pytest.mark.parametrize(
+    "text, variants",
+    [
+        pytest.param("عاد ط", {"ط": "بالطائرة"}, id="longer-medium"),
+        pytest.param("عاد طا", {"طا": "بالطائرة"}, id="longer-article"),
+        pytest.param("قال سانجيرمان هنا", {"سانجيرمان": "سان جيرمان"}, id="two-words"),
+        pytest.param("قال سَانْجِيرمان", {"سانجيرمان": "سان-جيرمان"}, id="joined-words"),
+        pytest.param("قال ابجد هنا", {"ابجد": ""}, id="empty"),
+        pytest.param("قال ـ ابجد", {"ابجد": "ابجدِ"}, id="a-mark"),
+    ],
+)
+def test_a_variant_whose_canonical_form_is_not_one_word_with_no_more_letters_is_refused(bundle, text, variants):
+    # else its letters could not each map onto a letter of the source word: each dict above once gave an empty or
+    # misplaced span, or dropped the word
+    smap, lex, grammar, _ = bundle
+    ((variant, canonical),) = variants.items()
+    for run in (lambda: tokenize(text, lex, variants), lambda: annotate(text, lex, grammar, smap, variants=variants)):
+        with pytest.raises(ValueError, match=re.escape(_REFUSED.format(variant, canonical))):
+            run()
+    unmet = "قال هنا بالطائرة"  # a variant is checked where its word is met
+    assert tokenize(unmet, lex, variants) == reference_tokenize(unmet, lex, variants)
+
+
+_LETTERS = "ابتسلمنيوف"
+_DRAWN_WORDS = st.text(alphabet=_LETTERS, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(_DRAWN_WORDS, _DRAWN_WORDS | st.text(alphabet=_LETTERS + " -َ", max_size=5), max_size=4),
+    st.lists(_DRAWN_WORDS | st.sampled_from(["ـ", "َ", "."]), max_size=8),
+    st.data(),
+)
+def test_tokenize_with_any_variant_dict_raises_the_refusal_or_equals_reference_tokenize(bundle, variants, words, data):
+    # drawn texts hold drawn variants, bare, marked and behind proclitics
+    words += [data.draw(st.sampled_from(["", "و", "ب", "وبال"])) + v + data.draw(st.sampled_from(["", "َ"]))
+              for v in variants]
+    text = " ".join(data.draw(st.permutations(words)))
+    met = [w for w in _WORD_RE.findall(normalize(text)[0]) if w in variants]
+    refused = [(w, variants[w]) for w in met if not (_WORD_RE.fullmatch(variants[w]) and len(variants[w]) <= len(w))]
+    for lex in (None, bundle[1]):
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(_REFUSED.format(*refused[0]))):
+                tokenize(text, lex, variants)
+        else:
+            assert tokenize(text, lex, variants) == reference_tokenize(text, lex, variants)
 
 
 def test_token_and_lex_match_survive_pickle_and_deepcopy(bundle):
