@@ -12,8 +12,8 @@ import math
 import os
 import secrets
 import stat
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from . import engine, guards, semmap
@@ -25,19 +25,12 @@ class AnnotationFormatError(ValueError):
     pass
 
 
-class SpatialAnnotation(Record):
-    """One standoff annotation: an immutable record (see `textnorm.Record`)."""
+class SpatialAnnotation(
+    Record, namedtuple("SpatialAnnotation", "span category trigger site target attributes alternates rule")
+):
+    """One standoff annotation, an immutable record (see `textnorm.Record`); `span` hulls trigger, site and target."""
 
     __slots__ = ()
-    __match_args__ = ("span", "category", "trigger", "site", "target", "attributes", "alternates", "rule")
-    span = property(itemgetter(0))        # hull of the trigger, site and target spans
-    category = property(itemgetter(1))
-    trigger = property(itemgetter(2))
-    site = property(itemgetter(3))
-    target = property(itemgetter(4))
-    attributes = property(itemgetter(5))
-    alternates = property(itemgetter(6))
-    rule = property(itemgetter(7))
 
     def __new__(cls, span: OffsetSpan, category: str, trigger: OffsetSpan, site: OffsetSpan | None = None,
                 target: OffsetSpan | None = None, attributes: dict | None = None, alternates: tuple[str, ...] = (),
@@ -58,7 +51,7 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
 
     `tokenize` makes each record with 0 <= start < end, cuts and a stem start inside the word at rising offsets, and a
     stream's words in order, so each span is valid as built and skips `OffsetSpan`'s check."""
-    starts, words = tokens.starts, tokens.words  # a record: (start, end, surface, cuts, stem start, stem, key)
+    starts, words = tokens.starts, tokens.words  # each a `textnorm.Word`
     rule, _, captures, output, _, evidence, _ = match
     first, last = captures["trigger"]
     trig_ev = evidence.get("trigger")
@@ -66,20 +59,20 @@ def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAn
     site = target = None
     if trig_ev is not None and trig_ev.via_proclitic:
         # الباء medium: the proclitic is the trigger, the stem is the site.
-        _, cs, ce, _ = next(cut for cut in word[3] if cut[0] == "preposition")
-        trigger = tuple.__new__(OffsetSpan, (r0 + cs, r0 + ce))
-        site = tuple.__new__(OffsetSpan, (r0 + word[4], r0 + word[1]))
+        cut = next(cut for cut in word.cuts if cut.kind == "preposition")
+        trigger = tuple.__new__(OffsetSpan, (r0 + cut.start, r0 + cut.end))
+        site = tuple.__new__(OffsetSpan, (r0 + word.stem_start, r0 + word.end))
     else:
         # The trigger is the licensing lexeme: detached proclitics (وعن ...)
         # stay outside its span.
-        trigger = tuple.__new__(OffsetSpan, (r0 + word[4], starts[last - 1] + words[last - 1][1]))
+        trigger = tuple.__new__(OffsetSpan, (r0 + word.stem_start, starts[last - 1] + words[last - 1].end))
     lo, hi = trigger
     if "site" in captures:
         a, b = captures["site"]
-        site = tuple.__new__(OffsetSpan, (starts[a] + words[a][0], starts[b - 1] + words[b - 1][1]))
+        site = tuple.__new__(OffsetSpan, (starts[a] + words[a].start, starts[b - 1] + words[b - 1].end))
     if "target" in captures:
         a, b = captures["target"]
-        target = tuple.__new__(OffsetSpan, (starts[a] + words[a][0], starts[b - 1] + words[b - 1][1]))
+        target = tuple.__new__(OffsetSpan, (starts[a] + words[a].start, starts[b - 1] + words[b - 1].end))
     if site is not None:  # the hull, from the bounds in hand
         lo, hi = min(lo, site[0]), max(hi, site[1])
     if target is not None:

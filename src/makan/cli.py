@@ -137,12 +137,16 @@ def cmd_split(args) -> int:
     if not args.inputs:
         print("no input documents to split", file=sys.stderr)
         return EXIT_USAGE
+    out_dir, inputs = Path(args.out), {}
+    for p in args.inputs:
+        if (first := inputs.setdefault(Path(p).resolve(), p)) != p:  # `evaluate.split` refuses a name given twice
+            print(f"cannot split: {first!r} and {p!r} name one file", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         work, evalset = evaluate.split(args.inputs, args.seed)
     except ValueError as exc:  # a repeated input
         print(f"cannot split: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_dir, inputs = Path(args.out), {Path(p).resolve(): p for p in args.inputs}
     clash = [(m, inputs[m.resolve()]) for m in (out_dir / "work.txt", out_dir / "eval.txt") if m.resolve() in inputs]
     if clash:
         print("output {} would overwrite input {}".format(*clash[0]), file=sys.stderr)

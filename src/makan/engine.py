@@ -28,6 +28,7 @@ winner found: winners are unchanged.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
@@ -78,18 +79,12 @@ class Rule:
     decl: int                    # declaration index, tie-break after priority
 
 
-class RawMatch(Record):
-    """A rule's winning alignment at a token, before its guards run: an immutable record (see `textnorm.Record`)."""
+class RawMatch(Record, namedtuple("RawMatch", "rule span captures output guards evidence following")):
+    """A rule's winning alignment at a token, before its guards run: an immutable record (see `textnorm.Record`).
+    `span` and each capture are token index ranges, end exclusive; `evidence` maps a capture to the lexicon match its
+    atom took, or None; `following` holds the lookups of the token after the trigger, if any."""
 
     __slots__ = ()
-    __match_args__ = ("rule", "span", "captures", "output", "guards", "evidence", "following")
-    rule = property(itemgetter(0))
-    span = property(itemgetter(1))            # token index range, end exclusive
-    captures = property(itemgetter(2))        # capture name -> token index range
-    output = property(itemgetter(3))
-    guards = property(itemgetter(4))          # the rule's guards, run before emission
-    evidence = property(itemgetter(5))        # capture name -> the lexicon match its atom took, or None
-    following = property(itemgetter(6))       # lookups of the token after the trigger, if any
 
     def __new__(cls, rule: str, span: tuple[int, int], captures: dict[str, tuple[int, int]], output: str,
                 guards: tuple[str, ...], evidence: dict[str, LexMatch | None] | None = None,

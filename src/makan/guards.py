@@ -64,8 +64,7 @@ def guard_plural_site(tokens, match) -> bool:
     site = match.evidence.get("site")
     if site is not None and site.suffixed:
         return False
-    # a word record's cuts are (kind, start, end, text): see `textnorm._normalized_word`
-    return not any(cut[0] == "coordination" for word in tokens.words[span[1] : span[1] + 2] for cut in word[3])
+    return not any(cut.kind == "coordination" for word in tokens.words[span[1] : span[1] + 2] for cut in word.cuts)
 
 
 def guard_dual_sense(tokens, match) -> list[str]:

@@ -106,6 +106,12 @@ def _check_attributes(attributes, where: str) -> None:
             )
 
 
+def _word_problem(words) -> str | None:
+    """Why a word of `words` is not one `_WORD_RE` word, which no token's stem could equal; None if each is one."""
+    bad = next((word for word in words if not _WORD_RE.fullmatch(word)), None)
+    return None if bad is None else f"{bad!r}, which is not one word" if bad else "a word that normalizes to nothing"
+
+
 def _suffixed_variants(word: str) -> list[str]:
     # Ta marbuta surfaces as ت before a suffix: واجهة + ه -> واجهته.
     base = word[:-1] + "ت" if word.endswith("ة") else word
@@ -130,6 +136,8 @@ class Lexicon:
             if (e.lemma, e.cls) in seen:
                 raise LexiconError(f"duplicate entry ({e.lemma}, {e.cls.value})")
             seen.add((e.lemma, e.cls))
+            if problem := _word_problem(e.words):
+                raise LexiconError(f"entry {e.lemma}: its words have {problem}")
             if e.cls in (LexClass.PREP, LexClass.PREP_LOCUTION) and not e.senses:
                 raise LexiconError(f"entry {e.lemma}: {e.cls.value} requires at least one sense")
             for sense in e.senses:
@@ -210,10 +218,8 @@ def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
     senses = frozenset(s.strip() for s in raw_senses.split(";") if s.strip())
     flags = frozenset(f.strip() for f in raw_flags.split(",") if f.strip())
     words = tuple(normalize(w)[0] for w in raw_lemma.split(" ") if w)
-    for word in words:
-        if not _WORD_RE.fullmatch(word):  # else no token's stem can equal it
-            problem = f"{word!r}, which is not one word" if word else "a word that normalizes to nothing"
-            raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has {problem}")
+    if problem := _word_problem(words):
+        raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has {problem}")
     try:  # a JSON object loads as its (name, value) pairs
         attributes = json.loads(raw_attributes, object_pairs_hook=tuple) if raw_attributes else ()
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -223,9 +229,9 @@ def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
 
 
 def read_resource(path) -> str:
-    """A resource file's UTF-8 text; LexiconError naming the file when it is missing or undecodable."""
+    """A resource file's UTF-8 text, less any leading byte-order mark; LexiconError naming the file if unreadable."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except FileNotFoundError:
         raise LexiconError(f"resource file not found: {path}") from None

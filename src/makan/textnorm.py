@@ -7,9 +7,10 @@ annotations stay valid regardless of how the text is later re-encoded.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
 # Diacritics (تشكيل: tanween, harakat, shadda, sukun, combining hamza/madda,
 # dagger alef) and tatweel (تطويل) are dropped before matching.
@@ -43,11 +44,10 @@ MEMO_LIMIT = 1 << 15
 
 
 class Record(tuple):
-    """Base of the immutable tuple-backed records: a subclass names its fields in `__match_args__`, in tuple
-    order, reads each through `property(itemgetter(i))` and builds itself in `__new__`.
+    """Base of the immutable tuple-backed records; each also derives from a `collections.namedtuple` of its fields.
 
     A record equals only a record of its own type, so it never equals its plain tuple. It is unhashable unless
-    a subclass restores `tuple.__hash__`, and it pickles and deep-copies through `__new__`.
+    a subclass restores `tuple.__hash__`.
     """
 
     __slots__ = ()
@@ -58,29 +58,24 @@ class Record(tuple):
     def __ne__(self, other):
         return not self.__eq__(other)
 
-    def __getnewargs__(self):
-        return tuple(self)
 
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self.__match_args__, self))})"
-
-
-class OffsetSpan(Record):
+class OffsetSpan(Record, namedtuple("OffsetSpan", "start end")):
     """Half-open [start, end) span of Unicode scalar indices into the original text.
 
     An immutable pair of `int`s (a bool is refused), equal only to an `OffsetSpan`.
     """
 
     __slots__ = ()
-    __match_args__ = ("start", "end")
     __hash__ = tuple.__hash__  # a `Record` is unhashable; a span holds only ints
-    start = property(itemgetter(0))
-    end = property(itemgetter(1))
 
     def __new__(cls, start: int, end: int):
         if type(start) is not int or type(end) is not int or start < 0 or end <= start:
             raise ValueError(f"invalid span [{start}, {end})")
         return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable):  # through the check, and so `_replace` too
+        return cls(*iterable)
 
     def slice(self, text: str) -> str:
         return text[self.start : self.end]
@@ -105,7 +100,13 @@ class Token:
     stem: str                 # normalized residue
 
 
-def _token(r0: int, word: tuple) -> Token:
+# A surface run's word record, its offsets into the run: the stem runs from `stem_start` to `end`, `key` is the
+# word's type (see `_type_key`) and each proclitic cut is a `Cut`.
+Word = namedtuple("Word", "start end surface cuts stem_start stem key")
+Cut = namedtuple("Cut", "kind start end text")
+
+
+def _token(r0: int, word: Word) -> Token:
     """The token of a word record (see `_normalized_word`) in the surface run at `r0`."""
     ws, we, surface, cuts, stem_start, stem, _ = word
     span = OffsetSpan(r0 + ws, r0 + we)
@@ -116,7 +117,7 @@ def _token(r0: int, word: tuple) -> Token:
 class TokenStream(Sequence):
     """`tokenize`'s immutable sequence of `Token`s as columns; it equals any sequence of equal `Token`s.
 
-    `starts[i]` is the offset of token i's surface run and `words[i]` its word record, shared by every token of
+    `starts[i]` is the offset of token i's surface run and `words[i]` its `Word`, shared by every token of
     that run; `stems` and `keys`, each token's word type (see `_type_key`), are read off the records. An index
     builds a `Token`, a slice a list.
     """
@@ -124,7 +125,7 @@ class TokenStream(Sequence):
     __slots__ = ("starts", "words", "stems", "keys")
 
     def __init__(self, starts, words):
-        stems, keys = list(map(itemgetter(5), words)), list(map(itemgetter(6), words))
+        stems, keys = list(map(attrgetter("stem"), words)), list(map(attrgetter("key"), words))
         for name, column in zip(self.__slots__, (starts, words, stems, keys)):
             object.__setattr__(self, name, tuple(column))
 
@@ -166,9 +167,9 @@ def token_stream(tokens) -> TokenStream:
     """
     if type(tokens) is TokenStream:
         return tokens
-    cuts = [tuple([(p.kind, *p.span, p.text) for p in t.proclitics]) for t in tokens]
+    cuts = [tuple([Cut(p.kind, *p.span, p.text) for p in t.proclitics]) for t in tokens]
     words = [
-        (t.span.start, t.span.end, t.surface, c, t.stem_span.start, t.stem, _type_key(t.stem, c))
+        Word(t.span.start, t.span.end, t.surface, c, t.stem_span.start, t.stem, _type_key(t.stem, c))
         for t, c in zip(tokens, cuts)
     ]
     return TokenStream([0] * len(words), words)
@@ -191,11 +192,12 @@ def load_variant_table(path) -> dict[str, str]:
     Both columns are normalized on load, may not normalize to nothing and
     are each one word (one `_WORD_RE` match); a canonical form may have no
     more letters than its variant and may not itself be listed as a variant
-    (the table must be idempotent). Every failure, a missing or undecodable
-    file included, is a ValueError naming the file.
+    (the table must be idempotent). A leading byte-order mark is dropped.
+    Every failure, a missing or undecodable file included, is a ValueError
+    naming the file.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read variant table {path}: {exc}") from None
@@ -295,9 +297,9 @@ def remember(table: dict, key, value):
 
 def _normalized_word(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
     """(word, record) of a surface run through `normalize`'s offset map: `word` is the one word the run normalizes
-    to, as the split table keeps it so that equal words share one string, and its record is (start, end, surface,
-    cuts, stem start, stem, type key) in offsets into the run; ("", None) for a run of marks alone. A word in
-    `variants` is replaced by its canonical form, whose last letter maps onto the word's last letter."""
+    to, as the split table keeps it so that equal words share one string, and its record a `Word`; ("", None) for
+    a run of marks alone. A word in `variants` is replaced by its canonical form, whose last letter maps onto the
+    word's last letter."""
     word, omap = normalize(run)
     if not word:
         return word, None
@@ -314,5 +316,5 @@ def _normalized_word(run: str, lexicon, variants, splits: dict[str, tuple]) -> t
         split = remember(splits, word, (word, cuts, stem_start, stem, _type_key(stem, cuts)))
     word, cuts, stem_start, stem, key = split
     ws, we = omap[0], omap[-1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
-    cuts = tuple((kind, omap[cs], omap[ce], ctext) for kind, cs, ce, ctext in cuts)
-    return word, (ws, we, run[ws:we], cuts, omap[stem_start], stem, key)
+    cuts = tuple([Cut(kind, omap[cs], omap[ce], ctext) for kind, cs, ce, ctext in cuts])
+    return word, Word(ws, we, run[ws:we], cuts, omap[stem_start], stem, key)

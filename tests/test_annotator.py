@@ -322,6 +322,9 @@ def test_match_and_annotation_records_are_immutable_and_equal_only_their_own_typ
     assert record == cls(**dict(zip(cls.__match_args__, values)))
     assert record != tuple(record) and tuple(record) != record and not record == tuple(record)
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(cls.__match_args__, values))})"
+    moved = record._replace(rule="other")
+    assert type(moved) is cls and moved == cls(**dict(zip(cls.__match_args__, values), rule="other")) != record
+    assert repr(moved).startswith(f"{cls.__name__}(")
     for name in cls.__match_args__:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))

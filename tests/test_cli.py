@@ -168,6 +168,18 @@ def test_check_shipped_resources_clean(capsys):
     assert "ok:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "option, shipped", [("--lexicon", seed_lexicon_path), ("--rules", rule_pack_path), ("--variants", variants_path)]
+)
+def test_check_loads_a_resource_saved_with_a_leading_byte_order_mark(tmp_path, capsys, option, shipped):
+    assert main(["check"]) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "resource"
+    path.write_text("\ufeff# saved with a byte-order mark\n" + shipped().read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["check", option, str(path)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_check_reports_bogus_sense(tmp_path, capsys):
     bad = tmp_path / "lex.tsv"
     bad.write_text("على\tPREP\tTOPOLOGICAL.BOGUS\n", encoding="utf-8")
@@ -264,6 +276,9 @@ def test_split_is_byte_identical(tmp_path):
         pytest.param(["work.txt", "b.txt", "c.txt", "d.txt"], "would overwrite input work.txt", id="overwrite-input"),
         pytest.param(["b.txt", "./eval.txt"], "would overwrite input ./eval.txt", id="overwrite-input-by-another-name"),
         pytest.param(["b.txt", "b.txt", "c.txt", "d.txt"], "'b.txt' is listed more than once", id="repeated-input"),
+        pytest.param(
+            ["b.txt", "./b.txt", "c.txt", "d.txt"], "'b.txt' and './b.txt' name one file", id="input-repeated-by-another-name"
+        ),
     ],
 )
 def test_split_that_would_overwrite_or_repeat_an_input_exits_two_and_writes_nothing(

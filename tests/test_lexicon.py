@@ -170,6 +170,15 @@ def test_constructed_lexicon_rejects_a_sense_outside_the_map():
         Lexicon([entry])
 
 
+def test_constructed_lexicon_rejects_a_word_that_is_not_one_word():
+    from makan.lexicon import LexEntry
+
+    for word in ("علي-ظهر", "\ufeffفوق"):  # no token's stem can equal either
+        entry = LexEntry(word, (word,), LexClass.PREP, frozenset({"TOPOLOGICAL.SUPPORT"}), frozenset())
+        with pytest.raises(LexiconError, match=re.escape(f"entry {word}: its words have {word!r}, which is not one")):
+            Lexicon([entry])
+
+
 @pytest.mark.parametrize("lemma", ["َّ", "ــ", "في َ"], ids=["diacritics", "tatweel", "empty-word"])
 def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
     path = _write(tmp_path, f"# header\n{lemma}\tNOUN_SITE\n")

@@ -260,8 +260,13 @@ def test_offset_span_rejects_empty():
     "start,end", [(-1, 2), (4, 2), (True, 2), (0, True), (False, True), (0.5, 2.0), (0, 2.0), ("a", 2), (0, "b")]
 )
 def test_offset_span_rejects_a_negative_start_or_a_reversed_span(start, end):
-    with pytest.raises(ValueError, match=re.escape(f"invalid span [{start}, {end})")):
+    message = re.escape(f"invalid span [{start}, {end})")
+    with pytest.raises(ValueError, match=message):
         OffsetSpan(start, end)
+    with pytest.raises(ValueError, match=message):  # `_make`, and so `_replace`, check as the constructor does
+        OffsetSpan._make((start, end))
+    with pytest.raises(ValueError, match=message):
+        OffsetSpan(0, 5)._replace(start=start, end=end)
 
 
 def _records():
@@ -287,6 +292,13 @@ def test_records_equal_and_hash_only_as_their_own_type():
     assert twin == proclitic and hash(twin) == hash(proclitic)
     assert OffsetSpan(0, 3) == span and hash(OffsetSpan(0, 3)) == hash(span)
     assert len({span, OffsetSpan(0, 3), (0, 3)}) == 2
+    moved = span._replace(start=1)
+    assert type(moved) is OffsetSpan and moved == OffsetSpan(1, 3) and repr(moved) == "OffsetSpan(start=1, end=3)"
+    for build in (lambda: OffsetSpan(0, 2)._replace(start=3), lambda: OffsetSpan._make((3, 2))):
+        with pytest.raises(ValueError, match=re.escape("invalid span [3, 2)")):
+            build()
+    with pytest.raises(ValueError, match=re.escape("invalid span [True, 2)")):
+        OffsetSpan._make((True, 2))
     assert repr(proclitic) == "Proclitic(span=OffsetSpan(start=0, end=1), kind='coordination', text='و')"
 
 
