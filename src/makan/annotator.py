@@ -106,7 +106,7 @@ def annotate(
         if vetoed:
             continue
         annotations.append(_convert(match, tokens, alternates))
-    return AnnotatedDocument(doc_id=doc_id, text=text, annotations=tuple(annotations))
+    return AnnotatedDocument(doc_id, text, tuple(annotations))
 
 
 # ---------------------------------------------------------------------------

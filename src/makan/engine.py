@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, pairwise
 from operator import itemgetter
 
 from . import semmap
@@ -42,6 +42,7 @@ CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
 MAX_GAP = 5
 _GAPS = {n: tuple((k, None) for k in range(n, -1, -1)) for n in range(1, MAX_GAP + 1)}  # a gap's options
+_CANDIDATES = itemgetter(1)  # a type record's candidate rules: see `apply`
 
 
 class GrammarError(ValueError):
@@ -392,15 +393,17 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
     tokens with candidates are visited."""
     if type(tokens) is not TokenStream:
         raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
-    lexicon, stems, keys, n = grammar.lexicon, tokens.stems, tokens.keys, len(tokens)
-    if lexicon.locution_pairs:
+    lexicon, stems, keys = grammar.lexicon, tokens.stems, tokens.keys
+    n = len(stems)
+    heads = [*compress(count(), map(lexicon.locution_pairs.__contains__, pairwise(stems)))]  # where a locution starts
+    if heads:
         keys, longest = list(keys), lexicon.longest
-        for i in compress(range(n), map(lexicon.locution_pairs.__contains__, zip(stems, stems[1:]))):
+        for i in heads:
             keys[i] = (keys[i], stems[i + 1 : i + longest])
     seen = dict(zip(keys, range(n)))  # each distinct key at a token it is on
-    types, first, ordered, steps = grammar._types, grammar.first, grammar.ordered, grammar.steps
+    types, first, ordered, steps, lookup = grammar._types, grammar.first, grammar.ordered, grammar.steps, lexicon.lookup
     for key, i in seen.items():
-        found = lexicon.lookup(tokens, i)
+        found = lookup(tokens, i)
         rec = types.get(key)
         if rec is None:
             stem = stems[i]
@@ -417,7 +420,7 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
     recs = [*map(seen.get, keys), grammar._end]
     out: list[RawMatch] = []
     resume = 0
-    for i in compress(range(n), map(itemgetter(1), recs)):
+    for i in compress(range(n), map(_CANDIDATES, recs)):
         if i < resume:
             continue
         winner, total = None, 0

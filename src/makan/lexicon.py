@@ -136,12 +136,14 @@ class Lexicon:
             if (e.lemma, e.cls) in seen:
                 raise LexiconError(f"duplicate entry ({e.lemma}, {e.cls.value})")
             seen.add((e.lemma, e.cls))
+            if type(e.words) is not tuple or not e.words:  # else a str is read as its letters, () as a pair key
+                raise LexiconError(f"entry {e.lemma}: its words must be a non-empty tuple, not {e.words!r}")
             if problem := _word_problem(e.words):
                 raise LexiconError(f"entry {e.lemma}: its words have {problem}")
             if e.cls in (LexClass.PREP, LexClass.PREP_LOCUTION) and not e.senses:
                 raise LexiconError(f"entry {e.lemma}: {e.cls.value} requires at least one sense")
             for sense in e.senses:
-                if semmap.resolve(semmap.default_map(), sense) is None:
+                if sense not in semmap.BELOW:  # the paths a rule's SENSE test accepts (`engine._parse_test`)
                     raise LexiconError(f"entry {e.lemma}: unresolved sense path {sense}")
             for flag in e.flags:
                 if flag not in FLAGS:
@@ -187,9 +189,10 @@ class Lexicon:
         """
         if type(tokens) is not TokenStream:
             raise TypeError(f"lookup takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
-        if not 0 <= i < len(tokens):
+        stems = tokens.stems
+        if not 0 <= i < len(stems):
             raise IndexError(f"token index {i} out of range")
-        stems, stem, key = tokens.stems, tokens.stems[i], tokens.keys[i]
+        stem, key = stems[i], tokens.keys[i]
         forms = self._by_pair.get(stems[i : i + 2], ())  # without any, the matches are the word type's alone
         found = None if forms else self._lookups.get(key)
         if found is None:

@@ -10,7 +10,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 # Diacritics (تشكيل: tanween, harakat, shadda, sukun, combining hamza/madda,
 # dagger alef) and tatweel (تطويل) are dropped before matching.
@@ -124,10 +124,11 @@ class TokenStream(Sequence):
 
     __slots__ = ("starts", "words", "stems", "keys")
 
-    def __init__(self, starts, words):
-        stems, keys = list(map(attrgetter("stem"), words)), list(map(attrgetter("key"), words))
-        for name, column in zip(self.__slots__, (starts, words, stems, keys)):
-            object.__setattr__(self, name, tuple(column))
+    def __init__(self, starts, words):  # each column a tuple of a list: `tuple(map(...))` holds more memory
+        _set_starts(self, tuple(starts))
+        _set_words(self, tuple(words))
+        _set_stems(self, tuple(list(map(_STEM, words))))
+        _set_keys(self, tuple(list(map(_KEY, words))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -153,6 +154,11 @@ class TokenStream(Sequence):
 
     def __repr__(self):
         return f"TokenStream({list(self)!r})"
+
+
+# `TokenStream`'s slot setters, which its own `__setattr__` refuses, and the `Word` fields it reads
+_set_starts, _set_words, _set_stems, _set_keys = (getattr(TokenStream, name).__set__ for name in TokenStream.__slots__)
+_STEM, _KEY = itemgetter(Word._fields.index("stem")), itemgetter(Word._fields.index("key"))
 
 
 def _type_key(stem: str, cuts):
@@ -267,9 +273,12 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     right; unsegmentable words become single-stem tokens. Each surface run
     and each word is worked out once and kept in the lexicon's memo tables
     (`Lexicon.tokenize_memos`; without a lexicon, fresh tables each call); a
-    run whose word is in `variants` is worked out on each call, since the
-    caller may change that table between calls. A run meeting a variant whose canonical form is not one word
-    with no more letters, as a table file (`load_variant_table`) requires, raises ValueError.
+    run whose word is in `variants` is kept in the run table under (run,
+    canonical form), all that its record depends on, so a caller who changes
+    that table between calls gets the answer for the table as it stands. A
+    run meeting a variant whose canonical form is not one word with no more
+    letters, as a table file (`load_variant_table`) requires, raises
+    ValueError before anything is stored, so on every call that meets it.
     """
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
     starts, words = [], []
@@ -280,7 +289,11 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
             record = remember(runs, run, _normalized_word(run, lexicon, None, splits))
         word, w = record
         if variants and word in variants:
-            w = _normalized_word(run, lexicon, variants, splits)[1]
+            canonical = variants[word]
+            record = runs.get((run, canonical))
+            if record is None:
+                record = remember(runs, (run, canonical), _normalized_word(run, lexicon, canonical, splits))
+            w = record[1]
         if w is not None:
             starts.append(rmatch.start())
             words.append(w)
@@ -295,15 +308,14 @@ def remember(table: dict, key, value):
     return value
 
 
-def _normalized_word(run: str, lexicon, variants, splits: dict[str, tuple]) -> tuple:
+def _normalized_word(run: str, lexicon, canonical: str | None, splits: dict[str, tuple]) -> tuple:
     """(word, record) of a surface run through `normalize`'s offset map: `word` is the one word the run normalizes
     to, as the split table keeps it so that equal words share one string, and its record a `Word`; ("", None) for
-    a run of marks alone. A word in `variants` is replaced by its canonical form, whose last letter maps onto the
-    word's last letter."""
+    a run of marks alone. Given a `canonical` form, the run's word, a variant, is replaced by it, its last letter
+    mapped onto the word's last letter."""
     word, omap = normalize(run)
     if not word:
         return word, None
-    canonical = variants.get(word) if variants else None
     if canonical is not None:
         if not (_WORD_RE.fullmatch(canonical) and len(canonical) <= len(word)):  # else two letters share one
             raise ValueError(f"canonical form {canonical!r} of variant {word!r} is not one word no longer than it")

@@ -93,6 +93,11 @@ def test_lookup_index_bounds(bundle):
     tokens = tokenize("على", lex)
     with pytest.raises(IndexError):
         lex.lookup(tokens, 5)
+    for i in (-1, len(tokens)):  # no index from the end either
+        with pytest.raises(IndexError, match=f"token index {i} out of range"):
+            lex.lookup(tokens, i)
+    with pytest.raises(TypeError, match="lookup takes a TokenStream, not list"):
+        lex.lookup(list(tokens), 0)
 
 
 def test_lookup_pronoun_suffixed_form(bundle):
@@ -176,6 +181,16 @@ def test_constructed_lexicon_rejects_a_word_that_is_not_one_word():
     for word in ("علي-ظهر", "\ufeffفوق"):  # no token's stem can equal either
         entry = LexEntry(word, (word,), LexClass.PREP, frozenset({"TOPOLOGICAL.SUPPORT"}), frozenset())
         with pytest.raises(LexiconError, match=re.escape(f"entry {word}: its words have {word!r}, which is not one")):
+            Lexicon([entry])
+
+
+def test_constructed_lexicon_rejects_words_that_are_not_a_non_empty_tuple():
+    from makan.lexicon import LexEntry
+
+    # () would be indexed under the pair key (), and a str read as its letters: the locution ف و ق
+    for words in ((), "فوق", ["فوق"]):
+        entry = LexEntry("فوق", words, LexClass.PREP, frozenset({"PROJECTIVE.ORIENTATIONAL.VERTICAL"}), frozenset())
+        with pytest.raises(LexiconError, match=re.escape(f"entry فوق: its words must be a non-empty tuple, not {words!r}")):
             Lexicon([entry])
 
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from makan import textnorm
 from makan.annotator import annotate
 from makan.engine import apply
 from makan.guards import run_guards
+from makan.lexicon import Lexicon
 from makan.textnorm import (
     _WORD_RE,
     OffsetSpan,
@@ -74,6 +76,35 @@ def test_variant_replacement_keeps_token_spans_on_the_source_word():
     assert [(t.span, t.surface, t.stem, t.stem_span) for t in tokens][1] == (
         OffsetSpan(4, 12), "اللواريه", "لوار", OffsetSpan(6, 12)
     )
+
+
+def test_a_variant_run_is_worked_out_once_for_each_canonical_form(bundle, monkeypatch):
+    lex = Lexicon(list(bundle[1].entries))
+    variants = {"اللواريه": normalize("اللوار")[0]}
+    text = "ضفة اللواريه هنا"
+    worked_out = []
+    real = textnorm._normalized_word
+    monkeypatch.setattr(textnorm, "_normalized_word", lambda run, *rest: worked_out.append(run) or real(run, *rest))
+    first = tokenize(text, lex, variants)
+    worked_out.clear()
+    assert tokenize(text, lex, variants) == first and worked_out == []
+    variants["اللواريه"] = normalize("لوار")[0]  # the caller changes the canonical form between calls
+    changed = tokenize(text, lex, variants)
+    assert changed == reference_tokenize(text, lex, variants) and changed != first
+    assert worked_out == ["اللواريه"]
+    variants["اللواريه"] = normalize("اللوار")[0]  # and back: the first form's record is still kept
+    assert tokenize(text, lex, variants) == first and worked_out == ["اللواريه"]
+
+
+def test_a_refused_variant_raises_on_every_call_and_is_not_kept(bundle):
+    lex = Lexicon(list(bundle[1].entries))
+    variants = {"البيت": "المقعد"}  # one letter longer than its variant
+    for _ in range(3):
+        with pytest.raises(ValueError, match=re.escape(_REFUSED.format("البيت", "المقعد"))):
+            tokenize("في البيت", lex, variants)
+    assert ("البيت", "المقعد") not in lex.tokenize_memos[0]
+    variants["البيت"] = "بيت"
+    assert tokenize("في البيت", lex, variants) == reference_tokenize("في البيت", lex, variants)
 
 
 def test_variant_table_rejects_non_idempotent(tmp_path):
@@ -426,6 +457,14 @@ def test_token_stream_equals_a_sequence_of_equal_tokens_either_way(bundle):
     assert tokens != "على" and tokenize("", bundle[1]) != "" and tokens != [(t.span, t.stem) for t in as_list]
     assert tokenize("", bundle[1]) == []
     assert token_stream(as_list) == tokens and token_stream(tokens) is tokens
+
+
+def test_token_stream_columns_are_tuples(bundle):
+    tokens = tokenize("وعن بيت اللواريه بالطائرة", bundle[1], bundle[3])
+    for stream in (tokens, TokenStream(list(tokens.starts), list(tokens.words)), token_stream(list(tokens))):
+        assert [type(getattr(stream, name)) for name in TokenStream.__slots__] == [tuple] * 4
+        assert stream.stems == tuple(word.stem for word in stream.words)
+        assert stream.keys == tuple(word.key for word in stream.words)
 
 
 def test_token_stream_is_immutable_and_unhashable(bundle):
