@@ -12,13 +12,12 @@ from .engine import CompiledGrammar, GrammarError, RawMatch, apply, compile
 from .evaluate import EvalReport, MatchMode, error_report, f_measure, score, split
 from .lexicon import LexClass, LexEntry, Lexicon, LexiconError, load, seed_lexicon
 from .rulepack import load_default_resources, rule_pack
-from .semmap import CategoryNode, SpatialityMap, default_map, resolve, subsumes, top_level
+from .semmap import default_map, resolve, subsumes, top_level
 from .textnorm import OffsetSpan, Token, load_variant_table, normalize, tokenize
 
 __all__ = [
     "AnnotatedDocument",
     "AnnotationFormatError",
-    "CategoryNode",
     "CompiledGrammar",
     "EvalReport",
     "GrammarError",
@@ -30,7 +29,6 @@ __all__ = [
     "OffsetSpan",
     "RawMatch",
     "SpatialAnnotation",
-    "SpatialityMap",
     "Token",
     "annotate",
     "apply",

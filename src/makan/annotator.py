@@ -13,6 +13,7 @@ import os
 import secrets
 import stat
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +87,7 @@ def annotate(
     text: str,
     lexicon: Lexicon,
     grammar: engine.CompiledGrammar,
-    smap: semmap.SpatialityMap,
+    smap: Mapping[str, str | None],
     variants: dict[str, str] | None = None,
     doc_id: str = "",
 ) -> AnnotatedDocument:
@@ -265,7 +266,7 @@ def read_annotations(source) -> AnnotatedDocument:
     if not isinstance(raw_anns, list):
         raise AnnotationFormatError(f"{name}: annotations must be a list")
     n, anns = len(text), []
-    categories = semmap.default_map().nodes
+    categories = semmap.default_map()
     for idx, raw in enumerate(raw_anns):
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{name}: annotation {idx}: must be an object")

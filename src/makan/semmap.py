@@ -1,13 +1,16 @@
 """Semantic map of the spatiality domain: a rooted tree of concept classes.
 
 Category ids are stable dot-separated path strings ("TOPOLOGICAL.SUPPORT")
-used verbatim in lexicon files, rule files and annotation files.
+used verbatim in lexicon files, rule files and annotation files. The map is
+plain data: `PARENT`, a read-only mapping from each path to its parent path
+(None at `ROOT`). `path in smap` resolves a path and `smap[path]` reads its
+parent; the functions below take the map as their first argument.
 """
 
 from __future__ import annotations
 
 import types
-from dataclasses import dataclass
+from collections.abc import Mapping
 
 ROOT = "SPATIAL"
 
@@ -38,62 +41,43 @@ _TREE: tuple[tuple[str, str | None], ...] = (
 
 TOP_LEVEL = ("TOPOLOGICAL", "PROJECTIVE", "DIRECTIONAL")
 
-
-@dataclass(frozen=True)
-class CategoryNode:
-    id: str
-    label: str
-    parent: str | None
+# path -> parent path, None at the root: the whole map, read-only so it may be shared
+PARENT = types.MappingProxyType(dict(_TREE))
 
 
-class SpatialityMap:
-    def __init__(self, nodes: dict[str, CategoryNode]):
-        self.nodes = types.MappingProxyType(dict(nodes))  # read-only, so the map may be shared
-
-    def __contains__(self, path: str) -> bool:
-        return path in self.nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-_MAP = SpatialityMap({path: CategoryNode(path, path.rsplit(".", 1)[-1], parent) for path, parent in _TREE})
-
-
-def default_map() -> SpatialityMap:
+def default_map() -> types.MappingProxyType[str, str | None]:
     """The fixed spatiality tree: topological / projective / directional; one shared, read-only map."""
-    return _MAP
+    return PARENT
 
 
-def resolve(smap: SpatialityMap, path: str) -> CategoryNode | None:
-    """Exact path match; None when the path is not in the map."""
-    return smap.nodes.get(path)
+def resolve(smap: Mapping[str, str | None], path: str) -> str | None:
+    """Exact path match: the path itself, or None when it is not in the map."""
+    return path if path in smap else None
 
 
-def subsumes(smap: SpatialityMap, ancestor: str, descendant: str) -> bool:
+def subsumes(smap: Mapping[str, str | None], ancestor: str, descendant: str) -> bool:
     """True iff `ancestor` lies on `descendant`'s parent chain (reflexive)."""
     for path in (ancestor, descendant):
-        if path not in smap.nodes:
+        if path not in smap:
             raise ValueError(f"unknown category path: {path}")
     cur: str | None = descendant
     while cur is not None:
         if cur == ancestor:
             return True
-        cur = smap.nodes[cur].parent
+        cur = smap[cur]
     return False
 
 
-def top_level(smap: SpatialityMap, path: str) -> str:
+def top_level(smap: Mapping[str, str | None], path: str) -> str:
     """Project a category onto its top-level ancestor (TOPOLOGICAL/PROJECTIVE/DIRECTIONAL)."""
-    if path not in smap.nodes:
+    if path not in smap:
         raise ValueError(f"unknown category path: {path}")
-    cur = smap.nodes[path]
-    while cur.parent is not None and cur.parent != ROOT:
-        cur = smap.nodes[cur.parent]
-    if cur.id == ROOT:
+    while (parent := smap[path]) is not None and parent != ROOT:
+        path = parent
+    if path == ROOT:
         raise ValueError("the root has no top-level category")
-    return cur.id
+    return path
 
 
 # path of the one map -> the path and all its descendants: what a rule's SENSE test of the path accepts
-BELOW = types.MappingProxyType({a: frozenset(d for d in _MAP.nodes if subsumes(_MAP, a, d)) for a in _MAP.nodes})
+BELOW = types.MappingProxyType({a: frozenset(d for d in PARENT if subsumes(PARENT, a, d)) for a in PARENT})

@@ -119,7 +119,7 @@ def test_property_suites(bundle, suite_gold, suite_system, run):
     # semantic-map partial order, exhaustive over all node pairs
     from makan.semmap import subsumes
 
-    nodes = sorted(smap.nodes)
+    nodes = sorted(smap)
     for a, b in itertools.product(nodes, nodes):
         if subsumes(smap, a, b) and subsumes(smap, b, a):
             assert a == b

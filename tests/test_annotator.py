@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from makan import annotate, guards, read_annotations, write_annotations
 from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation, document_to_json
-from makan.engine import RawMatch, apply
+from makan.engine import RawMatch, apply, compile
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
 from makan.semmap import ROOT, TOP_LEVEL, default_map, top_level
@@ -33,6 +33,19 @@ def test_support_example(run):
     assert ann.trigger.slice(doc.text) == "على"
     assert ann.site.slice(doc.text) == "المقعد"
     assert ann.span.slice(doc.text) == "على المقعد"
+
+
+def test_a_target_capture_is_reported_and_widens_the_span(bundle):
+    # no shipped rule captures a target; this one takes the noun before the trigger
+    smap, lex, _, variants = bundle
+    grammar = compile(
+        "RULE t PRIO 50: target=[NOUN_TARGET] trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT",
+        lex,
+    )
+    doc = annotate("وضعت الكتاب على المقعد.", lex, grammar, smap, variants)
+    assert [(a.span, a.trigger, a.site, a.target) for a in doc.annotations] == [
+        (OffsetSpan(5, 22), OffsetSpan(12, 15), OffsetSpan(16, 22), OffsetSpan(5, 11))
+    ]
 
 
 def test_empty_text_yields_empty_document(run):
@@ -148,7 +161,7 @@ def test_document_json_equals_json_dumps_byte_for_byte(doc):
     assert document_to_json(doc) == reference_document_json(doc)
 
 
-_PATHS = sorted(default_map().nodes.keys() - {ROOT})  # the root is no annotation's category, but may be an alternate
+_PATHS = sorted(default_map().keys() - {ROOT})  # the root is no annotation's category, but may be an alternate
 
 
 @st.composite
@@ -568,20 +581,18 @@ def test_parallel_annotation_matches_serial(bundle, suite_gold):
 
 def test_annotate_rejects_mismatched_map(bundle):
     from makan import annotate
-    from makan.semmap import CategoryNode, SpatialityMap
 
     smap, lex, grammar, variants = bundle
-    tiny = SpatialityMap({"SPATIAL": CategoryNode(id="SPATIAL", label="SPATIAL", parent=None)})
+    tiny = {"SPATIAL": None}
     with pytest.raises(ValueError, match="does not resolve"):
         annotate("جلست المرأة على المقعد.", lex, grammar, tiny, variants=variants)
 
 
 def test_annotate_rejects_mismatched_map_on_text_without_a_match(bundle):
     from makan import annotate
-    from makan.semmap import CategoryNode, SpatialityMap
 
     smap, lex, grammar, variants = bundle
-    tiny = SpatialityMap({"SPATIAL": CategoryNode(id="SPATIAL", label="SPATIAL", parent=None)})
+    tiny = {"SPATIAL": None}
     with pytest.raises(ValueError, match="does not resolve"):
         annotate("", lex, grammar, tiny, variants=variants)
 

@@ -138,6 +138,19 @@ def test_compile_rejects_stray_character():
         compile(src, GOAL_LEX)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("RULE r PRIO 1: trigger=[PREP] => TOPOLOGICAL)", "unexpected character ')' (line 1, col 45)"),
+        ("RULE r PRIO 1: => TOPOLOGICAL", "rule r: empty pattern (line 1, col 1)"),
+        ("RULE r PRIO 1: (trigger=[PREP])? => TOPOLOGICAL", "rule r: trigger capture may not be optional (line 1, col 1)"),
+    ],
+)
+def test_compile_error_message(src, message):
+    with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
+        compile(src, GOAL_LEX)
+
+
 def test_compile_rejects_truncated_rule():
     with pytest.raises(GrammarError, match="unexpected end"):
         compile("RULE r PRIO 1: trigger=[PREP", GOAL_LEX)

@@ -1,8 +1,8 @@
 import pytest
 
-from makan import guards
+from makan import annotate, guards
 from makan.engine import GrammarError, apply, compile
-from makan.textnorm import tokenize
+from makan.textnorm import OffsetSpan, tokenize
 
 
 def _raw_matches(bundle, text):
@@ -101,6 +101,18 @@ def test_plural_site_guard_blocks_singular(bundle, run):
     assert raw
     assert guards.guard_plural_site(tokens, raw[0]) is True
     assert run(text).annotations == ()
+
+
+def test_plural_site_guard_vetoes_a_missing_site_and_passes_a_plural_ending(bundle):
+    smap, lex, _, variants = bundle
+    source = "RULE d PRIO 1: trigger=[LIT بين] (site=[NOUN_SITE])? => TOPOLOGICAL.INCLUSION.DISTRIBUTION GUARD PLURAL_SITE"
+    grammar = compile(source, lex)
+    tokens = tokenize("بين", lex, variants)
+    (alone,) = apply(grammar, tokens)
+    assert alone.captures.get("site") is None and guards.guard_plural_site(tokens, alone) is True
+    assert annotate("بين", lex, grammar, smap, variants).annotations == ()
+    doc = annotate("بين المشيعين", lex, grammar, smap, variants)  # the site ends in ين
+    assert [a.span for a in doc.annotations] == [OffsetSpan(0, 12)]
 
 
 def test_plural_site_guard_accepts_possessive_dual(run):

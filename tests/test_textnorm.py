@@ -437,6 +437,7 @@ def test_token_stream_indexes_like_a_list(bundle):
         with pytest.raises(IndexError):
             tokens[i]
     assert tokens[-1].stem == "طائرة" and [p.text for p in tokens[-1].proclitics] == ["ب", "ال"]
+    assert repr(tokenize("على", bundle[1])).startswith("TokenStream([Token(span=OffsetSpan(start=0, end=3)")
 
 
 @settings(max_examples=100)
