@@ -12,7 +12,7 @@ from .engine import CompiledGrammar, GrammarError, RawMatch, apply, compile
 from .evaluate import EvalReport, MatchMode, error_report, f_measure, score, split
 from .lexicon import LexClass, LexEntry, Lexicon, LexiconError, load, seed_lexicon
 from .rulepack import load_default_resources, rule_pack
-from .semmap import default_map, resolve, subsumes, top_level
+from .semmap import resolve, subsumes, top_level
 from .textnorm import OffsetSpan, Token, load_variant_table, normalize, tokenize
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "annotate",
     "apply",
     "compile",
-    "default_map",
     "error_report",
     "f_measure",
     "load",

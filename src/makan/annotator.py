@@ -97,7 +97,7 @@ def annotate(
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
     # The grammar was validated against the one map; another map must hold every rule output.
-    unresolved = [] if smap is semmap.default_map() else [r.output for r in grammar.rules if r.output not in smap]
+    unresolved = [] if smap is semmap.PARENT else [r.output for r in grammar.rules if r.output not in smap]
     if unresolved:
         raise ValueError(f"category {unresolved[0]} does not resolve in the given map")
     tokens = tokenize(text, lexicon, variants)
@@ -266,7 +266,7 @@ def read_annotations(source) -> AnnotatedDocument:
     if not isinstance(raw_anns, list):
         raise AnnotationFormatError(f"{name}: annotations must be a list")
     n, anns = len(text), []
-    categories = semmap.default_map()
+    categories = semmap.PARENT
     for idx, raw in enumerate(raw_anns):
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{name}: annotation {idx}: must be an object")

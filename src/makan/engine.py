@@ -18,11 +18,12 @@ after the winner's trigger token.
 
 `compile` reduces each test to what it accepts (a stem, a class, a sense's
 subtree of `semmap.BELOW`, a flag) and indexes rules by their first atom's keys.
-What a test accepts at a token depends only on its word type, as a NooJ
-grammar reads a word's dictionary codes: `apply` keeps one record per type,
-and visits only tokens that can start a rule, trying those rules in
-(priority desc, declaration) order up to the first that cannot beat the
-winner found: winners are unchanged.
+What a test accepts at a token depends only on its lookup key
+(`Lexicon.lookup_keys`), as a NooJ grammar reads only the codes its
+dictionary pass attached: `apply` keeps one record per key, and visits
+only tokens that can start a rule, trying those rules in (priority desc,
+declaration) order up to the first that cannot beat the winner found:
+winners are unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress, count, pairwise
+from itertools import compress, count
 from operator import itemgetter
 
 from . import semmap
@@ -383,23 +384,16 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
     """Scan left to right, trying at each token only the rules it can start, in
     winner order; one winner per start; resume after the winner's trigger.
 
-    `tokens` must be a `textnorm.TokenStream`, else TypeError. It reads the
-    stem and key columns of `tokens` and looks them up in `grammar.lexicon`; a
-    token that starts a multiword form with the next is keyed by its type and
-    the next `lexicon.longest` - 1 stems too.
+    `tokens` must be a `textnorm.TokenStream`, else TypeError. It keys each
+    token as `grammar.lexicon.lookup_keys` does and reads the stem column.
     Each distinct key is looked up once a call. Its record on the grammar
     holds its lookups, its candidate rules in winner order with their first
     atom's options, and later atoms' options there, filled as read. Only
     tokens with candidates are visited."""
     if type(tokens) is not TokenStream:
         raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
-    lexicon, stems, keys = grammar.lexicon, tokens.stems, tokens.keys
-    n = len(stems)
-    heads = [*compress(count(), map(lexicon.locution_pairs.__contains__, pairwise(stems)))]  # where a locution starts
-    if heads:
-        keys, longest = list(keys), lexicon.longest
-        for i in heads:
-            keys[i] = (keys[i], stems[i + 1 : i + longest])
+    lexicon, stems = grammar.lexicon, tokens.stems
+    n, keys = len(stems), lexicon.lookup_keys(tokens)
     seen = dict(zip(keys, range(n)))  # each distinct key at a token it is on
     types, first, ordered, steps, lookup = grammar._types, grammar.first, grammar.ordered, grammar.steps, lexicon.lookup
     for key, i in seen.items():

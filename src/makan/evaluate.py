@@ -110,8 +110,7 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     annotations are silence (fn).
     """
     mode = MatchMode(mode)
-    smap = semmap.default_map()
-    top_level = functools.cache(lambda path: semmap.top_level(smap, path))  # each distinct category once a call
+    top_level = functools.cache(lambda path: semmap.top_level(semmap.PARENT, path))  # each category once a call
     gold_by_id, sys_by_id = _by_id(gold_docs, "gold"), _by_id(system_docs, "system")
     if set(gold_by_id) != set(sys_by_id):
         missing = sorted(set(gold_by_id) ^ set(sys_by_id))
@@ -186,8 +185,7 @@ def split(doc_ids, seed: int) -> tuple[list, list]:
 def error_report(report: EvalReport) -> dict:
     """Bruit grouped by (rule, trigger lemma); silence grouped by gold category."""
     bruit_groups = Counter((rec.rule or "?", rec.trigger_text) for rec in report.bruit)
-    smap = semmap.default_map()
-    silence_groups = Counter(semmap.top_level(smap, rec.annotation.category) for rec in report.silence)
+    silence_groups = Counter(semmap.top_level(semmap.PARENT, rec.annotation.category) for rec in report.silence)
     return {
         "bruit": [
             {"rule": rule, "lemma": lemma, "count": count}

@@ -11,9 +11,11 @@ import enum
 import json
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, count, pairwise
+from operator import itemgetter
 
 from . import semmap
-from .textnorm import _WORD_RE, TokenStream, normalize, remember
+from .textnorm import _WORD_RE, TokenStream, Word, normalize, remember
 
 
 class LexClass(str, enum.Enum):
@@ -61,6 +63,8 @@ _SUFFIX_FLAGS = {"REQUIRES_POSSESSIVE_DISAMBIG", "PRONOUN_SUFFIXABLE"}
 
 # PREP_LOCUTION sorts before PREP at equal covered length.
 _CLASS_ORDER = {LexClass.PREP_LOCUTION: 0, LexClass.PREP: 1}
+
+_TYPE = itemgetter(Word._fields.index("key"))  # a word record's type (see `textnorm._type_key`)
 
 
 class LexiconError(ValueError):
@@ -122,9 +126,9 @@ class Lexicon:
     """Immutable after construction: no answer it gives ever changes.
 
     It owns memo tables, filled lazily and each emptied when it reaches
-    `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each word type (a
-    token stream's key) where no multiword form starts; and for
-    `textnorm.tokenize`, surface run -> words and word -> clitic split.
+    `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each lookup key
+    (see `lookup_keys`); and for `textnorm.tokenize`, surface run -> words
+    and word -> clitic split.
     Each follows from the entries alone and holds values only, so threads
     may share a lexicon, tokenizing and annotating at once: a race at worst
     works an entry out twice.
@@ -161,13 +165,11 @@ class Lexicon:
                     self._index(e.words[:-1] + (variant,), e, suffixed=True)
         for alts in (*self._by_first.values(), *self._by_pair.values()):
             alts.sort(key=lambda t: (-len(t[0]), _CLASS_ORDER.get(t[1].cls, 2), t[1].lemma))
-        # first two words of multiword forms: only where they start do a word's matches depend on the next tokens
-        self.locution_pairs = frozenset(self._by_pair)
         self.longest = max((len(e.words) for e in entries), default=1)  # words in the longest form
         self._baa = tuple(  # what a ب proclitic matches: the PREP entries ب
             LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
         )
-        self._lookups: dict = {}  # word type -> its matches
+        self._lookups: dict = {}  # lookup key -> its matches
         self.tokenize_memos: tuple[dict, dict] = ({}, {})  # see `textnorm.tokenize`
 
     def _index(self, words: tuple[str, ...], entry: LexEntry, suffixed: bool):
@@ -179,12 +181,24 @@ class Lexicon:
         """True when `word` is a word form of some entry (used to validate clitic splits)."""
         return word in self._forms
 
+    def lookup_keys(self, tokens: TokenStream) -> list:
+        """Each token's lookup key, what its matches depend on: its word type (`textnorm.Word.key`), or, where
+        its stem and the next begin a multiword form, (type, the next `longest` - 1 stems). Tokens of equal keys
+        have equal `lookup`s. It reads the stem and word columns of a `textnorm.TokenStream`, else TypeError."""
+        if type(tokens) is not TokenStream:
+            raise TypeError(f"lookup_keys takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
+        stems, keys = tokens.stems, list(map(_TYPE, tokens.words))
+        for i in compress(count(), map(self._by_pair.__contains__, pairwise(stems))):  # where a locution starts
+            keys[i] = (keys[i], stems[i + 1 : i + self.longest])
+        return keys
+
     def lookup(self, tokens: TokenStream, i: int) -> list[LexMatch]:
         """All entries whose word sequence equals the stems starting at token i.
 
         Ordered by covered length descending, PREP_LOCUTION before PREP on
         ties. A ب proclitic on the token also yields a one-token PREP match.
-        It reads the stem and key columns of a `textnorm.TokenStream`, and
+        The matches are kept under the token's key (see `lookup_keys`). It
+        reads the stem and word columns of a `textnorm.TokenStream`, and
         raises TypeError given any other sequence.
         """
         if type(tokens) is not TokenStream:
@@ -192,18 +206,18 @@ class Lexicon:
         stems = tokens.stems
         if not 0 <= i < len(stems):
             raise IndexError(f"token index {i} out of range")
-        stem, key = stems[i], tokens.keys[i]
-        forms = self._by_pair.get(stems[i : i + 2], ())  # without any, the matches are the word type's alone
-        found = None if forms else self._lookups.get(key)
+        stem, word_type = stems[i], tokens.words[i].key
+        forms = self._by_pair.get(stems[i : i + 2], ())
+        key = (word_type, stems[i + 1 : i + self.longest]) if forms else word_type  # as `lookup_keys` keys it
+        found = self._lookups.get(key)
         if found is None:
             # each list is in the output order already, and every multiword form outranks a one-word form
             found = [LexMatch(e, len(words), suf) for words, e, suf in forms if stems[i : i + len(words)] == words]
             found += [LexMatch(entry, 1, suffixed) for _, entry, suffixed in self._by_first.get(stem, ())]
-            if type(key) is tuple and self._baa:  # the key ("ب", stem) of a word with a ب proclitic
+            if type(word_type) is tuple and self._baa:  # the type ("ب", stem) of a word with a ب proclitic
                 found += self._baa
                 found.sort(key=lambda m: (-m.length, _CLASS_ORDER.get(m.entry.cls, 2), m.entry.lemma, m.via_proclitic))
-            if not forms:
-                remember(self._lookups, key, tuple(found))
+            found = remember(self._lookups, key, tuple(found))
         return list(found)
 
 

@@ -45,7 +45,7 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
         table = load_variant_table(variants_file or variants_path())
     except ValueError as exc:
         raise LexiconError(str(exc)) from None
-    return semmap.default_map(), lexicon, grammar, table
+    return semmap.PARENT, lexicon, grammar, table
 
 
 def load_default_resources():

@@ -45,11 +45,6 @@ TOP_LEVEL = ("TOPOLOGICAL", "PROJECTIVE", "DIRECTIONAL")
 PARENT = types.MappingProxyType(dict(_TREE))
 
 
-def default_map() -> types.MappingProxyType[str, str | None]:
-    """The fixed spatiality tree: topological / projective / directional; one shared, read-only map."""
-    return PARENT
-
-
 def resolve(smap: Mapping[str, str | None], path: str) -> str | None:
     """Exact path match: the path itself, or None when it is not in the map."""
     return path if path in smap else None

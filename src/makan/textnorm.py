@@ -118,17 +118,15 @@ class TokenStream(Sequence):
     """`tokenize`'s immutable sequence of `Token`s as columns; it equals any sequence of equal `Token`s.
 
     `starts[i]` is the offset of token i's surface run and `words[i]` its `Word`, shared by every token of
-    that run; `stems` and `keys`, each token's word type (see `_type_key`), are read off the records. An index
-    builds a `Token`, a slice a list.
+    that run; `stems` is read off the records. An index builds a `Token`, a slice a list.
     """
 
-    __slots__ = ("starts", "words", "stems", "keys")
+    __slots__ = ("starts", "words", "stems")
 
     def __init__(self, starts, words):  # each column a tuple of a list: `tuple(map(...))` holds more memory
         _set_starts(self, tuple(starts))
         _set_words(self, tuple(words))
         _set_stems(self, tuple(list(map(_STEM, words))))
-        _set_keys(self, tuple(list(map(_KEY, words))))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -156,9 +154,9 @@ class TokenStream(Sequence):
         return f"TokenStream({list(self)!r})"
 
 
-# `TokenStream`'s slot setters, which its own `__setattr__` refuses, and the `Word` fields it reads
-_set_starts, _set_words, _set_stems, _set_keys = (getattr(TokenStream, name).__set__ for name in TokenStream.__slots__)
-_STEM, _KEY = itemgetter(Word._fields.index("stem")), itemgetter(Word._fields.index("key"))
+# `TokenStream`'s slot setters, which its own `__setattr__` refuses, and the `Word` field it reads
+_set_starts, _set_words, _set_stems = (getattr(TokenStream, name).__set__ for name in TokenStream.__slots__)
+_STEM = itemgetter(Word._fields.index("stem"))
 
 
 def _type_key(stem: str, cuts):

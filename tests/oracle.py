@@ -72,7 +72,7 @@ def _evidence(atom, tokens, lookups, smap, pos, consumed):
 
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output, evidence, following) tuples under the same winner policy."""
-    smap = semmap.default_map()
+    smap = semmap.PARENT
     words = [_word(grammar, lexicon, *key) for key in _keys(lexicon, tokens)]
     lookups = [list(word[0]) for word in words]
     accepted = [[word[1][r] for word in words] for r in range(len(grammar.rules))]  # by rule, then token
@@ -117,7 +117,7 @@ def _word(grammar, lexicon, stems, baa):
                     if stems[0] == test.value:
                         counts.add(1)
                 else:
-                    counts.update(m.length for m in lookups if _test_ok(test, m, semmap.default_map()))
+                    counts.update(m.length for m in lookups if _test_ok(test, m, semmap.PARENT))
             per_atom.append(frozenset(counts))
         accepted.append(tuple(per_atom))
     return lookups, tuple(accepted)
@@ -227,7 +227,7 @@ def _lookup(lexicon, stems, baa):
 
 def reference_score(gold_docs, system_docs, trigger_exact):
     """(per-category [tp, fp, fn], bruit annotations, silence annotations), scanning all gold per system annotation."""
-    smap = semmap.default_map()
+    smap = semmap.PARENT
     counts = {cat: [0, 0, 0] for cat in semmap.TOP_LEVEL}
     bruit, silence = [], []
     system_by_id = {d.doc_id: d for d in system_docs}
@@ -291,7 +291,7 @@ def _reference_span(obj, text_len, where):
 
 def reference_read_annotations(source):
     """An annotation document read from a text stream, each field checked in turn and each category resolved anew."""
-    smap = semmap.default_map()
+    smap = semmap.PARENT
     data, name = source.read(), getattr(source, "name", "<stream>")
     try:
         obj = json.loads(data)

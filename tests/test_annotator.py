@@ -19,7 +19,7 @@ from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnn
 from makan.engine import RawMatch, apply, compile
 from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
 from makan.rulepack import load_resources
-from makan.semmap import ROOT, TOP_LEVEL, default_map, top_level
+from makan.semmap import PARENT, ROOT, TOP_LEVEL, top_level
 from makan.textnorm import _WORD_RE, OffsetSpan, normalize, tokenize
 from oracle import reference_document_json
 from strategies import edited_sentences, word_texts
@@ -161,7 +161,7 @@ def test_document_json_equals_json_dumps_byte_for_byte(doc):
     assert document_to_json(doc) == reference_document_json(doc)
 
 
-_PATHS = sorted(default_map().keys() - {ROOT})  # the root is no annotation's category, but may be an alternate
+_PATHS = sorted(PARENT.keys() - {ROOT})  # the root is no annotation's category, but may be an alternate
 
 
 @st.composite

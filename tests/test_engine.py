@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from makan.annotator import annotate
 from makan.engine import GrammarError, apply, compile
 from makan.lexicon import Lexicon, _parse_line
-from makan.semmap import default_map
+from makan.semmap import PARENT
 from makan.textnorm import token_stream, tokenize
 from oracle import as_tuples, oracle_apply
 
-SMAP = default_map()
+SMAP = PARENT
 
 
 def _lexicon(tsv: str) -> Lexicon:

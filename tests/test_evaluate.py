@@ -129,9 +129,9 @@ def test_score_rejects_text_mismatch():
 
 def test_conservation(suite_gold, suite_system):
     report = score(suite_gold, suite_system, MatchMode.TRIGGER_EXACT)
-    from makan.semmap import default_map, top_level
+    from makan.semmap import PARENT, top_level
 
-    smap = default_map()
+    smap = PARENT
     for top, counts in report.categories.items():
         n_sys = sum(
             1 for d in suite_system for a in d.annotations if top_level(smap, a.category) == top

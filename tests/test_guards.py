@@ -144,7 +144,7 @@ def test_unknown_guard_name_raises(bundle):
         compile(source, lex)
 
 
-@pytest.mark.parametrize("entry", ["apply", "lookup", "run_guards"])
+@pytest.mark.parametrize("entry", ["apply", "lookup", "lookup_keys", "run_guards"])
 @pytest.mark.parametrize("container", [list, tuple])
 def test_matcher_entry_points_refuse_a_plain_sequence_of_tokens(bundle, entry, container):
     smap, lex, grammar, variants = bundle
@@ -154,6 +154,7 @@ def test_matcher_entry_points_refuse_a_plain_sequence_of_tokens(bundle, entry, c
     call = {
         "apply": lambda: apply(grammar, tokens),
         "lookup": lambda: lex.lookup(tokens, 0),
+        "lookup_keys": lambda: lex.lookup_keys(tokens),
         "run_guards": lambda: guards.run_guards(tokens, match),
     }[entry]
     with pytest.raises(TypeError, match=rf"{entry} takes a TokenStream, not {container.__name__}: .*token_stream"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from makan.annotator import annotate, document_to_json
 from makan.engine import compile
-from makan.lexicon import LexClass, Lexicon, LexiconError, _parse_line, load, seed_lexicon
+from makan.lexicon import LexClass, Lexicon, LexiconError, LexMatch, _parse_line, load, seed_lexicon
 from makan.rulepack import rule_pack
 from makan.textnorm import normalize, tokenize
 from oracle import reference_lookup
@@ -287,11 +287,26 @@ _SHARED_LEXICON = Lexicon([_parse_line(line, n, "<shared>") for n, line in enume
 @example(["في", "وسط", "قال"])
 @example(["في", "وسط"])
 @example(["عن", "يمين", "واجهته", "في", "وسط", "بدار"])
+@example(["عن", "يمين", "واجهة", "عن", "يمين", "دار"])  # one key only with all three stems from عن on
 def test_lookup_equals_reference_lookup(words):
     lex = _SHARED_LEXICON
     tokens = tokenize(" ".join(words), lex)
-    for i in range(len(tokens)):
-        assert lex.lookup(tokens, i) == reference_lookup(lex, tokens, i), (words, i)
+    by_key = {}  # tokens of one lookup key have one reference lookup
+    for i, key in enumerate(lex.lookup_keys(tokens)):
+        expected = reference_lookup(lex, tokens, i)
+        assert lex.lookup(tokens, i) == expected, (words, i)
+        assert by_key.setdefault(key, expected) == expected, (words, i, key)
+
+
+def test_a_lookup_at_a_locution_start_is_worked_out_once(monkeypatch):
+    built = []
+    monkeypatch.setattr("makan.lexicon.LexMatch", lambda *args, **kw: built.append(args) or LexMatch(*args, **kw))
+    lex = seed_lexicon()
+    first = lex.lookup(tokenize("جلس عن يمين البيت", lex), 1)
+    assert built and [m.entry.lemma for m in first] == ["عن يمين", "عن"]
+    built.clear()  # the same stems from the locution start on, another word after them: one key
+    assert lex.lookup(tokenize("وقف عن يمين المقعد", lex), 1) == first and not built
+    assert [m.entry.lemma for m in lex.lookup(tokenize("ابتعد عن البيت", lex), 1)] == ["عن"]
 
 
 def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construction(bundle):

@@ -22,10 +22,10 @@ from makan.annotator import annotate, read_annotations
 from makan.engine import compile
 from makan.lexicon import Lexicon, seed_lexicon
 from makan.rulepack import rule_pack
-from makan.semmap import default_map
+from makan.semmap import PARENT
 from makan.textnorm import load_variant_table, tokenize
 
-SMAP = default_map()
+SMAP = PARENT
 RULES = rule_pack()
 SEED = seed_lexicon()
 # Two lexicons, each with its own grammar: the seed and the seed less every third entry, so splits and lookups differ.

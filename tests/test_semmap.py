@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from makan.semmap import BELOW, ROOT, TOP_LEVEL, default_map, resolve, subsumes, top_level
+from makan.rulepack import load_default_resources
+from makan.semmap import BELOW, PARENT, ROOT, TOP_LEVEL, resolve, subsumes, top_level
 
 
-def test_default_map_has_expected_nodes():
-    smap = default_map()
+def test_map_has_expected_nodes():
+    smap = PARENT
     for path in (
         "TOPOLOGICAL.INCLUSION.CONTAINMENT",
         "PROJECTIVE.DISTANCE.PROXIMITY",
@@ -18,9 +19,9 @@ def test_default_map_has_expected_nodes():
         assert resolve(smap, path) is not None
 
 
-def test_default_map_is_one_shared_read_only_map():
-    smap = default_map()
-    assert default_map() is smap
+def test_map_is_one_shared_read_only_mapping():
+    smap = PARENT
+    assert load_default_resources()[0] is smap
     with pytest.raises(TypeError):
         smap["TOPOLOGICAL.EXTRA"] = "TOPOLOGICAL"
     assert "TOPOLOGICAL.EXTRA" not in smap and len(smap) == 21
@@ -30,14 +31,14 @@ def test_default_map_is_one_shared_read_only_map():
 
 
 def test_root_and_top_level_children():
-    smap = default_map()
+    smap = PARENT
     assert resolve(smap, ROOT) == ROOT and smap[ROOT] is None
     children = {path for path, parent in smap.items() if parent == ROOT}
     assert children == set(TOP_LEVEL)
 
 
 def test_resolve_exact_match_only():
-    smap = default_map()
+    smap = PARENT
     assert resolve(smap, "SPATIAL") == ROOT
     assert resolve(smap, "PROJECTIVE.ORIENTATIONAL.VERTICAL") == "PROJECTIVE.ORIENTATIONAL.VERTICAL"
     assert resolve(smap, "TEMPORAL") is None
@@ -45,7 +46,7 @@ def test_resolve_exact_match_only():
 
 
 def test_subsumes_examples():
-    smap = default_map()
+    smap = PARENT
     assert subsumes(smap, "TOPOLOGICAL", "TOPOLOGICAL.SUPPORT")
     assert not subsumes(smap, "DIRECTIONAL", "PROJECTIVE.DISTANCE.PROXIMITY")
     for path in smap:
@@ -53,7 +54,7 @@ def test_subsumes_examples():
 
 
 def test_subsumes_rejects_unknown_paths():
-    smap = default_map()
+    smap = PARENT
     with pytest.raises(ValueError):
         subsumes(smap, "TOPOLOGICAL.BOGUS", "TOPOLOGICAL")
     with pytest.raises(ValueError):
@@ -62,11 +63,11 @@ def test_subsumes_rejects_unknown_paths():
 
 def test_top_level_rejects_unknown_paths():
     with pytest.raises(ValueError, match="^unknown category path: BOGUS$"):
-        top_level(default_map(), "BOGUS")
+        top_level(PARENT, "BOGUS")
 
 
 def test_tree_shape():
-    smap = default_map()
+    smap = PARENT
     # every non-root node has exactly one parent that resolves; no cycles
     for path, parent in smap.items():
         if path == ROOT:
@@ -82,7 +83,7 @@ def test_tree_shape():
 
 
 def test_partial_order_exhaustive():
-    smap = default_map()
+    smap = PARENT
     nodes = sorted(smap)
     for a, b in itertools.product(nodes, nodes):
         ab = subsumes(smap, a, b)
@@ -95,7 +96,7 @@ def test_partial_order_exhaustive():
 
 
 def test_every_node_projects_to_exactly_one_top_level():
-    smap = default_map()
+    smap = PARENT
     for path in smap:
         if path == ROOT:
             with pytest.raises(ValueError):
@@ -107,7 +108,7 @@ def test_every_node_projects_to_exactly_one_top_level():
 
 
 def test_path_string_matches_ancestor_chain():
-    smap = default_map()
+    smap = PARENT
     # each parent is its path's dotted prefix, or the root for a top-level path
     for path, parent in smap.items():
         if path != ROOT:

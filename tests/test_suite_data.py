@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from makan.semmap import default_map, resolve
+from makan.semmap import PARENT, resolve
 
 
 def test_gold_files_are_named_after_their_doc_ids(suite_gold):
@@ -29,7 +29,7 @@ def test_gold_spans_are_capture_hulls(suite_gold):
 
 
 def test_gold_categories_and_alternates_resolve(suite_gold):
-    smap = default_map()
+    smap = PARENT
     for doc in suite_gold:
         for ann in doc.annotations:
             assert resolve(smap, ann.category) is not None

@@ -463,9 +463,8 @@ def test_token_stream_equals_a_sequence_of_equal_tokens_either_way(bundle):
 def test_token_stream_columns_are_tuples(bundle):
     tokens = tokenize("وعن بيت اللواريه بالطائرة", bundle[1], bundle[3])
     for stream in (tokens, TokenStream(list(tokens.starts), list(tokens.words)), token_stream(list(tokens))):
-        assert [type(getattr(stream, name)) for name in TokenStream.__slots__] == [tuple] * 4
+        assert [type(getattr(stream, name)) for name in TokenStream.__slots__] == [tuple] * 3
         assert stream.stems == tuple(word.stem for word in stream.words)
-        assert stream.keys == tuple(word.key for word in stream.words)
 
 
 def test_token_stream_is_immutable_and_unhashable(bundle):
