@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rules", action="append", default=[], metavar="PATH",
                        help="rule pack file (repeatable; default: shipped pack)")
         p.add_argument("--variants", metavar="PATH", default=None,
-                       help="variant table TSV (default: shipped table)")
+                       help="variant table TSV, variant<TAB>canonical, each variant on one row only "
+                            "(default: shipped table; an empty PATH is a missing file)")
 
     p_ann = sub.add_parser("annotate", help="annotate UTF-8 text files")
     add_resource_flags(p_ann)

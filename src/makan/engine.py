@@ -130,29 +130,19 @@ class CompiledGrammar:
 # ---------------------------------------------------------------------------
 # lexing / parsing
 
-_TOKEN_RE = re.compile(r"=>|\)\?|[\[\]|(:,=]|[^\s\[\]|():,=#]+")
+# The last alternative takes the one character no token takes, a `)` without its `?`.
+_TOKEN_RE = re.compile(r"=>|\)\?|[\[\]|(:,=]|[^\s\[\]|():,=#]+|(\S)")
 
-
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+_Tok = namedtuple("_Tok", "text line col")
 
 
 def _lex(source: str) -> list[_Tok]:
     toks = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        for m in _TOKEN_RE.finditer(line):
-            gap = line[pos : m.start()]
-            if gap.strip():
-                raise GrammarError(f"unexpected character {gap.strip()[0]!r}", lineno, pos + 1)
-            toks.append(_Tok(m.group(), lineno, m.start() + 1))
-            pos = m.end()
-        if line[pos:].strip():
-            raise GrammarError(f"unexpected character {line[pos:].strip()[0]!r}", lineno, pos + 1)
+        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+            if m[1]:
+                raise GrammarError(f"unexpected character {m[1]!r}", lineno, m.start() + 1)
+            toks.append(_Tok(m[0], lineno, m.start() + 1))
     return toks
 
 
@@ -177,6 +167,12 @@ class _Parser:
             raise GrammarError(f"expected {expected!r}, found {tok.text!r}", tok.line, tok.col)
         self.pos += 1
         return tok
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is `text`, and say whether it was."""
+        taken = self.pos < len(self.toks) and self.toks[self.pos].text == text
+        self.pos += taken
+        return taken
 
 
 def _parse_int(p: _Parser, what: str) -> int:
@@ -209,39 +205,29 @@ def _literal(tok: _Tok) -> Test:
     return Test("lit", stem, stem)
 
 
-def _parse_inner(p: _Parser) -> PatternAtom:
-    tok = p.peek()
-    nxt = p.toks[p.pos + 1] if p.pos + 1 < len(p.toks) else None
-    capture = None
-    if nxt is not None and nxt.text == "=" and tok.text != "[":
-        capture = p.next(None).text
-        p.next("=")
-        tok = p.peek()
-    if tok is not None and tok.text == "[":
-        p.next("[")
-        tests = [_parse_test(p)]
-        while p.peek() is not None and p.peek().text == "|":
-            p.next("|")
-            tests.append(_parse_test(p))
-        p.next("]")
-        return PatternAtom(tests=tuple(tests), capture=capture)
-    return PatternAtom(tests=(_literal(p.next(None)),), capture=capture)
-
-
 def _parse_atom(p: _Parser) -> PatternAtom:
     tok = p.peek()
-    if tok.text == "(":
-        p.next("(")
-        inner = _parse_inner(p)
-        p.next(")?")
-        return PatternAtom(tests=inner.tests, capture=inner.capture, optional=True)
-    if tok.text == "GAP":
-        p.next("GAP")
+    if p.accept("GAP"):
         n = _parse_int(p, "after GAP")
         if not 0 < n <= MAX_GAP:
             raise GrammarError(f"GAP must be in 1..{MAX_GAP}", tok.line, tok.col)
         return PatternAtom(gap=n)
-    return _parse_inner(p)
+    optional = p.accept("(")
+    nxt = p.toks[p.pos + 1] if p.pos + 1 < len(p.toks) else None
+    capture = None
+    if nxt is not None and nxt.text == "=" and p.peek().text != "[":
+        capture = p.next(None).text
+        p.next("=")
+    if p.accept("["):
+        tests = [_parse_test(p)]
+        while p.accept("|"):
+            tests.append(_parse_test(p))
+        p.next("]")
+    else:
+        tests = [_literal(p.next(None))]
+    if optional:
+        p.next(")?")
+    return PatternAtom(tests=tuple(tests), capture=capture, optional=optional)
 
 
 def _parse_rule(p: _Parser, decl: int) -> Rule:
@@ -251,24 +237,16 @@ def _parse_rule(p: _Parser, decl: int) -> Rule:
     priority = _parse_int(p, "priority")
     p.next(":")
     atoms: list[PatternAtom] = []
-    while True:
-        tok = p.peek()
-        if tok is None:
+    while not p.accept("=>"):
+        if p.peek() is None:
             raise GrammarError("rule is missing `=>`", start.line, start.col)
-        if tok.text == "=>":
-            break
         atoms.append(_parse_atom(p))
     if not atoms:
         raise GrammarError(f"rule {name}: empty pattern", start.line, start.col)
-    p.next("=>")
     output = p.next(None).text
     guards: list[str] = []
-    if p.peek() is not None and p.peek().text == "GUARD":
-        p.next("GUARD")
+    while p.accept("," if guards else "GUARD"):  # GUARD name ("," name)*
         guards.append(p.next(None).text)
-        while p.peek() is not None and p.peek().text == ",":
-            p.next(",")
-            guards.append(p.next(None).text)
     return Rule(
         name=name,
         priority=priority,

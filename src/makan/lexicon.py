@@ -2,7 +2,8 @@
 
 Entries are read from a flat TSV (`lemma<TAB>class<TAB>senses<TAB>flags<TAB>attributes`,
 the last three optional), validated against the semantic map, and indexed for
-longest-first multiword lookup over token stems.
+longest-first multiword lookup over token stems. Every resource file, rule
+and variant files included, is read here (`read_resource`).
 """
 
 from __future__ import annotations
@@ -90,12 +91,14 @@ class LexMatch:
 
 
 def _check_attributes(attributes, where: str) -> None:
-    """LexiconError naming `where` unless `attributes` is a tuple of (name, JSON scalar) pairs that annotations carry.
+    """LexiconError naming `where` unless `attributes` is a tuple of (name, JSON scalar) pairs of distinct names that
+    annotations carry.
 
     Each pair is serialized as an annotation file holds it, so a value that
     `annotator.document_to_json` could not write fails here, naming the entry.
     """
     pairs = attributes if type(attributes) is tuple else (attributes,)
+    names = set()
     for pair in pairs:
         name, value = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
         try:  # written as `annotator.document_to_json` writes it, less NaN and infinities, then encoded as UTF-8
@@ -108,6 +111,9 @@ def _check_attributes(attributes, where: str) -> None:
             raise LexiconError(
                 f"{where}: attribute {label} must be a name and a finite JSON scalar that an annotation file can hold"
             )
+        if name in names:  # else an annotation's attributes, a dict, would keep only the last value
+            raise LexiconError(f"{where}: attribute {name!r} is given twice")
+        names.add(name)
 
 
 def _word_problem(words) -> str | None:
@@ -256,19 +262,54 @@ def read_resource(path) -> str:
         raise LexiconError(f"cannot read resource file {path}: {exc}") from None
 
 
+def _rows(path):
+    """(line number, line) of each row of a resource file, its blank lines and `#` comments left out."""
+    for lineno, line in enumerate(read_resource(path).split("\n"), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
 def load(paths) -> Lexicon:
     """Load and validate a lexicon TSV, or a list of them as one lexicon; LexiconError names the file."""
     paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
-    entries: list[LexEntry] = []
-    for path in paths:
-        for lineno, line in enumerate(read_resource(path).split("\n"), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            entries.append(_parse_line(line, lineno, str(path)))
+    entries = [_parse_line(line, lineno, str(path)) for path in paths for lineno, line in _rows(path)]
     try:
         return Lexicon(entries)
     except LexiconError as exc:
         raise LexiconError(f"{', '.join(map(str, paths))}: {exc}") from None
+
+
+def load_variant_table(path) -> dict[str, str]:
+    """Load a TSV variant table: `variant<TAB>canonical`, read as every resource file is (`read_resource`).
+
+    Both columns are normalized on load, may not normalize to nothing and
+    are each one word (one `_WORD_RE` match); a canonical form may have no
+    more letters than its variant and may not itself be listed as a variant
+    (the table must be idempotent), and no variant is listed twice. Every
+    failure is a LexiconError naming the file.
+    """
+    table: dict[str, str] = {}
+    first: dict[str, int] = {}  # variant -> the line that lists it
+    for lineno, line in _rows(path):
+        parts, where = line.strip().split("\t"), f"{path}:{lineno}"
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise LexiconError(f"{where}: expected `variant<TAB>canonical`")
+        (variant, _), (canonical, _) = map(normalize, parts)
+        if not (variant and canonical):
+            raise LexiconError(f"{where}: {parts[1 if variant else 0]!r} normalizes to nothing")
+        if not _WORD_RE.fullmatch(variant):  # else it never applies: variants replace single words
+            raise LexiconError(f"{where}: variant {parts[0]!r} is not one word")
+        if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
+            raise LexiconError(f"{where}: canonical form {parts[1]!r} is not one word")
+        if len(canonical) > len(variant):  # else two of its letters would map onto one source letter
+            raise LexiconError(f"{where}: canonical form {parts[1]!r} has more letters than variant {parts[0]!r}")
+        if variant in first:  # else the later row would silently win
+            raise LexiconError(f"{where}: variant {parts[0]!r} is already listed on line {first[variant]}")
+        table[variant], first[variant] = canonical, lineno
+    for canonical in table.values():
+        if canonical in table:
+            raise LexiconError(f"{path}: variant table is not idempotent: {canonical!r} is also a variant")
+    return table
 
 
 def seed_lexicon() -> Lexicon:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from importlib import resources
 
 from . import engine, lexicon as lexicon_mod, semmap
-from .lexicon import LexiconError
-from .textnorm import load_variant_table
 
 
 def rule_pack_path():
@@ -41,10 +39,7 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
                 break
             line -= n
         raise engine.GrammarError(exc.message, line, exc.col, path) from None
-    try:
-        table = load_variant_table(variants_file or variants_path())
-    except ValueError as exc:
-        raise LexiconError(str(exc)) from None
+    table = lexicon_mod.load_variant_table(variants_path() if variants_file is None else variants_file)
     return semmap.PARENT, lexicon, grammar, table
 
 

@@ -190,46 +190,6 @@ def normalize(text: str) -> tuple[str, list[int]]:
     return norm, omap
 
 
-def load_variant_table(path) -> dict[str, str]:
-    """Load a TSV variant table: `variant<TAB>canonical`, `#` comments.
-
-    Both columns are normalized on load, may not normalize to nothing and
-    are each one word (one `_WORD_RE` match); a canonical form may have no
-    more letters than its variant and may not itself be listed as a variant
-    (the table must be idempotent). A leading byte-order mark is dropped.
-    Every failure, a missing or undecodable file included, is a ValueError
-    naming the file.
-    """
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read variant table {path}: {exc}") from None
-    table: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise ValueError(f"{path}:{lineno}: expected `variant<TAB>canonical`")
-        variant, _ = normalize(parts[0])
-        canonical, _ = normalize(parts[1])
-        if not (variant and canonical):
-            raise ValueError(f"{path}:{lineno}: {parts[1 if variant else 0]!r} normalizes to nothing")
-        if not _WORD_RE.fullmatch(variant):  # else it never applies: variants replace single words
-            raise ValueError(f"{path}:{lineno}: variant {parts[0]!r} is not one word")
-        if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
-            raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} is not one word")
-        if len(canonical) > len(variant):  # else two of its letters would map onto one source letter
-            raise ValueError(f"{path}:{lineno}: canonical form {parts[1]!r} has more letters than variant {parts[0]!r}")
-        table[variant] = canonical
-    for canonical in table.values():
-        if canonical in table:
-            raise ValueError(f"{path}: variant table is not idempotent: {canonical!r} is also a variant")
-    return table
-
-
 def _split_clitics(word: str, lexicon) -> tuple[list[tuple[str, int, int]], int]:
     """Split a normalized word into proclitic cuts and a stem start.
 
@@ -275,7 +235,7 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     canonical form), all that its record depends on, so a caller who changes
     that table between calls gets the answer for the table as it stands. A
     run meeting a variant whose canonical form is not one word with no more
-    letters, as a table file (`load_variant_table`) requires, raises
+    letters, as a table file (`lexicon.load_variant_table`) requires, raises
     ValueError before anything is stored, so on every call that meets it.
     """
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos

@@ -236,6 +236,34 @@ def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "option, content, message",
+    [
+        ("--variants", "سين\tسان\nسِين\tسن\n", "{path}:2: variant 'سِين' is already listed on line 1"),
+        ("--lexicon", 'ب\tPREP\tTOPOLOGICAL.SUPPORT\t\t{"medium": true, "medium": false}\n',
+         "{path}:1: attribute 'medium' is given twice"),
+        ("--variants", None, "resource file not found: {path}"),  # an empty path, never the shipped table
+        ("--lexicon", None, "resource file not found: {path}"),
+        ("--rules", None, "resource file not found: {path}"),
+    ],
+)
+def test_a_refused_resource_exits_two_from_check_and_annotate_and_writes_nothing(
+    tmp_path, suite_texts, capsys, option, content, message
+):
+    path = ""
+    if content is not None:
+        path = tmp_path / "resource.tsv"
+        path.write_text(content, encoding="utf-8")
+    message = message.format(path=path)
+    assert main(["check", option, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"validation error: {message}\n")
+    out = tmp_path / "out"
+    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
+    assert main(["annotate", option, str(path), "--out", str(out), *inputs]) == 2
+    assert capsys.readouterr() == ("", f"validation error: {message}\n")
+    assert not out.exists()
+
+
 def test_check_accepts_explicit_shipped_paths(capsys):
     code = main(
         [

@@ -142,6 +142,8 @@ def test_compile_rejects_stray_character():
     "src, message",
     [
         ("RULE r PRIO 1: trigger=[PREP] => TOPOLOGICAL)", "unexpected character ')' (line 1, col 45)"),
+        ("RULE r PRIO 1: trigger=[PREP] => TOPOLOGICAL   )", "unexpected character ')' (line 1, col 48)"),
+        ("RULE r PRIO 1: (trigger=[PREP] ) => TOPOLOGICAL", "unexpected character ')' (line 1, col 32)"),
         ("RULE r PRIO 1: => TOPOLOGICAL", "rule r: empty pattern (line 1, col 1)"),
         ("RULE r PRIO 1: (trigger=[PREP])? => TOPOLOGICAL", "rule r: trigger capture may not be optional (line 1, col 1)"),
     ],

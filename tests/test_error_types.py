@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from makan.annotator import AnnotationFormatError, read_annotations
 from makan.engine import GrammarError, compile
-from makan.lexicon import LexiconError, load
-from makan.textnorm import load_variant_table
+from makan.lexicon import LexiconError, load, load_variant_table
 from oracle import reference_read_annotations
 
 _DSL_WORDS = [
@@ -87,8 +86,8 @@ def test_lexicon_load_raises_only_lexicon_error(content):
 
 @settings(max_examples=60, deadline=None)
 @given(_TSV)
-def test_variant_table_raises_only_value_error(content):
-    _with_file(content, lambda path: _raises_only(ValueError, load_variant_table, path))
+def test_variant_table_raises_only_lexicon_error(content):
+    _with_file(content, lambda path: _raises_only(LexiconError, load_variant_table, path))
 
 
 @settings(max_examples=150, deadline=None)

@@ -234,9 +234,9 @@ def test_seed_lexicon_carries_the_shipped_attributes_and_gaze_flags():
 @pytest.mark.parametrize(
     "column",
     ['{"medium": tru}', "[1]", '"medium"', '{"a": [1]}', '{"a": {"b": 1}}', '{"a": NaN}', '{"a": -Infinity}',
-     '{"a": 1e400}', "[" * 100_000, '{"a": "\\ud800"}', '{"\\udfff": 1}'],
+     '{"a": 1e400}', "[" * 100_000, '{"a": "\\ud800"}', '{"\\udfff": 1}', '{"medium": true, "medium": false}'],
     ids=["malformed", "list", "string", "list-value", "object-value", "nan", "infinity", "overflow", "nested-deep",
-         "surrogate-value", "surrogate-name"],
+         "surrogate-value", "surrogate-name", "name-twice"],
 )
 def test_load_rejects_bad_attributes_with_file_and_line(tmp_path, column):
     path = _write(tmp_path, f"# header\nx\tNOUN_SITE\t\t\t{column}\n")
@@ -247,8 +247,8 @@ def test_load_rejects_bad_attributes_with_file_and_line(tmp_path, column):
 @pytest.mark.parametrize(
     "attributes",
     [{"a": 1}, (("a",),), ((1, "x"),), (("a", [1]),), (("a", (1,)),), (("a", float("nan")),), (("a", float("inf")),),
-     (("a", "\ud800"),)],
-    ids=["dict", "one-tuple", "int-name", "list-value", "tuple-value", "nan", "infinity", "surrogate"],
+     (("a", "\ud800"),), (("a", 1), ("b", 2), ("a", 1))],
+    ids=["dict", "one-tuple", "int-name", "list-value", "tuple-value", "nan", "infinity", "surrogate", "name-twice"],
 )
 def test_constructed_lexicon_rejects_attributes_that_are_not_name_scalar_pairs(attributes):
     from makan.lexicon import LexEntry

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from makan import engine, textnorm
 from makan.annotator import annotate, read_annotations
 from makan.engine import compile
-from makan.lexicon import Lexicon, seed_lexicon
+from makan.lexicon import Lexicon, load_variant_table, seed_lexicon
 from makan.rulepack import rule_pack
 from makan.semmap import PARENT
-from makan.textnorm import load_variant_table, tokenize
+from makan.textnorm import tokenize
 
 SMAP = PARENT
 RULES = rule_pack()

@@ -12,14 +12,13 @@ from makan import textnorm
 from makan.annotator import annotate
 from makan.engine import apply
 from makan.guards import run_guards
-from makan.lexicon import Lexicon
+from makan.lexicon import Lexicon, LexiconError, load_variant_table
 from makan.textnorm import (
     _WORD_RE,
     OffsetSpan,
     Proclitic,
     Token,
     TokenStream,
-    load_variant_table,
     normalize,
     token_stream,
     tokenize,
@@ -110,14 +109,14 @@ def test_a_refused_variant_raises_on_every_call_and_is_not_kept(bundle):
 def test_variant_table_rejects_non_idempotent(tmp_path):
     path = tmp_path / "variants.tsv"
     path.write_text("اب\tجد\nجد\tهو\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(LexiconError):
         load_variant_table(path)
 
 
 def test_variant_table_reports_line_numbers(tmp_path):
     path = tmp_path / "variants.tsv"
     path.write_text("# comment\nbroken-line\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":2"):
+    with pytest.raises(LexiconError, match=":2"):
         load_variant_table(path)
 
 
@@ -125,7 +124,7 @@ def test_variant_table_reports_line_numbers(tmp_path):
 def test_variant_table_rejects_forms_that_normalize_to_nothing(tmp_path, row):
     path = tmp_path / "variants.tsv"
     path.write_text(f"# comment\n{row}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* normalizes to nothing"):
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:2: ") + ".* normalizes to nothing"):
         load_variant_table(path)
 
 
@@ -141,7 +140,7 @@ def test_variant_table_rejects_a_canonical_form_of_more_than_one_word(tmp_path, 
     path = tmp_path / "variants.tsv"
     path.write_text(f"سين\tسان\n{variant}\t{canonical}\n", encoding="utf-8")
     form = variant if what == "variant" else canonical
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {what} {form!r} is not one word")):
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:2: {what} {form!r} is not one word")):
         load_variant_table(path)
 
 
@@ -149,7 +148,7 @@ def test_variant_table_rejects_a_canonical_form_with_more_letters_than_its_varia
     # its extra letters would map onto the variant's last letter: the article of بالطائرة onto no letter at all
     path = tmp_path / "variants.tsv"
     path.write_text("سين\tسان\nطا\tبالطائرة\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: canonical form 'بالطائرة' has more letters than")):
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:2: canonical form 'بالطائرة' has more letters than")):
         load_variant_table(path)
 
 
