@@ -1,6 +1,6 @@
 """Pattern DSL compiled to deterministic matchers applied as a prioritized cascade.
 
-Rule syntax (one statement per rule, `#` comments):
+Rule syntax (one statement per rule, each begun by the reserved word `RULE`; `#` comments):
 
     rule  := "RULE" name "PRIO" int ":" atom+ "=>" path ("GUARD" name ("," name)*)?
     atom  := "(" inner ")?" | inner | "GAP" int
@@ -156,10 +156,10 @@ class _Parser:
 
     def next(self, expected: str | None = None) -> _Tok:
         tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else None
+        if tok is None or tok.text == "RULE" and expected != "RULE":  # a rule ends where the next one starts
+            last = self.toks[self.pos - 1] if self.pos else None
             raise GrammarError(
-                f"unexpected end of rule file, expected {expected or 'token'}",
+                f"unexpected end of rule{' file' if tok is None else ''}, expected {expected or 'token'}",
                 last.line if last else None,
                 last.col if last else None,
             )
@@ -238,7 +238,7 @@ def _parse_rule(p: _Parser, decl: int) -> Rule:
     p.next(":")
     atoms: list[PatternAtom] = []
     while not p.accept("=>"):
-        if p.peek() is None:
+        if p.peek() is None or p.peek().text == "RULE":  # the file or the next rule begins first
             raise GrammarError("rule is missing `=>`", start.line, start.col)
         atoms.append(_parse_atom(p))
     if not atoms:

@@ -15,9 +15,6 @@ NEG_PARTICLES = frozenset({"لا", "لم", "لن", "ما", "ليس"})
 
 NEG_WINDOW = 3
 
-# Dual/plural morphology accepted on a بين site head.
-_PLURAL_ENDINGS = ("ين", "ان", "ات", "ون", "وا")
-
 
 def guard_neg_scope(tokens, match) -> bool:
     """Veto iff a negation particle precedes the governing verb (or the trigger
@@ -54,15 +51,13 @@ def guard_possessive_required(tokens, match) -> bool:
 
 
 def guard_plural_site(tokens, match) -> bool:
-    """Veto a distribution match whose site is not plural, dual, possessive or
+    """Veto a distribution match whose site is not plural or dual (its entry flagged PLURAL), possessive or
     coordinated (بين requires a plural-like complement)."""
     span = match.captures.get("site")
     if span is None:
         return True
-    if tokens.stems[span[0]].endswith(_PLURAL_ENDINGS):
-        return False
     site = match.evidence.get("site")
-    if site is not None and site.suffixed:
+    if site is not None and (site.suffixed or "PLURAL" in site.entry.flags):
         return False
     return not any(cut.kind == "coordination" for word in tokens.words[span[1] : span[1] + 2] for cut in word.cuts)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import compress, count, pairwise
 from operator import itemgetter
@@ -52,6 +52,7 @@ FLAGS = frozenset(
         "POLYSEMOUS_SOURCE",
         "AMBIGUOUS_DUAL",
         "GAZE_LEXEME",
+        "PLURAL",  # a plural or dual form: a بين site (guard PLURAL_SITE)
         # extension: entry also matches with an attached pronoun suffix
         "PRONOUN_SUFFIXABLE",
     }
@@ -80,6 +81,7 @@ class LexEntry:
     senses: frozenset[str]          # category paths into the semantic map
     flags: frozenset[str]
     attributes: tuple[tuple[str, object], ...] = ()  # (name, JSON scalar) pairs copied onto annotations it triggers
+    source: str = field(default="", compare=False, repr=False)  # `path:line` of the row `load` first read it from
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,24 +143,25 @@ class Lexicon:
     """
 
     def __init__(self, entries: list[LexEntry]):
-        seen: set[tuple[str, LexClass]] = set()
+        at: dict[tuple[str, LexClass], str] = {}  # (lemma, class) -> where it is first given
         for e in entries:
-            if (e.lemma, e.cls) in seen:
-                raise LexiconError(f"duplicate entry ({e.lemma}, {e.cls.value})")
-            seen.add((e.lemma, e.cls))
+            where = e.source or f"entry {e.lemma}"  # what every fault of the entry is reported by
+            if (e.lemma, e.cls) in at:
+                raise LexiconError(f"{where}: duplicate entry ({e.lemma}, {e.cls.value}), first at {at[e.lemma, e.cls]}")
+            at[e.lemma, e.cls] = where
             if type(e.words) is not tuple or not e.words:  # else a str is read as its letters, () as a pair key
-                raise LexiconError(f"entry {e.lemma}: its words must be a non-empty tuple, not {e.words!r}")
+                raise LexiconError(f"{where}: its words must be a non-empty tuple, not {e.words!r}")
             if problem := _word_problem(e.words):
-                raise LexiconError(f"entry {e.lemma}: its words have {problem}")
+                raise LexiconError(f"{where}: its words have {problem}")
             if e.cls in (LexClass.PREP, LexClass.PREP_LOCUTION) and not e.senses:
-                raise LexiconError(f"entry {e.lemma}: {e.cls.value} requires at least one sense")
+                raise LexiconError(f"{where}: {e.cls.value} requires at least one sense")
             for sense in e.senses:
                 if sense not in semmap.BELOW:  # the paths a rule's SENSE test accepts (`engine._parse_test`)
-                    raise LexiconError(f"entry {e.lemma}: unresolved sense path {sense}")
+                    raise LexiconError(f"{where}: unresolved sense path {sense}")
             for flag in e.flags:
                 if flag not in FLAGS:
-                    raise LexiconError(f"entry {e.lemma}: unknown flag {flag}")
-            _check_attributes(e.attributes, f"entry {e.lemma}")
+                    raise LexiconError(f"{where}: unknown flag {flag}")
+            _check_attributes(e.attributes, where)
         self.entries = tuple(entries)
         # word sequences (with generated suffixed variants): one-word forms by the word, longer by the first two
         self._by_first: dict[str, list[tuple[tuple[str, ...], LexEntry, bool]]] = {}
@@ -227,28 +230,25 @@ class Lexicon:
         return list(found)
 
 
-def _parse_line(line: str, lineno: int, source: str) -> LexEntry:
-    parts = line.split("\t")
-    if not 2 <= len(parts) <= 5:
-        raise LexiconError(f"{source}:{lineno}: expected `lemma<TAB>class[<TAB>senses[<TAB>flags[<TAB>attributes]]]`")
-    raw_lemma, raw_cls, raw_senses, raw_flags, raw_attributes = map(str.strip, (*parts, "", "", "")[:5])
+def _parse_line(columns: list[str], where: str) -> LexEntry:
+    """The entry of a lexicon row's columns, read from `where` (`path:line`); `Lexicon` checks what it holds."""
+    if not 2 <= len(columns) <= 5:
+        raise LexiconError(f"{where}: expected `lemma<TAB>class[<TAB>senses[<TAB>flags[<TAB>attributes]]]`")
+    raw_lemma, raw_cls, raw_senses, raw_flags, raw_attributes = (*columns, "", "", "")[:5]
     if not raw_lemma:
-        raise LexiconError(f"{source}:{lineno}: empty lemma")
+        raise LexiconError(f"{where}: empty lemma")
     try:
         cls = LexClass(raw_cls)
     except ValueError:
-        raise LexiconError(f"{source}:{lineno}: unknown class {raw_cls!r}") from None
+        raise LexiconError(f"{where}: unknown class {raw_cls!r}") from None
     senses = frozenset(s.strip() for s in raw_senses.split(";") if s.strip())
     flags = frozenset(f.strip() for f in raw_flags.split(",") if f.strip())
     words = tuple(normalize(w)[0] for w in raw_lemma.split(" ") if w)
-    if problem := _word_problem(words):
-        raise LexiconError(f"{source}:{lineno}: lemma {raw_lemma!r} has {problem}")
     try:  # a JSON object loads as its (name, value) pairs
         attributes = json.loads(raw_attributes, object_pairs_hook=tuple) if raw_attributes else ()
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise LexiconError(f"{source}:{lineno}: attributes are not valid JSON: {exc}") from None
-    _check_attributes(attributes, f"{source}:{lineno}")
-    return LexEntry(lemma=" ".join(words), words=words, cls=cls, senses=senses, flags=flags, attributes=attributes)
+        raise LexiconError(f"{where}: attributes are not valid JSON: {exc}") from None
+    return LexEntry(" ".join(words), words, cls, senses, flags, attributes, source=where)
 
 
 def read_resource(path) -> str:
@@ -263,20 +263,16 @@ def read_resource(path) -> str:
 
 
 def _rows(path):
-    """(line number, line) of each row of a resource file, its blank lines and `#` comments left out."""
+    """(line number, its tab-separated columns, each stripped) of each non-blank, non-comment row of a resource file."""
     for lineno, line in enumerate(read_resource(path).split("\n"), start=1):
         if line.strip() and not line.lstrip().startswith("#"):
-            yield lineno, line
+            yield lineno, [column.strip() for column in line.split("\t")]
 
 
 def load(paths) -> Lexicon:
-    """Load and validate a lexicon TSV, or a list of them as one lexicon; LexiconError names the file."""
+    """Load and validate a lexicon TSV, or a list of them as one lexicon; a LexiconError names the file and line."""
     paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
-    entries = [_parse_line(line, lineno, str(path)) for path in paths for lineno, line in _rows(path)]
-    try:
-        return Lexicon(entries)
-    except LexiconError as exc:
-        raise LexiconError(f"{', '.join(map(str, paths))}: {exc}") from None
+    return Lexicon([_parse_line(columns, f"{path}:{lineno}") for path in paths for lineno, columns in _rows(path)])
 
 
 def load_variant_table(path) -> dict[str, str]:
@@ -286,12 +282,12 @@ def load_variant_table(path) -> dict[str, str]:
     are each one word (one `_WORD_RE` match); a canonical form may have no
     more letters than its variant and may not itself be listed as a variant
     (the table must be idempotent), and no variant is listed twice. Every
-    failure is a LexiconError naming the file.
+    failure is a LexiconError naming the file and line.
     """
     table: dict[str, str] = {}
     first: dict[str, int] = {}  # variant -> the line that lists it
-    for lineno, line in _rows(path):
-        parts, where = line.strip().split("\t"), f"{path}:{lineno}"
+    for lineno, parts in _rows(path):
+        where = f"{path}:{lineno}"
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise LexiconError(f"{where}: expected `variant<TAB>canonical`")
         (variant, _), (canonical, _) = map(normalize, parts)
@@ -306,9 +302,12 @@ def load_variant_table(path) -> dict[str, str]:
         if variant in first:  # else the later row would silently win
             raise LexiconError(f"{where}: variant {parts[0]!r} is already listed on line {first[variant]}")
         table[variant], first[variant] = canonical, lineno
-    for canonical in table.values():
+    for variant, canonical in table.items():
         if canonical in table:
-            raise LexiconError(f"{path}: variant table is not idempotent: {canonical!r} is also a variant")
+            raise LexiconError(
+                f"{path}:{first[variant]}: variant table is not idempotent: {canonical!r} is also a variant,"
+                f" on line {first[canonical]}"
+            )
     return table
 
 

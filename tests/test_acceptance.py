@@ -66,7 +66,7 @@ RULE prep PRIO 20: trigger=[PREP] => DIRECTIONAL.GOAL
 
 
 def test_engine_equals_brute_force_oracle_exhaustively():
-    lexicon = Lexicon([_parse_line(line, i, "<bf>") for i, line in enumerate(_BF_TSV.splitlines(), start=1)])
+    lexicon = Lexicon([_parse_line(line.split("\t"), f"<bf>:{i}") for i, line in enumerate(_BF_TSV.splitlines(), start=1)])
     grammar = compile(_BF_RULES, lexicon)
     assert len(grammar) == 5
     words = ("alpha", "beta", "gamma", "delta", "epsilon")

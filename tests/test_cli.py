@@ -242,6 +242,13 @@ def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_
         ("--variants", "سين\tسان\nسِين\tسن\n", "{path}:2: variant 'سِين' is already listed on line 1"),
         ("--lexicon", 'ب\tPREP\tTOPOLOGICAL.SUPPORT\t\t{"medium": true, "medium": false}\n',
          "{path}:1: attribute 'medium' is given twice"),
+        # every lexicon fault names its row, whether the row alone or the whole lexicon shows it
+        ("--lexicon", "# c\nعلى-ظهر\tPREP\tTOPOLOGICAL.SUPPORT\n", "{path}:2: its words have 'علي-ظهر', which is not one word"),
+        ("--lexicon", "# c\nعلى\tPREP\n", "{path}:2: PREP requires at least one sense"),
+        ("--lexicon", "# c\nعلى\tPREP\tTOPOLOGICAL.BOGUS\n", "{path}:2: unresolved sense path TOPOLOGICAL.BOGUS"),
+        ("--lexicon", "# c\nعلى\tPREP\tTOPOLOGICAL.SUPPORT\tNOPE_FLAG\n", "{path}:2: unknown flag NOPE_FLAG"),
+        ("--lexicon", "على\tPREP\tTOPOLOGICAL.SUPPORT\n\nعلى\tPREP\tDIRECTIONAL.GOAL\n",
+         "{path}:3: duplicate entry (علي, PREP), first at {path}:1"),
         ("--variants", None, "resource file not found: {path}"),  # an empty path, never the shipped table
         ("--lexicon", None, "resource file not found: {path}"),
         ("--rules", None, "resource file not found: {path}"),

@@ -17,7 +17,7 @@ SMAP = PARENT
 
 def _lexicon(tsv: str) -> Lexicon:
     entries = [
-        _parse_line(line, i, "<test>")
+        _parse_line(line.split("\t"), f"<test>:{i}")
         for i, line in enumerate(tsv.strip().splitlines(), start=1)
         if line.strip() and not line.startswith("#")
     ]
@@ -80,6 +80,30 @@ def test_compile_rejects_a_literal_that_is_not_one_word(pattern, literal, col):
     src = f"# a literal no token can equal\nRULE r PRIO 1: {pattern} => TOPOLOGICAL.SUPPORT"
     with pytest.raises(GrammarError, match=f"^literal {re.escape(repr(literal))} is not one word \\(line 2, col {col}\\)$"):
         compile(src, GOAL_LEX)
+
+
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        ("RULE a PRIO 1: trigger=[PREP] # => DIRECTIONAL.GOAL", r"rule is missing `=>` \(line 1, col 1\)"),
+        (
+            "RULE a PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL GUARD NEG_SCOPE,",  # a guard name missing
+            r"unexpected end of rule, expected token \(line 1, col 66\)",
+        ),
+        ("RULE a PRIO # 1: trigger=[PREP] => DIRECTIONAL.GOAL", r"unexpected end of rule, expected token \(line 1, col 8\)"),
+    ],
+)
+def test_a_rule_cut_short_is_reported_on_its_own_line(first, message):
+    # `RULE` starts the next rule, so a rule never runs on into it: else the fault would name the next rule's line
+    src = f"{first}\nRULE b PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL"
+    with pytest.raises(GrammarError, match=f"^{message}$"):
+        compile(src, GOAL_LEX)
+
+
+@pytest.mark.parametrize("name, literal", [("RULE", "trigger=[PREP]"), ("a", "trigger=[PREP] RULE")])
+def test_rule_is_a_reserved_word(name, literal):
+    with pytest.raises(GrammarError, match=r"^(unexpected end of rule|rule is missing)"):
+        compile(f"RULE {name} PRIO 1: {literal} => DIRECTIONAL.GOAL", GOAL_LEX)
 
 
 def test_compile_rejects_the_root_as_an_output():
@@ -371,9 +395,9 @@ dusk	NOUN_SITE
 
 
 def test_a_grammar_rejects_a_lexicon_it_was_not_compiled_for():
-    box = _parse_line("box\tNOUN_SITE", 2, "<test>")
-    own = Lexicon([_parse_line("on\tPREP\tTOPOLOGICAL.SUPPORT", 1, "<test>"), box])
-    other = Lexicon([_parse_line("on\tPREP\tDIRECTIONAL.GOAL", 1, "<test>"), box])
+    box = _parse_line(["box", "NOUN_SITE"], "<test>:2")
+    own = Lexicon([_parse_line(["on", "PREP", "TOPOLOGICAL.SUPPORT"], "<test>:1"), box])
+    other = Lexicon([_parse_line(["on", "PREP", "DIRECTIONAL.GOAL"], "<test>:1"), box])
     src = "RULE r PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT"
     grammar = compile(src, own)
     assert grammar.lexicon is own

@@ -8,6 +8,7 @@ reference in `oracle.py` gives: an equal document or the same error message.
 
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from makan.annotator import AnnotationFormatError, read_annotations
 from makan.engine import GrammarError, compile
-from makan.lexicon import LexiconError, load, load_variant_table
+from makan.lexicon import LexiconError, load, load_variant_table, read_resource, seed_lexicon_path
+from makan.rulepack import load_resources, rule_pack_path, variants_path
 from oracle import reference_read_annotations
 
 _DSL_WORDS = [
@@ -88,6 +90,54 @@ def test_lexicon_load_raises_only_lexicon_error(content):
 @given(_TSV)
 def test_variant_table_raises_only_lexicon_error(content):
     _with_file(content, lambda path: _raises_only(LexiconError, load_variant_table, path))
+
+
+# Each shipped resource file: how `load_resources` takes it in place of the shipped one, and how its faults name a line.
+_RESOURCES = {
+    "lexicon.tsv": (seed_lexicon_path(), lambda path: {"lexicon_paths": [path]}, "{path}:{line}"),
+    "spatial.rules": (rule_pack_path(), lambda path: {"rule_paths": [path]}, "({path}, line {line}, col"),
+    "variants.tsv": (variants_path(), lambda path: {"variants_file": path}, "{path}:{line}"),
+}
+
+
+@st.composite
+def _mutated_resource(draw):
+    """(file name, its text with one row mutated, the mutated row's line): the row duplicated, a column padded,
+    a tab dropped, a column added or a stray character put in."""
+    name = draw(st.sampled_from(sorted(_RESOURCES)))
+    lines = read_resource(_RESOURCES[name][0]).split("\n")
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")]))
+    row, tabs = lines[i], [j for j, c in enumerate(lines[i]) if c == "\t"]
+    mutation = draw(st.sampled_from(["duplicate", "pad", "add column", "stray"] + ["drop tab"] * bool(tabs)))
+    if mutation == "duplicate":
+        lines.insert(i, row)
+        i += 1
+    elif mutation == "pad":
+        j = draw(st.sampled_from([0, len(row), *tabs, *(j + 1 for j in tabs)]))
+        lines[i] = row[:j] + draw(st.sampled_from([" ", "  "])) + row[j:]
+    elif mutation == "add column":
+        lines[i] = row + "\t" + draw(st.sampled_from(["", "x", "PREP", "TOPOLOGICAL.SUPPORT", "PLURAL", "{}"]))
+    elif mutation == "drop tab":
+        j = draw(st.sampled_from(tabs))
+        lines[i] = row[:j] + row[j + 1 :]
+    else:
+        j = draw(st.integers(0, len(row)))
+        lines[i] = row[:j] + draw(st.sampled_from("!xبَ ;,{\"#(:=]")) + row[j:]
+    return name, "\n".join(lines), i + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_resource())
+def test_a_mutated_resource_row_loads_or_its_fault_names_the_file_and_the_row(mutated):
+    name, text, line = mutated
+    _, argument, location = _RESOURCES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_resources(**argument(path))
+        except (LexiconError, GrammarError) as exc:  # a repeat names its first row too, after the line's own
+            assert re.search(re.escape(location.format(path=path, line=line)) + r"(?!\d)", str(exc)), str(exc)
 
 
 @settings(max_examples=150, deadline=None)

@@ -103,7 +103,7 @@ def test_plural_site_guard_blocks_singular(bundle, run):
     assert run(text).annotations == ()
 
 
-def test_plural_site_guard_vetoes_a_missing_site_and_passes_a_plural_ending(bundle):
+def test_plural_site_guard_vetoes_a_missing_site_and_passes_a_plural_site(bundle):
     smap, lex, _, variants = bundle
     source = "RULE d PRIO 1: trigger=[LIT بين] (site=[NOUN_SITE])? => TOPOLOGICAL.INCLUSION.DISTRIBUTION GUARD PLURAL_SITE"
     grammar = compile(source, lex)
@@ -111,7 +111,7 @@ def test_plural_site_guard_vetoes_a_missing_site_and_passes_a_plural_ending(bund
     (alone,) = apply(grammar, tokens)
     assert alone.captures.get("site") is None and guards.guard_plural_site(tokens, alone) is True
     assert annotate("بين", lex, grammar, smap, variants).annotations == ()
-    doc = annotate("بين المشيعين", lex, grammar, smap, variants)  # the site ends in ين
+    doc = annotate("بين المشيعين", lex, grammar, smap, variants)  # the site's entry is flagged PLURAL
     assert [a.span for a in doc.annotations] == [OffsetSpan(0, 12)]
 
 

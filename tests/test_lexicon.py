@@ -50,9 +50,20 @@ def test_load_rejects_unknown_class_with_line_number(tmp_path):
 
 
 def test_load_rejects_duplicate_lemma_class(tmp_path):
-    path = _write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\nعلى\tPREP\tDIRECTIONAL.GAZE\n")
-    with pytest.raises(LexiconError, match="duplicate"):
+    path = _write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\n# c\nعلى\tPREP\tDIRECTIONAL.GAZE\n")
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:3: duplicate entry (علي, PREP), first at {path}:1")):
         load(path)
+    path = _write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\n")  # also when the rows are in different files
+    other = tmp_path / "other.tsv"
+    other.write_text("في\tPREP\tTOPOLOGICAL.INCLUSION\nعلي\tPREP\tDIRECTIONAL.GOAL\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=re.escape(f"{other}:2: duplicate entry (علي, PREP), first at {path}:1")):
+        load([path, other])
+
+
+def test_a_padded_column_loads_as_the_bare_column(tmp_path):
+    bare = load(_write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\tCONTACT_IMPLIED\t{\"a\": 1}\n")).entries
+    padded = load(_write(tmp_path, " على \tPREP \t TOPOLOGICAL.SUPPORT\tCONTACT_IMPLIED \t {\"a\": 1}\n")).entries
+    assert padded == bare and padded[0].source == f"{tmp_path / 'lex.tsv'}:1"
 
 
 def test_prep_requires_sense(tmp_path):
@@ -161,8 +172,10 @@ def test_constructed_lexicon_rejects_unknown_flag():
     entry = LexEntry(
         lemma="س", words=("س",), cls=LexClass.NOUN_SITE, senses=frozenset(), flags=frozenset({"NOPE"})
     )
-    with pytest.raises(LexiconError, match="NOPE"):
+    with pytest.raises(LexiconError, match="^entry س: unknown flag NOPE$"):
         Lexicon([entry])
+    with pytest.raises(LexiconError, match=re.escape("entry س: duplicate entry (س, NOUN_SITE), first at entry س")):
+        Lexicon([replace(entry, flags=frozenset()), replace(entry, flags=frozenset())])
 
 
 def test_constructed_lexicon_rejects_a_sense_outside_the_map():
@@ -171,7 +184,7 @@ def test_constructed_lexicon_rejects_a_sense_outside_the_map():
     entry = LexEntry(
         lemma="على", words=("على",), cls=LexClass.PREP, senses=frozenset({"TOPOLOGICAL.BOGUS"}), flags=frozenset()
     )
-    with pytest.raises(LexiconError, match="unresolved sense path TOPOLOGICAL.BOGUS"):
+    with pytest.raises(LexiconError, match="^entry على: unresolved sense path TOPOLOGICAL.BOGUS$"):
         Lexicon([entry])
 
 
@@ -205,7 +218,7 @@ def test_load_rejects_lemma_that_normalizes_to_nothing(tmp_path, lemma):
 def test_load_rejects_a_lemma_word_that_is_not_one_word(tmp_path, lemma, word):
     # a BOM left by an editor, or a word joined by punctuation: no token's stem can equal it
     path = _write(tmp_path, f"# header\n{lemma}\tPREP\tTOPOLOGICAL.SUPPORT\n")
-    with pytest.raises(LexiconError, match=re.escape(f"lex.tsv:2: lemma {lemma!r} has {word!r}, which is not one word")):
+    with pytest.raises(LexiconError, match=re.escape(f"lex.tsv:2: its words have {word!r}, which is not one word")):
         load(path)
 
 
@@ -279,7 +292,7 @@ _SHARED_WORDS = (
     "يميني يمينها واجهته "  # suffixed forms
     "بدار بالدار بوسط بيمين بواجهته وبدار"  # ب proclitics
 ).split()
-_SHARED_LEXICON = Lexicon([_parse_line(line, n, "<shared>") for n, line in enumerate(_SHARED_TSV.splitlines(), 1)])
+_SHARED_LEXICON = Lexicon([_parse_line(line.split("\t"), f"<shared>:{n}") for n, line in enumerate(_SHARED_TSV.splitlines(), 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,8 +328,9 @@ def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construc
     entries = [replace(e, attributes=(("n", 10**5000),)) if e.lemma == "فوق" else e for e in lex.entries]
     try:
         big = Lexicon(entries)
-    except LexiconError as exc:
-        assert "entry فوق: attribute 'n'" in str(exc)
+    except LexiconError as exc:  # an entry replaced from a loaded one keeps the row it was first read from
+        (source,) = {e.source for e in lex.entries if e.lemma == "فوق"}
+        assert re.fullmatch(r".*lexicon\.tsv:\d+", source) and str(exc).startswith(f"{source}: attribute 'n'")
         return
     doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big), smap, variants)
     assert json.loads(document_to_json(doc))["annotations"][0]["attributes"] == {"n": 10**5000}

@@ -109,8 +109,14 @@ def test_a_refused_variant_raises_on_every_call_and_is_not_kept(bundle):
 def test_variant_table_rejects_non_idempotent(tmp_path):
     path = tmp_path / "variants.tsv"
     path.write_text("اب\tجد\nجد\tهو\n", encoding="utf-8")
-    with pytest.raises(LexiconError):
+    with pytest.raises(LexiconError, match=re.escape(f"{path}:1: variant table is not idempotent: 'جد' is also a variant, on line 2")):
         load_variant_table(path)
+
+
+def test_variant_table_loads_a_padded_column_as_the_bare_column(tmp_path):
+    path = tmp_path / "variants.tsv"
+    path.write_text("سين \tسان\n لوارية\t لوار \n", encoding="utf-8")
+    assert load_variant_table(path) == {"سين": "سان", "لوارية": "لوار"}
 
 
 def test_variant_table_reports_line_numbers(tmp_path):
