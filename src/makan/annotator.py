@@ -7,6 +7,7 @@ without the `rule` field.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -93,20 +94,32 @@ def annotate(
 ) -> AnnotatedDocument:
     """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations.
 
-    They come out in strictly increasing `span.start`, since `engine.apply` resumes after each trigger."""
+    They come out in strictly increasing `span.start`, since `engine.apply` resumes after each trigger.
+
+    The cyclic garbage collector is paused for the call, as `cli.main` pauses it for a command: the call builds no
+    reference cycle, so reference counting frees all it drops. On the way out, by a return or an exception, it is
+    turned back on only if it was on. Calls in several threads leave it as it was before the first: the call that
+    turned it off turns it back on. A thread that turns it off while a call runs may find it on when the call
+    returns."""
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
     # The grammar was validated against the one map; another map must hold every rule output.
     unresolved = [] if smap is semmap.PARENT else [r.output for r in grammar.rules if r.output not in smap]
     if unresolved:
         raise ValueError(f"category {unresolved[0]} does not resolve in the given map")
-    tokens = tokenize(text, lexicon, variants)
-    annotations = []
-    for match in engine.apply(grammar, tokens):
-        vetoed, alternates = guards.run_guards(tokens, match)
-        if vetoed:
-            continue
-        annotations.append(_convert(match, tokens, alternates))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tokens = tokenize(text, lexicon, variants)
+        annotations = []
+        for match in engine.apply(grammar, tokens):
+            vetoed, alternates = guards.run_guards(tokens, match)
+            if vetoed:
+                continue
+            annotations.append(_convert(match, tokens, alternates))
+    finally:
+        if enabled:
+            gc.enable()
     return AnnotatedDocument(doc_id, text, tuple(annotations))
 
 

@@ -1,6 +1,7 @@
 """Pattern DSL compiled to deterministic matchers applied as a prioritized cascade.
 
-Rule syntax (one statement per rule, each begun by the reserved word `RULE`; `#` comments):
+Rule syntax (one statement per rule, each begun by the reserved word `RULE`; a line whose first non-blank
+character is `#` is a comment, and a `#` anywhere else is refused):
 
     rule  := "RULE" name "PRIO" int ":" atom+ "=>" path ("GUARD" name ("," name)*)?
     atom  := "(" inner ")?" | inner | "GAP" int
@@ -130,7 +131,7 @@ class CompiledGrammar:
 # ---------------------------------------------------------------------------
 # lexing / parsing
 
-# The last alternative takes the one character no token takes, a `)` without its `?`.
+# The last alternative takes a character no token takes: a `)` without its `?`, or a `#` that does not begin a line.
 _TOKEN_RE = re.compile(r"=>|\)\?|[\[\]|(:,=]|[^\s\[\]|():,=#]+|(\S)")
 
 _Tok = namedtuple("_Tok", "text line col")
@@ -139,7 +140,9 @@ _Tok = namedtuple("_Tok", "text line col")
 def _lex(source: str) -> list[_Tok]:
     toks = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        for m in _TOKEN_RE.finditer(raw.split("#", 1)[0]):
+        if raw.lstrip().startswith("#"):  # a comment is a whole line
+            continue
+        for m in _TOKEN_RE.finditer(raw):
             if m[1]:
                 raise GrammarError(f"unexpected character {m[1]!r}", lineno, m.start() + 1)
             toks.append(_Tok(m[0], lineno, m.start() + 1))

@@ -6,10 +6,8 @@ Metrics are kept as exact rationals; printing rounds half-up to 2 decimals.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
-import itertools
 import math
 import random
 from collections import Counter
@@ -126,22 +124,28 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         gold_cats = [top_level(g.category) for g in gold_anns]
         # gold indices in candidate order: a system annotation takes the first untaken one it matches
         order = sorted(range(len(gold_anns)), key=lambda k: (gold_anns[k].span.start, gold_anns[k].trigger.start, k))
-        starts = [gold_anns[k].span.start for k in order]  # ascending: no gold from the first past an end overlaps
-        queues: dict[tuple[OffsetSpan, str], list[int]] = {}  # (trigger, category) -> untaken gold, first last
         if mode is MatchMode.TRIGGER_EXACT:
+            queues: dict[tuple[OffsetSpan, str], list[int]] = {}  # (trigger, category) -> untaken gold, first last
             for idx in reversed(order):
                 queues.setdefault((gold_anns[idx].trigger, gold_cats[idx]), []).append(idx)
+        else:
+            untaken: dict[str, list[int]] = {}  # category -> its untaken gold in candidate order, by span start
+            for idx in order:
+                untaken.setdefault(gold_cats[idx], []).append(idx)
         for ann in sys_anns:
             cat = top_level(ann.category)
             if mode is MatchMode.TRIGGER_EXACT:
                 queue = queues.get((ann.trigger, cat))
                 hit = queue.pop() if queue else None
             else:
-                overlapping = (
-                    idx for idx in itertools.islice(order, bisect.bisect_left(starts, ann.span.end))
-                    if idx not in taken and gold_cats[idx] == cat and ann.span.overlaps(gold_anns[idx].span)
-                )
-                hit = next(overlapping, None)
+                hit, (start, end), candidates = None, ann.span, untaken.get(cat, [])
+                for pos, idx in enumerate(candidates):
+                    g_start, g_end = gold_anns[idx].span
+                    if g_start >= end:  # neither this gold nor any after it overlaps
+                        break
+                    if g_end > start:
+                        hit = candidates.pop(pos)
+                        break
             if hit is not None:
                 taken.add(hit)
                 report.categories[cat].tp += 1

@@ -8,6 +8,8 @@ import pickle
 import re
 import secrets
 import stat
+import sys
+import threading
 import weakref
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from makan import annotate, guards, read_annotations, write_annotations
 from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation, document_to_json
 from makan.engine import RawMatch, apply, compile
-from makan.lexicon import PRONOUN_SUFFIXES, seed_lexicon_path
+from makan.lexicon import PRONOUN_SUFFIXES, Lexicon, seed_lexicon_path
 from makan.rulepack import load_resources
 from makan.semmap import PARENT, ROOT, TOP_LEVEL, top_level
 from makan.textnorm import _WORD_RE, OffsetSpan, normalize, tokenize
@@ -607,6 +609,72 @@ def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_annotate_runs_with_the_collector_paused_and_leaves_it_as_it_was(monkeypatch, run, suite_gold, enabled):
+    during = []
+    run_guards = guards.run_guards
+
+    def spy(tokens, match):
+        during.append(gc.isenabled())
+        return run_guards(tokens, match)
+
+    monkeypatch.setattr(guards, "run_guards", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run(suite_gold[0].text)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)
+    assert after is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fault", ["variant", "lexicon"])
+def test_annotate_that_raises_leaves_the_collector_as_it_was(bundle, enabled, fault):
+    smap, lex, grammar, _ = bundle
+    if fault == "variant":  # raised by `tokenize`, inside the pause
+        lexicon, variants = lex, {"سانجيرمان": "سان جيرمان"}
+        message = "canonical form 'سان جيرمان' of variant 'سانجيرمان'"
+    else:  # an equal copy is another lexicon, refused before the pause
+        lexicon, variants = Lexicon(list(lex.entries)), None
+        message = "lexicon other than the one it was compiled for"
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            annotate("عاد إلى سانجيرمان", lexicon, grammar, smap, variants)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+
+
+def test_two_threads_annotating_at_once_leave_the_collector_on(run, suite_gold):
+    # whichever call finishes last, the one that turned the collector off turns it back on
+    from concurrent.futures import ThreadPoolExecutor
+
+    both = threading.Barrier(2)
+
+    def work(_):
+        both.wait(timeout=10)
+        return [run(doc.text) for doc in suite_gold]
+
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    try:
+        gc.enable()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that one call's pause overlaps the other's
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(work, range(2))
+        after = gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+    assert after
+    assert first == second
 
 
 def test_annotating_with_two_lexicons_in_turn_leaves_no_cyclic_garbage(bundle, suite_gold):

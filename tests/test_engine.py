@@ -85,12 +85,12 @@ def test_compile_rejects_a_literal_that_is_not_one_word(pattern, literal, col):
 @pytest.mark.parametrize(
     "first, message",
     [
-        ("RULE a PRIO 1: trigger=[PREP] # => DIRECTIONAL.GOAL", r"rule is missing `=>` \(line 1, col 1\)"),
+        ("RULE a PRIO 1: trigger=[PREP]", r"rule is missing `=>` \(line 1, col 1\)"),
         (
             "RULE a PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL GUARD NEG_SCOPE,",  # a guard name missing
             r"unexpected end of rule, expected token \(line 1, col 66\)",
         ),
-        ("RULE a PRIO # 1: trigger=[PREP] => DIRECTIONAL.GOAL", r"unexpected end of rule, expected token \(line 1, col 8\)"),
+        ("RULE a PRIO", r"unexpected end of rule, expected token \(line 1, col 8\)"),
     ],
 )
 def test_a_rule_cut_short_is_reported_on_its_own_line(first, message):
@@ -170,11 +170,19 @@ def test_compile_rejects_stray_character():
         ("RULE r PRIO 1: (trigger=[PREP] ) => TOPOLOGICAL", "unexpected character ')' (line 1, col 32)"),
         ("RULE r PRIO 1: => TOPOLOGICAL", "rule r: empty pattern (line 1, col 1)"),
         ("RULE r PRIO 1: (trigger=[PREP])? => TOPOLOGICAL", "rule r: trigger capture may not be optional (line 1, col 1)"),
+        # a `#` after a token would silently drop what follows it, the guards here
+        ("RULE r PRIO 1: trigger=[PREP] => DIRECTIONAL.GOAL #GUARD NEG_SCOPE", "unexpected character '#' (line 1, col 51)"),
     ],
 )
 def test_compile_error_message(src, message):
     with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
         compile(src, GOAL_LEX)
+
+
+def test_a_comment_is_a_line_whose_first_non_blank_character_is_a_hash():
+    src = "# a rule over three lines\nRULE r PRIO 1: trigger=[PREP]\n    # its output\n=> DIRECTIONAL.GOAL GUARD NEG_SCOPE"
+    (rule,) = compile(src, GOAL_LEX).rules
+    assert (rule.output, rule.guards) == ("DIRECTIONAL.GOAL", ("NEG_SCOPE",))
 
 
 def test_compile_rejects_truncated_rule():

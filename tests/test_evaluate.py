@@ -240,6 +240,14 @@ def test_error_report_empty():
     assert error_report(report) == {"bruit": [], "silence": []}
 
 
+def _assert_scores_as_reference(gold, system, mode):
+    report = score(gold, system, mode)
+    counts, bruit, silence = reference_score(gold, system, mode is MatchMode.TRIGGER_EXACT)
+    assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
+    assert [r.annotation for r in report.bruit] == bruit
+    assert [r.annotation for r in report.silence] == silence
+
+
 # trigger spans that collide, hulls that overlap, leaves that share a top-level category
 _SPAN_PAIRS = [
     ((t, t + w), (t, t + w + x)) for t, w, x in ((0, 1, 0), (0, 1, 3), (0, 2, 1), (2, 1, 0), (2, 2, 2), (5, 1, 1))
@@ -261,11 +269,7 @@ def test_score_equals_reference_scan(docs):
     gold = [_doc(f"d{i}", text, g) for i, (g, _) in enumerate(docs)]
     system = [_doc(f"d{i}", text, s) for i, (_, s) in enumerate(docs)]
     for mode in MatchMode:
-        report = score(gold, system, mode)
-        counts, bruit, silence = reference_score(gold, system, mode is MatchMode.TRIGGER_EXACT)
-        assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
-        assert [r.annotation for r in report.bruit] == bruit
-        assert [r.annotation for r in report.silence] == silence
+        _assert_scores_as_reference(gold, system, mode)
 
 
 _SPANS = st.tuples(st.integers(0, 28), st.integers(1, 4)).map(lambda sw: OffsetSpan(sw[0], min(sw[0] + sw[1], 30)))
@@ -279,8 +283,27 @@ def test_span_overlap_scan_that_stops_at_the_first_gold_past_the_end_equals_a_fu
     text = "ا" * 30
     gold = [_doc("d", text, [SpatialAnnotation(span=s, category=c, trigger=s) for s, c in gold_pairs])]
     system = [_doc("d", text, [SpatialAnnotation(span=s, category=c, trigger=s, rule="r") for s, c in system_pairs])]
-    report = score(gold, system, MatchMode.SPAN_OVERLAP)
-    counts, bruit, silence = reference_score(gold, system, trigger_exact=False)
-    assert {cat: [c.tp, c.fp, c.fn] for cat, c in report.categories.items()} == counts
-    assert [r.annotation for r in report.bruit] == bruit
-    assert [r.annotation for r in report.silence] == silence
+    _assert_scores_as_reference(gold, system, MatchMode.SPAN_OVERLAP)
+
+
+@st.composite
+def _nested_fields(draw):
+    """(span, trigger inside it, category) on a text of 6 characters, where equal and nested spans are common."""
+    start = draw(st.integers(0, 5))
+    end = draw(st.integers(start + 1, 6))
+    trigger_start = draw(st.integers(start, end - 1))
+    trigger = OffsetSpan(trigger_start, draw(st.integers(trigger_start + 1, end)))
+    return OffsetSpan(start, end), trigger, draw(st.sampled_from(_CATEGORIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_nested_fields(), max_size=10), st.lists(st.integers(0, 9), max_size=4), st.lists(_nested_fields(), max_size=10))
+def test_score_takes_the_reference_greedy_choice_among_equal_nested_and_repeated_gold(gold_fields, repeats, system_fields):
+    """Some gold is given twice; each gold annotation's rule names its index, so the silence shows which copy was taken."""
+    gold_fields += [gold_fields[k] for k in repeats if k < len(gold_fields)]
+    text = "ا" * 6
+    gold_anns = [SpatialAnnotation(span=s, category=c, trigger=t, rule=f"g{i}") for i, (s, t, c) in enumerate(gold_fields)]
+    gold = [_doc("d", text, gold_anns)]
+    system = [_doc("d", text, [SpatialAnnotation(span=s, category=c, trigger=t, rule="r") for s, t, c in system_fields])]
+    for mode in MatchMode:
+        _assert_scores_as_reference(gold, system, mode)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from makan import annotate, guards
@@ -126,6 +128,27 @@ def test_source_requires_nearby_motion_verb(run):
     assert run("هطل الثلج من جديد أياماً أواسط شباط.").annotations == ()
     with_verb = run("كان الرجل يأتي كل يوم من المدينة المجاورة")
     assert [a.category for a in with_verb.annotations] == ["DIRECTIONAL.SOURCE"]
+
+
+def test_the_suite_gives_the_match_and_veto_counts_a_stats_report_is_to_print(bundle, suite_gold):
+    """Raw matches, and the vetoed ones counted by the first blocking guard that vetoes, in each rule's guard order."""
+    raw, by_guard, by_rule = 0, Counter(), Counter()
+    for doc in suite_gold:
+        tokens, matches = _raw_matches(bundle, doc.text)
+        for match in matches:
+            raw += 1
+            blocking = (name for name in match.guards if name in guards.BLOCKING_GUARDS)
+            first = next((name for name in blocking if guards.BLOCKING_GUARDS[name](tokens, match)), None)
+            assert (first is not None) == guards.run_guards(tokens, match)[0]
+            if first is not None:
+                by_guard[first] += 1
+                by_rule[match.rule] += 1
+    kept = raw - by_guard.total()
+    assert (raw, kept) == (65, 55) and kept == sum(len(doc.annotations) for doc in suite_gold)
+    assert by_guard == {"ABSTRACT_SITE": 5, "TEMPORAL_SITE": 2, "NEG_SCOPE": 2, "POSSESSIVE_REQUIRED": 1}
+    assert by_rule == {
+        "topo_contain": 5, "topo_dist": 1, "proj_prox": 1, "proj_vert_pron": 1, "topo_support": 1, "dir_goal_verb": 1
+    }
 
 
 def test_guards_are_pure(bundle):
