@@ -79,7 +79,6 @@ class Rule:
     atoms: tuple[PatternAtom, ...]
     output: str
     guards: tuple[str, ...]
-    decl: int                    # declaration index, tie-break after priority
 
 
 class RawMatch(Record, namedtuple("RawMatch", "rule span captures output guards evidence following")):
@@ -110,7 +109,7 @@ class CompiledGrammar:
     def __init__(self, rules: tuple[Rule, ...], lexicon: Lexicon):
         self.rules = rules
         self.lexicon = lexicon
-        self.ordered = tuple(sorted(rules, key=lambda r: (-r.priority, r.decl)))  # candidate order
+        self.ordered = tuple(sorted(rules, key=lambda r: -r.priority))  # candidate order; ties keep declaration order
         self.first: dict[object, list[int]] = {}  # stem, class, sense path or flag -> ranks it starts
         for rank, rule in enumerate(self.ordered):
             for test in rule.atoms[0].tests:
@@ -233,7 +232,7 @@ def _parse_atom(p: _Parser) -> PatternAtom:
     return PatternAtom(tests=tuple(tests), capture=capture, optional=optional)
 
 
-def _parse_rule(p: _Parser, decl: int) -> Rule:
+def _parse_rule(p: _Parser) -> Rule:
     start = p.next("RULE")
     name = p.next(None).text
     p.next("PRIO")
@@ -250,14 +249,7 @@ def _parse_rule(p: _Parser, decl: int) -> Rule:
     guards: list[str] = []
     while p.accept("," if guards else "GUARD"):  # GUARD name ("," name)*
         guards.append(p.next(None).text)
-    return Rule(
-        name=name,
-        priority=priority,
-        atoms=tuple(atoms),
-        output=output,
-        guards=tuple(guards),
-        decl=decl,
-    )
+    return Rule(name=name, priority=priority, atoms=tuple(atoms), output=output, guards=tuple(guards))
 
 
 def _rule_problem(rule: Rule) -> str | None:
@@ -294,7 +286,7 @@ def compile(source: str, lexicon: Lexicon) -> CompiledGrammar:
     names: set[str] = set()
     while p.peek() is not None:
         start = p.peek()
-        rule = _parse_rule(p, decl=len(rules))
+        rule = _parse_rule(p)
         problem = _rule_problem(rule)
         if problem is not None:
             raise GrammarError(f"rule {rule.name}: {problem}", start.line, start.col)

@@ -108,7 +108,12 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
     annotations are silence (fn).
     """
     mode = MatchMode(mode)
-    top_level = functools.cache(lambda path: semmap.top_level(semmap.PARENT, path))  # each category once a call
+    exact = mode is MatchMode.TRIGGER_EXACT
+    reason = (
+        "no unmatched gold annotation with this trigger and category" if exact
+        else "no unmatched gold annotation overlapping this span with this category"
+    )
+    top_level = functools.cache(semmap.top_level)  # each category once a call
     gold_by_id, sys_by_id = _by_id(gold_docs, "gold"), _by_id(system_docs, "system")
     if set(gold_by_id) != set(sys_by_id):
         missing = sorted(set(gold_by_id) ^ set(sys_by_id))
@@ -118,36 +123,26 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
         gold_doc, sys_doc = gold_by_id[doc_id], sys_by_id[doc_id]
         if gold_doc.text != sys_doc.text:
             raise ValueError(f"document {doc_id}: gold and system texts differ")
-        taken: set[int] = set()
         sys_anns = sorted(sys_doc.annotations, key=lambda a: (a.trigger.start, a.span.start))
         gold_anns = list(gold_doc.annotations)
         gold_cats = [top_level(g.category) for g in gold_anns]
-        # gold indices in candidate order: a system annotation takes the first untaken one it matches
+        # (category, trigger, or None when spans are compared) -> its untaken gold in candidate order, by span
+        # start: a system annotation takes the first one it matches
+        untaken: dict[tuple[str, OffsetSpan | None], list[int]] = {}
         order = sorted(range(len(gold_anns)), key=lambda k: (gold_anns[k].span.start, gold_anns[k].trigger.start, k))
-        if mode is MatchMode.TRIGGER_EXACT:
-            queues: dict[tuple[OffsetSpan, str], list[int]] = {}  # (trigger, category) -> untaken gold, first last
-            for idx in reversed(order):
-                queues.setdefault((gold_anns[idx].trigger, gold_cats[idx]), []).append(idx)
-        else:
-            untaken: dict[str, list[int]] = {}  # category -> its untaken gold in candidate order, by span start
-            for idx in order:
-                untaken.setdefault(gold_cats[idx], []).append(idx)
+        for idx in order:
+            untaken.setdefault((gold_cats[idx], gold_anns[idx].trigger if exact else None), []).append(idx)
         for ann in sys_anns:
             cat = top_level(ann.category)
-            if mode is MatchMode.TRIGGER_EXACT:
-                queue = queues.get((ann.trigger, cat))
-                hit = queue.pop() if queue else None
-            else:
-                hit, (start, end), candidates = None, ann.span, untaken.get(cat, [])
-                for pos, idx in enumerate(candidates):
-                    g_start, g_end = gold_anns[idx].span
-                    if g_start >= end:  # neither this gold nor any after it overlaps
-                        break
-                    if g_end > start:
-                        hit = candidates.pop(pos)
-                        break
+            hit, (start, end), candidates = None, ann.span, untaken.get((cat, ann.trigger if exact else None), [])
+            for pos, idx in enumerate(candidates):
+                g_start, g_end = gold_anns[idx].span
+                if exact or g_start < end and g_end > start:
+                    hit = candidates.pop(pos)
+                    break
+                if g_start >= end:  # neither this gold nor any after it overlaps
+                    break
             if hit is not None:
-                taken.add(hit)
                 report.categories[cat].tp += 1
             else:
                 report.categories[cat].fp += 1
@@ -157,19 +152,19 @@ def score(gold_docs, system_docs, mode: MatchMode) -> EvalReport:
                         annotation=ann,
                         trigger_text=normalize(ann.trigger.slice(sys_doc.text))[0],
                         rule=ann.rule,
-                        reason="no unmatched gold annotation with this trigger and category",
+                        reason=reason,
                     )
                 )
-        for idx, g in enumerate(gold_anns):
-            if idx not in taken:
-                report.categories[gold_cats[idx]].fn += 1
-                report.silence.append(
-                    SilenceRecord(
-                        doc_id=doc_id,
-                        annotation=g,
-                        trigger_text=normalize(g.trigger.slice(gold_doc.text))[0],
-                    )
+        for idx in sorted(i for candidates in untaken.values() for i in candidates):  # gold left untaken
+            g = gold_anns[idx]
+            report.categories[gold_cats[idx]].fn += 1
+            report.silence.append(
+                SilenceRecord(
+                    doc_id=doc_id,
+                    annotation=g,
+                    trigger_text=normalize(g.trigger.slice(gold_doc.text))[0],
                 )
+            )
     return report
 
 
@@ -189,7 +184,7 @@ def split(doc_ids, seed: int) -> tuple[list, list]:
 def error_report(report: EvalReport) -> dict:
     """Bruit grouped by (rule, trigger lemma); silence grouped by gold category."""
     bruit_groups = Counter((rec.rule or "?", rec.trigger_text) for rec in report.bruit)
-    silence_groups = Counter(semmap.top_level(semmap.PARENT, rec.annotation.category) for rec in report.silence)
+    silence_groups = Counter(semmap.top_level(rec.annotation.category) for rec in report.silence)
     return {
         "bruit": [
             {"rule": rule, "lemma": lemma, "count": count}

@@ -1,16 +1,15 @@
 """Semantic map of the spatiality domain: a rooted tree of concept classes.
 
 Category ids are stable dot-separated path strings ("TOPOLOGICAL.SUPPORT")
-used verbatim in lexicon files, rule files and annotation files. The map is
-plain data: `PARENT`, a read-only mapping from each path to its parent path
-(None at `ROOT`). `path in smap` resolves a path and `smap[path]` reads its
-parent; the functions below take the map as their first argument.
+used verbatim in lexicon files, rule files and annotation files. There is
+one map, and it is module data: `PARENT`, a read-only mapping from each path
+to its parent path (None at `ROOT`). `path in PARENT` resolves a path and
+`PARENT[path]` reads its parent; the functions below read `PARENT` themselves.
 """
 
 from __future__ import annotations
 
 import types
-from collections.abc import Mapping
 
 ROOT = "SPATIAL"
 
@@ -45,29 +44,29 @@ TOP_LEVEL = ("TOPOLOGICAL", "PROJECTIVE", "DIRECTIONAL")
 PARENT = types.MappingProxyType(dict(_TREE))
 
 
-def resolve(smap: Mapping[str, str | None], path: str) -> str | None:
+def resolve(path: str) -> str | None:
     """Exact path match: the path itself, or None when it is not in the map."""
-    return path if path in smap else None
+    return path if path in PARENT else None
 
 
-def subsumes(smap: Mapping[str, str | None], ancestor: str, descendant: str) -> bool:
+def subsumes(ancestor: str, descendant: str) -> bool:
     """True iff `ancestor` lies on `descendant`'s parent chain (reflexive)."""
     for path in (ancestor, descendant):
-        if path not in smap:
+        if path not in PARENT:
             raise ValueError(f"unknown category path: {path}")
     cur: str | None = descendant
     while cur is not None:
         if cur == ancestor:
             return True
-        cur = smap[cur]
+        cur = PARENT[cur]
     return False
 
 
-def top_level(smap: Mapping[str, str | None], path: str) -> str:
+def top_level(path: str) -> str:
     """Project a category onto its top-level ancestor (TOPOLOGICAL/PROJECTIVE/DIRECTIONAL)."""
-    if path not in smap:
+    if path not in PARENT:
         raise ValueError(f"unknown category path: {path}")
-    while (parent := smap[path]) is not None and parent != ROOT:
+    while (parent := PARENT[path]) is not None and parent != ROOT:
         path = parent
     if path == ROOT:
         raise ValueError("the root has no top-level category")
@@ -75,4 +74,4 @@ def top_level(smap: Mapping[str, str | None], path: str) -> str:
 
 
 # path of the one map -> the path and all its descendants: what a rule's SENSE test of the path accepts
-BELOW = types.MappingProxyType({a: frozenset(d for d in PARENT if subsumes(PARENT, a, d)) for a in PARENT})
+BELOW = types.MappingProxyType({a: frozenset(d for d in PARENT if subsumes(a, d)) for a in PARENT})

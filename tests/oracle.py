@@ -25,11 +25,11 @@ from makan.semmap import subsumes
 from makan.textnorm import _FOLD, _REMOVED, _WORD_RE, OffsetSpan, Proclitic, Token, _split_clitics
 
 
-def _test_ok(test, lex_match, smap):
+def _test_ok(test, lex_match):
     if test.kind == "class":
         return lex_match.entry.cls is LexClass[test.value]
     if test.kind == "sense":
-        return any(subsumes(smap, test.value, s) for s in lex_match.entry.senses)
+        return any(subsumes(test.value, s) for s in lex_match.entry.senses)
     if test.kind == "flag":
         return test.value in lex_match.entry.flags
     raise AssertionError(test.kind)
@@ -57,7 +57,7 @@ def _all_alignments(rule, accepted, n, start):
     return [(pos - start, vec, caps) for pos, vec, caps in partial if "trigger" in caps]
 
 
-def _evidence(atom, tokens, lookups, smap, pos, consumed):
+def _evidence(atom, tokens, lookups, pos, consumed):
     """The first (test, lookup) pair in declaration order that consumes `consumed` tokens: its match, or None for a literal."""
     for test in atom.tests:
         if test.kind == "lit":
@@ -65,14 +65,13 @@ def _evidence(atom, tokens, lookups, smap, pos, consumed):
                 return None
             continue
         for m in lookups[pos]:
-            if m.length == consumed and _test_ok(test, m, smap):
+            if m.length == consumed and _test_ok(test, m):
                 return m
     raise AssertionError("no test accepts the chosen length")
 
 
 def oracle_apply(grammar, tokens, lexicon):
     """(rule name, span, captures, output, evidence, following) tuples under the same winner policy."""
-    smap = semmap.PARENT
     words = [_word(grammar, lexicon, *key) for key in _keys(lexicon, tokens)]
     lookups = [list(word[0]) for word in words]
     accepted = [[word[1][r] for word in words] for r in range(len(grammar.rules))]  # by rule, then token
@@ -85,7 +84,7 @@ def oracle_apply(grammar, tokens, lexicon):
             if not alignments:
                 continue
             total, vec, caps = max(alignments, key=lambda a: (a[0], a[1]))
-            candidates.append(((-rule.priority, -total, rule.decl), rule, total, vec, caps))
+            candidates.append(((-rule.priority, -total, r), rule, total, vec, caps))
         if not candidates:
             i += 1
             continue
@@ -93,7 +92,7 @@ def oracle_apply(grammar, tokens, lexicon):
         evidence, pos = {}, i
         for atom, consumed in zip(rule.atoms, vec):
             if atom.capture is not None and consumed > 0:
-                evidence[atom.capture] = _evidence(atom, tokens, lookups, smap, pos, consumed)
+                evidence[atom.capture] = _evidence(atom, tokens, lookups, pos, consumed)
             pos += consumed
         start, i = i, caps["trigger"][1]
         following = tuple(lookups[i]) if i < len(tokens) else ()
@@ -117,7 +116,7 @@ def _word(grammar, lexicon, stems, baa):
                     if stems[0] == test.value:
                         counts.add(1)
                 else:
-                    counts.update(m.length for m in lookups if _test_ok(test, m, semmap.PARENT))
+                    counts.update(m.length for m in lookups if _test_ok(test, m))
             per_atom.append(frozenset(counts))
         accepted.append(tuple(per_atom))
     return lookups, tuple(accepted)
@@ -227,7 +226,6 @@ def _lookup(lexicon, stems, baa):
 
 def reference_score(gold_docs, system_docs, trigger_exact):
     """(per-category [tp, fp, fn], bruit annotations, silence annotations), scanning all gold per system annotation."""
-    smap = semmap.PARENT
     counts = {cat: [0, 0, 0] for cat in semmap.TOP_LEVEL}
     bruit, silence = [], []
     system_by_id = {d.doc_id: d for d in system_docs}
@@ -235,12 +233,12 @@ def reference_score(gold_docs, system_docs, trigger_exact):
         gold = list(gold_doc.annotations)
         taken = set()
         for ann in sorted(system_by_id[gold_doc.doc_id].annotations, key=lambda a: (a.trigger.start, a.span.start)):
-            cat = semmap.top_level(smap, ann.category)
+            cat = semmap.top_level(ann.category)
             candidates = [
                 (g.span.start, g.trigger.start, idx)
                 for idx, g in enumerate(gold)
                 if idx not in taken
-                and semmap.top_level(smap, g.category) == cat
+                and semmap.top_level(g.category) == cat
                 and (ann.trigger == g.trigger if trigger_exact else ann.span.overlaps(g.span))
             ]
             if candidates:
@@ -251,7 +249,7 @@ def reference_score(gold_docs, system_docs, trigger_exact):
                 bruit.append(ann)
         for idx, g in enumerate(gold):
             if idx not in taken:
-                counts[semmap.top_level(smap, g.category)][2] += 1
+                counts[semmap.top_level(g.category)][2] += 1
                 silence.append(g)
     return counts, bruit, silence
 
@@ -291,7 +289,6 @@ def _reference_span(obj, text_len, where):
 
 def reference_read_annotations(source):
     """An annotation document read from a text stream, each field checked in turn and each category resolved anew."""
-    smap = semmap.PARENT
     data, name = source.read(), getattr(source, "name", "<stream>")
     try:
         obj = json.loads(data)
@@ -308,7 +305,7 @@ def reference_read_annotations(source):
         if not isinstance(raw, dict):
             raise AnnotationFormatError(f"{where}: must be an object")
         category = raw.get("category")
-        if not isinstance(category, str) or semmap.resolve(smap, category) is None:
+        if not isinstance(category, str) or semmap.resolve(category) is None:
             raise AnnotationFormatError(f"{where}: unknown category path {category!r}")
         if category == semmap.ROOT:
             raise AnnotationFormatError(f"{where}: category {category!r} is the root, not a category")
@@ -322,7 +319,7 @@ def reference_read_annotations(source):
         if not isinstance(alternates, list):
             raise AnnotationFormatError(f"{where}: alternates must be a list")
         for alt in alternates:
-            if not isinstance(alt, str) or semmap.resolve(smap, alt) is None:
+            if not isinstance(alt, str) or semmap.resolve(alt) is None:
                 raise AnnotationFormatError(f"{where}: unknown alternate category {alt!r}")
         attributes, rule = raw.get("attributes", {}), raw.get("rule")
         if not isinstance(attributes, dict):

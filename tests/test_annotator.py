@@ -701,12 +701,11 @@ def test_annotate_is_deterministic_and_idempotent(run, suite_gold):
         assert once.annotations == twice.annotations
 
 
-def test_category_projection_is_top_level_total(bundle, suite_system):
-    smap = bundle[0]
+def test_category_projection_is_top_level_total(suite_system):
     seen = set()
     for doc in suite_system:
         for ann in doc.annotations:
-            seen.add(top_level(smap, ann.category))
+            seen.add(top_level(ann.category))
     assert seen <= set(TOP_LEVEL)
     assert seen == set(TOP_LEVEL)  # the suite exercises all three branches
 

@@ -101,6 +101,17 @@ def test_span_overlap_mode_matches_crossing_spans():
     assert overlap.categories["DIRECTIONAL"].tp == 1  # same top-level, spans overlap
 
 
+def test_bruit_reason_names_what_each_mode_compares():
+    text = "ا" * 10
+    gold = _doc("d", text, [_ann(0, "DIRECTIONAL.GOAL")])
+    system = _doc("d", text, [_ann(4, "DIRECTIONAL.GOAL", rule="r")])
+    reasons = {mode: [rec.reason for rec in score([gold], [system], mode).bruit] for mode in MatchMode}
+    assert reasons == {
+        MatchMode.TRIGGER_EXACT: ["no unmatched gold annotation with this trigger and category"],
+        MatchMode.SPAN_OVERLAP: ["no unmatched gold annotation overlapping this span with this category"],
+    }
+
+
 @pytest.mark.parametrize("side", ["gold", "system"])
 def test_score_rejects_two_documents_sharing_a_doc_id(side):
     # kept as one they scored tp 0/fp 1 or tp 1/fp 0 by list order
@@ -129,15 +140,14 @@ def test_score_rejects_text_mismatch():
 
 def test_conservation(suite_gold, suite_system):
     report = score(suite_gold, suite_system, MatchMode.TRIGGER_EXACT)
-    from makan.semmap import PARENT, top_level
+    from makan.semmap import top_level
 
-    smap = PARENT
     for top, counts in report.categories.items():
         n_sys = sum(
-            1 for d in suite_system for a in d.annotations if top_level(smap, a.category) == top
+            1 for d in suite_system for a in d.annotations if top_level(a.category) == top
         )
         n_gold = sum(
-            1 for d in suite_gold for a in d.annotations if top_level(smap, a.category) == top
+            1 for d in suite_gold for a in d.annotations if top_level(a.category) == top
         )
         assert counts.tp + counts.fp == n_sys
         assert counts.tp + counts.fn == n_gold

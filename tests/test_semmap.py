@@ -7,7 +7,6 @@ from makan.semmap import BELOW, PARENT, ROOT, TOP_LEVEL, resolve, subsumes, top_
 
 
 def test_map_has_expected_nodes():
-    smap = PARENT
     for path in (
         "TOPOLOGICAL.INCLUSION.CONTAINMENT",
         "PROJECTIVE.DISTANCE.PROXIMITY",
@@ -16,100 +15,91 @@ def test_map_has_expected_nodes():
         "TOPOLOGICAL.PERIPHERY",
         "DIRECTIONAL.GAZE",
     ):
-        assert resolve(smap, path) is not None
+        assert resolve(path) is not None
 
 
 def test_map_is_one_shared_read_only_mapping():
-    smap = PARENT
-    assert load_default_resources()[0] is smap
+    assert load_default_resources()[0] is PARENT
     with pytest.raises(TypeError):
-        smap["TOPOLOGICAL.EXTRA"] = "TOPOLOGICAL"
-    assert "TOPOLOGICAL.EXTRA" not in smap and len(smap) == 21
+        PARENT["TOPOLOGICAL.EXTRA"] = "TOPOLOGICAL"
+    assert "TOPOLOGICAL.EXTRA" not in PARENT and len(PARENT) == 21
     # what a SENSE test of each path accepts: the path and every path below it
-    assert BELOW == {a: frozenset(d for d in smap if subsumes(smap, a, d)) for a in smap}
-    assert BELOW["SPATIAL"] == set(smap) and BELOW["DIRECTIONAL.GAZE"] == {"DIRECTIONAL.GAZE"}
+    assert BELOW == {a: frozenset(d for d in PARENT if subsumes(a, d)) for a in PARENT}
+    assert BELOW["SPATIAL"] == set(PARENT) and BELOW["DIRECTIONAL.GAZE"] == {"DIRECTIONAL.GAZE"}
 
 
 def test_root_and_top_level_children():
-    smap = PARENT
-    assert resolve(smap, ROOT) == ROOT and smap[ROOT] is None
-    children = {path for path, parent in smap.items() if parent == ROOT}
+    assert resolve(ROOT) == ROOT and PARENT[ROOT] is None
+    children = {path for path, parent in PARENT.items() if parent == ROOT}
     assert children == set(TOP_LEVEL)
 
 
 def test_resolve_exact_match_only():
-    smap = PARENT
-    assert resolve(smap, "SPATIAL") == ROOT
-    assert resolve(smap, "PROJECTIVE.ORIENTATIONAL.VERTICAL") == "PROJECTIVE.ORIENTATIONAL.VERTICAL"
-    assert resolve(smap, "TEMPORAL") is None
-    assert resolve(smap, "projective") is None
+    assert resolve("SPATIAL") == ROOT
+    assert resolve("PROJECTIVE.ORIENTATIONAL.VERTICAL") == "PROJECTIVE.ORIENTATIONAL.VERTICAL"
+    assert resolve("TEMPORAL") is None
+    assert resolve("projective") is None
 
 
 def test_subsumes_examples():
-    smap = PARENT
-    assert subsumes(smap, "TOPOLOGICAL", "TOPOLOGICAL.SUPPORT")
-    assert not subsumes(smap, "DIRECTIONAL", "PROJECTIVE.DISTANCE.PROXIMITY")
-    for path in smap:
-        assert subsumes(smap, path, path)
+    assert subsumes("TOPOLOGICAL", "TOPOLOGICAL.SUPPORT")
+    assert not subsumes("DIRECTIONAL", "PROJECTIVE.DISTANCE.PROXIMITY")
+    for path in PARENT:
+        assert subsumes(path, path)
 
 
 def test_subsumes_rejects_unknown_paths():
-    smap = PARENT
     with pytest.raises(ValueError):
-        subsumes(smap, "TOPOLOGICAL.BOGUS", "TOPOLOGICAL")
+        subsumes("TOPOLOGICAL.BOGUS", "TOPOLOGICAL")
     with pytest.raises(ValueError):
-        subsumes(smap, "TOPOLOGICAL", "BOGUS")
+        subsumes("TOPOLOGICAL", "BOGUS")
 
 
 def test_top_level_rejects_unknown_paths():
     with pytest.raises(ValueError, match="^unknown category path: BOGUS$"):
-        top_level(PARENT, "BOGUS")
+        top_level("BOGUS")
 
 
 def test_tree_shape():
-    smap = PARENT
     # every non-root node has exactly one parent that resolves; no cycles
-    for path, parent in smap.items():
+    for path, parent in PARENT.items():
         if path == ROOT:
             continue
-        assert parent in smap
+        assert parent in PARENT
         seen = set()
         cur = path
         while cur is not None:
             assert cur not in seen
             seen.add(cur)
-            cur = smap[cur]
+            cur = PARENT[cur]
         assert ROOT in seen
 
 
 def test_partial_order_exhaustive():
-    smap = PARENT
-    nodes = sorted(smap)
+    nodes = sorted(PARENT)
     for a, b in itertools.product(nodes, nodes):
-        ab = subsumes(smap, a, b)
-        ba = subsumes(smap, b, a)
+        ab = subsumes(a, b)
+        ba = subsumes(b, a)
         if ab and ba:
             assert a == b  # antisymmetry
     for a, b, c in itertools.product(nodes, repeat=3):
-        if subsumes(smap, a, b) and subsumes(smap, b, c):
-            assert subsumes(smap, a, c)  # transitivity
+        if subsumes(a, b) and subsumes(b, c):
+            assert subsumes(a, c)  # transitivity
 
 
 def test_every_node_projects_to_exactly_one_top_level():
-    smap = PARENT
-    for path in smap:
+    for path in PARENT:
         if path == ROOT:
             with pytest.raises(ValueError):
-                top_level(smap, path)
+                top_level(path)
             continue
-        tops = [t for t in TOP_LEVEL if subsumes(smap, t, path)]
+        tops = [t for t in TOP_LEVEL if subsumes(t, path)]
         assert len(tops) == 1
-        assert top_level(smap, path) == tops[0]
+        assert top_level(path) == tops[0]
 
 
 def test_path_string_matches_ancestor_chain():
-    smap = PARENT
     # each parent is its path's dotted prefix, or the root for a top-level path
-    for path, parent in smap.items():
+    for path, parent in PARENT.items():
         if path != ROOT:
             assert parent == (path.rpartition(".")[0] or ROOT)

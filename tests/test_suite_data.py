@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from makan.semmap import PARENT, resolve
+from makan.semmap import resolve
 
 
 def test_gold_files_are_named_after_their_doc_ids(suite_gold):
@@ -29,12 +29,11 @@ def test_gold_spans_are_capture_hulls(suite_gold):
 
 
 def test_gold_categories_and_alternates_resolve(suite_gold):
-    smap = PARENT
     for doc in suite_gold:
         for ann in doc.annotations:
-            assert resolve(smap, ann.category) is not None
+            assert resolve(ann.category) is not None
             for alt in ann.alternates:
-                assert resolve(smap, alt) is not None
+                assert resolve(alt) is not None
             assert ann.rule is None  # gold carries no rule field
 
 
