@@ -281,6 +281,10 @@ def _rule_problem(rule: Rule) -> str | None:
 
 def compile(source: str, lexicon: Lexicon) -> CompiledGrammar:
     """Parse and validate rule source against the semantic map; the grammar carries `lexicon`."""
+    if not isinstance(source, str):
+        raise TypeError(f"compile's source must be a str, not {type(source).__name__}")
+    if not isinstance(lexicon, Lexicon):  # else `annotate` fails on the first call
+        raise TypeError(f"compile's lexicon must be a Lexicon, not {type(lexicon).__name__}")
     p = _Parser(_lex(source))
     rules: list[Rule] = []
     names: set[str] = set()

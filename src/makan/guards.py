@@ -25,12 +25,9 @@ def guard_neg_scope(tokens, match) -> bool:
 
 
 def guard_abstract_site(tokens, match) -> bool:
-    """Veto iff the site head is abstract-capable; only concrete places count."""
+    """Veto iff the site head is of class NOUN_ABSTRACT_SITE (وسط بحر من أشجان ...); only concrete places count."""
     site = match.evidence.get("site")
-    if site is None:
-        return False
-    entry = site.entry
-    return entry.cls is LexClass.NOUN_ABSTRACT_SITE or "ABSTRACT_CAPABLE" in entry.flags
+    return site is not None and site.entry.cls is LexClass.NOUN_ABSTRACT_SITE
 
 
 def guard_temporal_site(tokens, match) -> bool:

@@ -43,25 +43,16 @@ NOUN_CLASSES = frozenset(
 
 FLAGS = frozenset(
     {
-        "TEMPORAL_CAPABLE",
-        "ABSTRACT_CAPABLE",
-        "REQUIRES_POSSESSIVE_DISAMBIG",
-        "INTRINSIC_ORIENTATION",
-        "CONTACT_IMPLIED",
-        "NO_CONTACT_REQUIRED",
-        "POLYSEMOUS_SOURCE",
-        "AMBIGUOUS_DUAL",
-        "GAZE_LEXEME",
-        "PLURAL",  # a plural or dual form: a بين site (guard PLURAL_SITE)
-        # extension: entry also matches with an attached pronoun suffix
-        "PRONOUN_SUFFIXABLE",
+        "INTRINSIC_ORIENTATION",  # an oriented part: rule proj_front_part
+        "AMBIGUOUS_DUAL",  # a trigger of two senses: guard DUAL_SENSE
+        "GAZE_LEXEME",  # نظر, مطل: rule dir_gaze
+        "PLURAL",  # a plural or dual form, a بين site: guard PLURAL_SITE
+        "PRONOUN_SUFFIXABLE",  # also matches with an attached pronoun suffix: the suffixed-form index
     }
 )
 
 # Closed set of attached possessive pronouns (يميني، يسارها، فوقي ...).
 PRONOUN_SUFFIXES = ("ي", "نا", "ك", "كما", "كم", "كن", "ه", "ها", "هما", "هم", "هن")
-
-_SUFFIX_FLAGS = {"REQUIRES_POSSESSIVE_DISAMBIG", "PRONOUN_SUFFIXABLE"}
 
 # PREP_LOCUTION sorts before PREP at equal covered length.
 _CLASS_ORDER = {LexClass.PREP_LOCUTION: 0, LexClass.PREP: 1}
@@ -169,7 +160,7 @@ class Lexicon:
         self._forms: set[str] = set()
         for e in entries:
             self._index(e.words, e, suffixed=False)
-            if e.flags & _SUFFIX_FLAGS:
+            if "PRONOUN_SUFFIXABLE" in e.flags:
                 for variant in _suffixed_variants(e.words[-1]):
                     self._index(e.words[:-1] + (variant,), e, suffixed=True)
         for alts in (*self._by_first.values(), *self._by_pair.values()):

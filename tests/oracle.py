@@ -187,7 +187,7 @@ def _all_forms(lexicon):
     forms = []
     for entry in lexicon.entries:
         forms.append((entry, entry.words, False))
-        if entry.flags & {"PRONOUN_SUFFIXABLE", "REQUIRES_POSSESSIVE_DISAMBIG"}:
+        if "PRONOUN_SUFFIXABLE" in entry.flags:
             last = entry.words[-1]
             base = last[:-1] + "ت" if last.endswith("ة") else last
             forms += [(entry, entry.words[:-1] + (base + suffix,), True) for suffix in PRONOUN_SUFFIXES]

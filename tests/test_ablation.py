@@ -1,10 +1,11 @@
-"""Every shipped rule and guard is needed by gold: without it, some gold document is annotated otherwise.
+"""Every shipped rule, guard and lexicon flag is needed by gold: without it, some gold document is annotated otherwise.
 
 The gold set is the shipped suite plus `tests/gold/`, which holds بين sentences that show what the
 PLURAL_SITE guard is for: a site flagged PLURAL (a sound, broken or dual plural) or followed by a
 coordination passes; a singular, also one that ends as a plural or dual would, gives nothing. They stay out of the shipped suite, from which the benchmark builds every workload.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from makan import annotate, read_annotations
 from makan.engine import compile
 from makan.guards import KNOWN_GUARDS
+from makan.lexicon import FLAGS, Lexicon
 from makan.rulepack import rule_pack
 
 _SOURCE = rule_pack()
@@ -34,9 +36,9 @@ def _without_guard(name):
 
 def _annotations(docs, bundle, grammar):
     """Each document's annotations, less the name of the rule that made them."""
-    smap, lex, _, variants = bundle
+    smap, _, _, variants = bundle
     return [
-        [a._replace(rule=None) for a in annotate(d.text, lex, grammar, smap, variants=variants).annotations]
+        [a._replace(rule=None) for a in annotate(d.text, grammar.lexicon, grammar, smap, variants=variants).annotations]
         for d in docs
     ]
 
@@ -64,3 +66,11 @@ def test_the_shipped_pack_reproduces_the_tests_only_gold(bundle):
 def test_removing_a_rule_or_a_guard_changes_some_gold_document(bundle, gold, shipped, source):
     assert source != _SOURCE  # the rule or guard was there to remove
     assert _annotations(gold, bundle, compile(source, bundle[1])) != shipped
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_stripping_a_flag_from_every_entry_changes_some_gold_document(bundle, gold, shipped, flag):
+    entries = bundle[1].entries
+    assert any(flag in e.flags for e in entries)  # some shipped entry carries it
+    lexicon = Lexicon([dataclasses.replace(e, flags=e.flags - {flag}) for e in entries])
+    assert _annotations(gold, bundle, compile(_SOURCE, lexicon)) != shipped

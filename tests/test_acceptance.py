@@ -51,7 +51,7 @@ def test_metric_arithmetic_oracle():
 
 _BF_TSV = """alpha\tVERB_MOTION
 beta\tPREP\tTOPOLOGICAL.SUPPORT;DIRECTIONAL.GOAL
-gamma\tNOUN_SITE\t\tCONTACT_IMPLIED
+gamma\tNOUN_SITE\t\tINTRINSIC_ORIENTATION
 delta\tPREP\tTOPOLOGICAL.SUPPORT
 delta gamma\tPREP_LOCUTION\tTOPOLOGICAL.PERIPHERY
 epsilon\tPLACE_NAME"""
@@ -60,7 +60,7 @@ _BF_RULES = """
 RULE periph PRIO 50: trigger=[SENSE TOPOLOGICAL.PERIPHERY] site=[NOUN_SITE|PLACE_NAME] => TOPOLOGICAL.PERIPHERY
 RULE support PRIO 40: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE|PLACE_NAME] => TOPOLOGICAL.SUPPORT
 RULE goal PRIO 40: verb=[VERB_MOTION] GAP 2 trigger=[SENSE DIRECTIONAL.GOAL] site=[NOUN_SITE|PLACE_NAME] => DIRECTIONAL.GOAL
-RULE flagged PRIO 40: trigger=[LIT delta] ([LIT epsilon])? site=[FLAG CONTACT_IMPLIED] => TOPOLOGICAL.SUPPORT
+RULE flagged PRIO 40: trigger=[LIT delta] ([LIT epsilon])? site=[FLAG INTRINSIC_ORIENTATION] => TOPOLOGICAL.SUPPORT
 RULE prep PRIO 20: trigger=[PREP] => DIRECTIONAL.GOAL
 """
 

@@ -80,7 +80,7 @@ def test_mirror_trigger_attribute(run):
 
 def test_custom_lexicon_attributes_reach_only_the_annotations_they_trigger(tmp_path):
     seed = seed_lexicon_path().read_text(encoding="utf-8")
-    row = "فوق\tPREP\tPROJECTIVE.ORIENTATIONAL.VERTICAL\tNO_CONTACT_REQUIRED,PRONOUN_SUFFIXABLE"
+    row = "فوق\tPREP\tPROJECTIVE.ORIENTATIONAL.VERTICAL\tPRONOUN_SUFFIXABLE"
     assert seed.count(row + "\n") == 1
     lexicon = tmp_path / "lexicon.tsv"
     attributes = '{"axis": "up", "rank": 2, "weight": 0.5, "note": null}'
@@ -597,6 +597,18 @@ def test_annotate_rejects_mismatched_map_on_text_without_a_match(bundle):
     tiny = {"SPATIAL": None}
     with pytest.raises(ValueError, match="does not resolve"):
         annotate("", lex, grammar, tiny, variants=variants)
+
+
+@pytest.mark.parametrize("doc_id", [3, None, b"d"])
+def test_annotate_refuses_a_doc_id_that_is_not_a_str_before_any_work(bundle, doc_id):
+    from makan import annotate
+
+    smap, lex, grammar, variants = bundle
+    message = f"^doc_id must be a str, not {type(doc_id).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        annotate("جلست المرأة على المقعد.", lex, grammar, smap, variants=variants, doc_id=doc_id)
+    with pytest.raises(TypeError, match=message):  # ahead of the map check, so before any work
+        annotate("", lex, grammar, {"SPATIAL": None}, variants=variants, doc_id=doc_id)
 
 
 def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):

@@ -276,7 +276,7 @@ BF_LEX = _lexicon(
     """
 alpha	VERB_MOTION
 beta	PREP	TOPOLOGICAL.SUPPORT;DIRECTIONAL.GOAL
-gamma	NOUN_SITE		CONTACT_IMPLIED
+gamma	NOUN_SITE		INTRINSIC_ORIENTATION
 delta	PREP	TOPOLOGICAL.SUPPORT
 delta gamma	PREP_LOCUTION	TOPOLOGICAL.PERIPHERY
 epsilon	PLACE_NAME
@@ -287,7 +287,7 @@ BF_RULES = """
 RULE periph PRIO 50: trigger=[SENSE TOPOLOGICAL.PERIPHERY] site=[NOUN_SITE|PLACE_NAME] => TOPOLOGICAL.PERIPHERY
 RULE support PRIO 40: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE|PLACE_NAME] => TOPOLOGICAL.SUPPORT
 RULE goal PRIO 40: verb=[VERB_MOTION] GAP 2 trigger=[SENSE DIRECTIONAL.GOAL] site=[NOUN_SITE|PLACE_NAME] => DIRECTIONAL.GOAL
-RULE flagged PRIO 40: trigger=[LIT delta] ([LIT epsilon])? site=[FLAG CONTACT_IMPLIED] => TOPOLOGICAL.SUPPORT
+RULE flagged PRIO 40: trigger=[LIT delta] ([LIT epsilon])? site=[FLAG INTRINSIC_ORIENTATION] => TOPOLOGICAL.SUPPORT
 RULE prep PRIO 20: trigger=[PREP] => DIRECTIONAL.GOAL
 """
 

@@ -25,7 +25,7 @@ from oracle import reference_read_annotations
 _DSL_WORDS = [
     "RULE", "PRIO", ":", "=>", "GUARD", ",", "[", "]", "|", "(", ")?", "=", "GAP", "SENSE", "FLAG",
     "LIT", "trigger", "site", "verb", "other", "PREP", "NOUN_SITE", "DIRECTIONAL.GOAL", "TOPOLOGICAL",
-    "BOGUS.PATH", "CONTACT_IMPLIED", "NEG_SCOPE", "NOPE", "r", "q", "0", "1", "9", "على", "#", "\n", "\t",
+    "BOGUS.PATH", "PLURAL", "NEG_SCOPE", "NOPE", "r", "q", "0", "1", "9", "على", "#", "\n", "\t",
 ]
 
 # Lexicon and variant lines are built from their own separators, classes,
@@ -78,6 +78,15 @@ def _with_file(content, fn):
 @given(st.lists(st.sampled_from(_DSL_WORDS), max_size=25))
 def test_compile_raises_only_grammar_error(bundle, words):
     _raises_only(GrammarError, compile, " ".join(words), bundle[1])
+
+
+def test_compile_refuses_a_source_that_is_not_a_str_or_a_lexicon_that_is_not_a_lexicon(bundle):
+    with pytest.raises(TypeError, match="^compile's source must be a str, not NoneType$"):
+        compile(None, bundle[1])
+    with pytest.raises(TypeError, match="^compile's lexicon must be a Lexicon, not NoneType$"):
+        compile(rule_pack_path().read_text(encoding="utf-8"), None)
+    with pytest.raises(TypeError, match="^compile's lexicon must be a Lexicon, not list$"):
+        compile("", list(bundle[1].entries))
 
 
 @settings(max_examples=60, deadline=None)

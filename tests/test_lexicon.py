@@ -21,13 +21,13 @@ def _write(tmp_path, content):
 
 
 def test_load_single_entry(tmp_path):
-    path = _write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT;DIRECTIONAL.GAZE\tCONTACT_IMPLIED\n")
+    path = _write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT;DIRECTIONAL.GAZE\tPLURAL\n")
     lex = load(path)
     assert len(lex.entries) == 1
     entry = lex.entries[0]
     assert entry.cls is LexClass.PREP
     assert entry.senses == {"TOPOLOGICAL.SUPPORT", "DIRECTIONAL.GAZE"}
-    assert "CONTACT_IMPLIED" in entry.flags
+    assert "PLURAL" in entry.flags
 
 
 def test_load_empty_file_is_valid(tmp_path):
@@ -61,8 +61,8 @@ def test_load_rejects_duplicate_lemma_class(tmp_path):
 
 
 def test_a_padded_column_loads_as_the_bare_column(tmp_path):
-    bare = load(_write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\tCONTACT_IMPLIED\t{\"a\": 1}\n")).entries
-    padded = load(_write(tmp_path, " على \tPREP \t TOPOLOGICAL.SUPPORT\tCONTACT_IMPLIED \t {\"a\": 1}\n")).entries
+    bare = load(_write(tmp_path, "على\tPREP\tTOPOLOGICAL.SUPPORT\tPLURAL\t{\"a\": 1}\n")).entries
+    padded = load(_write(tmp_path, " على \tPREP \t TOPOLOGICAL.SUPPORT\tPLURAL \t {\"a\": 1}\n")).entries
     assert padded == bare and padded[0].source == f"{tmp_path / 'lex.tsv'}:1"
 
 
@@ -147,17 +147,17 @@ def test_seed_lexicon_core_entries():
     assert "DIRECTIONAL.GOAL" in entry("نحو", LexClass.PREP).senses
     bain = entry("بين", LexClass.PREP)
     assert "TOPOLOGICAL.INCLUSION.DISTRIBUTION" in bain.senses
-    assert "TEMPORAL_CAPABLE" in bain.flags
+    assert "PLURAL" in entry("أشجار", LexClass.NOUN_SITE).flags
     fawq = entry("فوق", LexClass.PREP)
-    assert "NO_CONTACT_REQUIRED" in fawq.flags
+    assert "PRONOUN_SUFFIXABLE" in fawq.flags
     assert "PROJECTIVE.ORIENTATIONAL.VERTICAL" in fawq.senses
-    assert "CONTACT_IMPLIED" in entry("على", LexClass.PREP).flags
-    assert "POLYSEMOUS_SOURCE" in entry("من", LexClass.PREP).flags
+    assert "TOPOLOGICAL.SUPPORT" in entry("على", LexClass.PREP).senses
+    assert "DIRECTIONAL.SOURCE" in entry("من", LexClass.PREP).senses
     assert "AMBIGUOUS_DUAL" in entry("في محيط", LexClass.PREP_LOCUTION).flags
-    assert "REQUIRES_POSSESSIVE_DISAMBIG" in entry("يمين", LexClass.NOUN_SITE).flags
+    assert "PRONOUN_SUFFIXABLE" in entry("يمين", LexClass.NOUN_SITE).flags
     assert "INTRINSIC_ORIENTATION" in entry("مقدمة", LexClass.NOUN_TARGET).flags
     assert entry("ساعة", LexClass.NOUN_TEMPORAL)
-    assert "ABSTRACT_CAPABLE" in entry("بحر", LexClass.NOUN_ABSTRACT_SITE).flags
+    assert entry("بحر", LexClass.NOUN_ABSTRACT_SITE)
     for verb in ("اتجه", "تحرك", "انتقل", "تجولت", "يقود", "تنساب", "صعد", "سار", "عاد", "غادر"):
         entry(verb, LexClass.VERB_MOTION)
     for place in ("أمريكا", "لوار", "باريس"):
@@ -284,7 +284,7 @@ _SHARED_TSV = """ب\tPREP\tTOPOLOGICAL.SUPPORT
 عن\tPREP\tDIRECTIONAL.SOURCE
 عن يمين\tPREP_LOCUTION\tPROJECTIVE.ORIENTATIONAL.LATERAL\tPRONOUN_SUFFIXABLE
 عن يمين واجهة\tNOUN_SITE\t\tPRONOUN_SUFFIXABLE
-يمين\tNOUN_SITE\t\tREQUIRES_POSSESSIVE_DISAMBIG
+يمين\tNOUN_SITE\t\tPRONOUN_SUFFIXABLE
 واجهة\tNOUN_SITE\t\tPRONOUN_SUFFIXABLE"""
 
 _SHARED_WORDS = (
