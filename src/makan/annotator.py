@@ -101,8 +101,9 @@ def annotate(
     turned back on only if it was on. Calls in several threads leave it as it was before the first: the call that
     turned it off turns it back on. A thread that turns it off while a call runs may find it on when the call
     returns."""
-    if not isinstance(doc_id, str):  # else it fails only when the document is written
-        raise TypeError(f"doc_id must be a str, not {type(doc_id).__name__}")
+    for name, value in (("text", text), ("doc_id", doc_id)):  # else doc_id fails only when the document is written
+        if not isinstance(value, str):
+            raise TypeError(f"{name} must be a str, not {type(value).__name__}")
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
     # The grammar was validated against the one map; another map must hold every rule output.

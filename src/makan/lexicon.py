@@ -126,8 +126,8 @@ class Lexicon:
 
     It owns memo tables, filled lazily and each emptied when it reaches
     `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each lookup key
-    (see `lookup_keys`); and for `textnorm.tokenize`, surface run -> words
-    and word -> clitic split.
+    (see `lookup_keys`); and for `textnorm.tokenize`, surface run or piece
+    of one run -> its record, and word -> clitic split.
     Each follows from the entries alone and holds values only, so threads
     may share a lexicon, tokenizing and annotating at once: a race at worst
     works an entry out twice.
@@ -170,7 +170,7 @@ class Lexicon:
             LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
         )
         self._lookups: dict = {}  # lookup key -> its matches
-        self.tokenize_memos: tuple[dict, dict] = ({}, {})  # see `textnorm.tokenize`
+        self.tokenize_memos: tuple[dict, dict] = ({}, {})  # run table and split table, see `textnorm.tokenize`
 
     def _index(self, words: tuple[str, ...], entry: LexEntry, suffixed: bool):
         index, key = (self._by_first, words[0]) if len(words) == 1 else (self._by_pair, words[:2])

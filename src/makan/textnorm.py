@@ -37,9 +37,9 @@ COORD_PROCLITICS = ("و", "ف")
 PREP_PROCLITICS = ("ب", "ل", "ك")
 ARTICLE = "ال"
 
-# Entries a word-type memo table holds before it is emptied: above the 18,182
-# distinct surface runs of a 25k-word fully vocalized text, so that reuse
-# within a call survives on such a text.
+# Entries a word-type memo table holds before it is emptied: above the 20,149
+# distinct surface runs and one-run pieces of a 25k-word fully vocalized text,
+# so that reuse within a call survives on such a text.
 MEMO_LIMIT = 1 << 15
 
 
@@ -228,9 +228,11 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     """Segment text into a stream of tokens with clitic decomposition; no `Token` is built until one is read.
 
     Proclitic spans and the stem span partition each token span left to
-    right; unsegmentable words become single-stem tokens. Each surface run
-    and each word is worked out once and kept in the lexicon's memo tables
-    (`Lexicon.tokenize_memos`; without a lexicon, fresh tables each call); a
+    right; unsegmentable words become single-stem tokens. The text is cut
+    into pieces on " " and "\n". Each surface run and each word is worked out
+    once and kept in the lexicon's memo tables (`Lexicon.tokenize_memos`;
+    without a lexicon, fresh tables each call), as is each piece of one run,
+    so a piece met before costs one table read and no key spans two runs; a
     run whose word is in `variants` is kept in the run table under (run,
     canonical form), all that its record depends on, so a caller who changes
     that table between calls gets the answer for the table as it stands. A
@@ -238,24 +240,46 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     letters, as a table file (`lexicon.load_variant_table`) requires, raises
     ValueError before anything is stored, so on every call that meets it.
     """
+    if not isinstance(text, str):  # else it fails inside a `str` method
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
-    starts, words = [], []
-    for rmatch in _RUN_RE.finditer(text):
-        run = rmatch[0]
-        record = runs.get(run)
-        if record is None:
-            record = remember(runs, run, _normalized_word(run, lexicon, None, splits))
-        word, w = record
-        if variants and word in variants:
-            canonical = variants[word]
-            record = runs.get((run, canonical))
-            if record is None:
-                record = remember(runs, (run, canonical), _normalized_word(run, lexicon, canonical, splits))
-            w = record[1]
-        if w is not None:
-            starts.append(rmatch.start())
-            words.append(w)
+    starts, words, at = [], [], 0  # `at`: where the piece starts in the text
+    for piece in text.replace("\n", " ").split(" "):
+        record = runs.get(piece)
+        if record is None:  # a piece first met, or one never kept: it holds several runs or none
+            for start, word, w in _piece_records(piece, lexicon, runs, splits):
+                if variants and word in variants:
+                    w = _run_record(_RUN_RE.match(piece, start)[0], variants[word], lexicon, runs, splits)[2]
+                if w is not None:
+                    starts.append(at + start)
+                    words.append(w)
+        else:  # a piece of one run met before: the same steps unrolled, as a loop over one record costs a fifth
+            start, word, w = record
+            if variants and word in variants:
+                w = _run_record(_RUN_RE.match(piece, start)[0], variants[word], lexicon, runs, splits)[2]
+            if w is not None:
+                starts.append(at + start)
+                words.append(w)
+        at += len(piece) + 1
     return TokenStream(starts, words)
+
+
+def _piece_records(piece: str, lexicon, runs: dict, splits: dict) -> list:
+    """The records of a piece the run table does not hold, each (start of a run in the piece, word, `Word`), kept
+    under each run and, for a piece of one run, under the piece too."""
+    records = [(m.start(), *_run_record(m[0], None, lexicon, runs, splits)[1:]) for m in _RUN_RE.finditer(piece)]
+    if len(records) == 1:
+        remember(runs, piece, records[0])
+    return records
+
+
+def _run_record(run: str, canonical: str | None, lexicon, runs: dict, splits: dict) -> tuple:
+    """The record (0, word, `Word`) of a run, kept under the run, or of a run read as `canonical` under the pair."""
+    key = run if canonical is None else (run, canonical)
+    record = runs.get(key)
+    if record is None:
+        record = remember(runs, key, (0, *_normalized_word(run, lexicon, canonical, splits)))
+    return record
 
 
 def remember(table: dict, key, value):

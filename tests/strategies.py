@@ -5,6 +5,11 @@ from hypothesis import strategies as st
 _LETTERS = "ءابتثجحخدذرزسشصضطظعغفقكلمنهويةؤئ" "أإآى"
 _MARKS = "ًٌٍَُِّْٰ" "ـ"
 _PREFIXES = ("", "و", "ف", "ب", "ل", "ك", "ال", "وال", "بال", "فبال", "ولل", "وب", "كال")
+# What stands between words, and before the first or after the last. `tokenize` cuts the text on " " and "\n"
+# alone: a tab, a CR, a no-break space or a comma leaves several runs in one piece, and a double, leading or
+# trailing space leaves an empty piece.
+SEPARATORS = (" ", " ", "\n", "\t", "\r\n", "\u00a0", "  ", "،")
+EDGES = ("", "", " ", "  ", "\n")
 
 
 @st.composite
@@ -28,20 +33,20 @@ def word_texts(draw, lexical_words):
     vocabulary = draw(st.lists(arabic_word(lexical_words), min_size=1, max_size=4))
     piece = (
         st.sampled_from(vocabulary)
-        | st.sampled_from((" ", " ", "\n", ".", "،", "؟", "!", "\"", "(", ") ", " - "))
+        | st.sampled_from(SEPARATORS + (".", "؟", "!", "\"", "(", ") ", " - "))
         | st.text(alphabet="abcXYZ0129", min_size=1, max_size=4)
     )
-    return "".join(draw(st.lists(piece, max_size=12)))
+    return draw(st.sampled_from(EDGES)) + "".join(draw(st.lists(piece, max_size=12))) + draw(st.sampled_from(EDGES))
 
 
 @st.composite
 def edited_sentences(draw, sentences, lexical_words):
-    """One drawn sentence's words, a few marked or swapped for an `arabic_word`, each followed by a space or
+    """One drawn sentence's words, a few marked or swapped for an `arabic_word`, each followed by a separator or
     punctuation: most of the sentence's own annotations stay, so the edits land in and around them."""
     edit = st.sampled_from(("keep",) * 6 + ("mark", "swap"))
-    out = []
+    out = [draw(st.sampled_from(EDGES))]
     for word in draw(st.sampled_from(sentences)).split():
         how = draw(edit)
         out.append(word if how == "keep" else draw(marked(word) if how == "mark" else arabic_word(lexical_words)))
-        out.append(draw(st.sampled_from((" ",) * 6 + ("\n", ".", "،", "؟", "!", " - ", "ـ"))))
+        out.append(draw(st.sampled_from((" ",) * 6 + SEPARATORS + (".", "؟", "!", " - ", "ـ"))))
     return "".join(out)

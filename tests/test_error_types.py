@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from makan.annotator import AnnotationFormatError, read_annotations
+from makan.annotator import AnnotationFormatError, annotate, read_annotations
 from makan.engine import GrammarError, compile
 from makan.lexicon import LexiconError, load, load_variant_table, read_resource, seed_lexicon_path
 from makan.rulepack import load_resources, rule_pack_path, variants_path
+from makan.textnorm import tokenize
 from oracle import reference_read_annotations
 
 _DSL_WORDS = [
@@ -87,6 +88,21 @@ def test_compile_refuses_a_source_that_is_not_a_str_or_a_lexicon_that_is_not_a_l
         compile(rule_pack_path().read_text(encoding="utf-8"), None)
     with pytest.raises(TypeError, match="^compile's lexicon must be a Lexicon, not list$"):
         compile("", list(bundle[1].entries))
+
+
+@pytest.mark.parametrize("text", [3, b"\xd8\xb9\xd9\x84\xd9\x89", None])
+def test_tokenize_and_annotate_refuse_a_text_that_is_not_a_str_before_any_work(bundle, text):
+    smap, lex, grammar, variants = bundle
+    message = f"^text must be a str, not {type(text).__name__}$"
+    runs = dict(lex.tokenize_memos[0])
+    for lexicon in (None, lex):
+        with pytest.raises(TypeError, match=message):
+            tokenize(text, lexicon, variants)
+    with pytest.raises(TypeError, match=message):
+        annotate(text, lex, grammar, smap, variants)
+    with pytest.raises(TypeError, match=message):  # ahead of the map check, so before any work
+        annotate(text, lex, grammar, {"SPATIAL": None}, variants)
+    assert lex.tokenize_memos[0] == runs
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,14 +1,16 @@
 """Word-type memo tables kept across calls give the answers of freshly built resources.
 
-`tokenize` keeps surface run -> words and word -> split on the lexicon (fresh
-tables each call without one), `Lexicon.lookup` keeps a word type's matches, and
-`apply` keeps a word type's record (lookups, candidate rules, atom options)
-on the grammar, which is applied with the one lexicon it was compiled for; a
-token where a multiword form can start is keyed by the stems after it too.
+`tokenize` keeps surface run or piece of one run -> record and word -> split
+on the lexicon (fresh tables each call without one), `Lexicon.lookup` keeps a
+word type's matches, and `apply` keeps a word type's record (lookups,
+candidate rules, atom options) on the grammar, which is applied with the one
+lexicon it was compiled for; a token where a multiword form can start is keyed
+by the stems after it too.
 Every output below is compared with the output of resources built afresh
 for that one call.
 """
 
+import random
 import sys
 import threading
 from importlib import resources
@@ -24,6 +26,8 @@ from makan.lexicon import Lexicon, load_variant_table, seed_lexicon
 from makan.rulepack import rule_pack
 from makan.semmap import PARENT
 from makan.textnorm import tokenize
+from oracle import reference_tokenize
+from strategies import EDGES, SEPARATORS
 
 SMAP = PARENT
 RULES = rule_pack()
@@ -41,7 +45,13 @@ _WORDS = sorted({w for p in _SUITE.iterdir() for w in read_annotations(p).text.s
 _POOL = _WORDS + [w + "ِ" for w in _WORDS[::7]] + ["سين", "سِين", "اللواريه", "واللواريه", "وبالبيتِ", "ـ", "َ"]
 # words split differently by the two lexicons or without one, and locution words (whose rules depend on the next word)
 _TRICKY = ["واجهته", "فوقي", "فوق", "وسط", "بيد", "الليل", "منتصف", "على", "ضفة", "عن", "يمين", "في", "قلب", "المقعد"]
-_TEXTS = st.lists(st.sampled_from(_POOL) | st.sampled_from(_TRICKY), min_size=1, max_size=12).map(" ".join)
+# words, each behind a separator, so that pieces of several runs, empty pieces and run-less pieces recur too
+_WORD = st.sampled_from(_POOL) | st.sampled_from(_TRICKY)
+_TEXTS = st.builds(
+    lambda edge, words: edge + "".join(map("".join, words)),
+    st.sampled_from(EDGES),
+    st.lists(st.tuples(_WORD, st.sampled_from(SEPARATORS + (". ", " . "))), min_size=1, max_size=12),
+)
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("annotate"), _TEXTS, st.sampled_from([0, 1]), st.sampled_from([None, 0, 1, 2])),
@@ -118,8 +128,33 @@ def test_a_lengthening_variant_is_refused_alike_by_long_lived_and_fresh_tables()
     assert _run(ops)[1] == (ValueError, message)
 
 
+def _generated_words(n: int) -> list[str]:
+    """`n` distinct words of seeded letters behind a seeded proclitic, some vocalized, some a mark alone."""
+    rng = random.Random(7)
+    words = {"ـ", "َ"}
+    while len(words) < n:
+        word = rng.choice(("", "و", "ب", "ال", "وال")) + "".join(rng.choices("ابتجدرسعفقلمنهوية", k=rng.randint(1, 6)))
+        words.add(word if rng.random() < 0.7 else "".join(ch + rng.choice("َُِّْـ") for ch in word))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("separator", ["\t", "،", " "])
+def test_the_run_table_keeps_one_run_a_key(separator):
+    # Joined by a tab or a comma the text is one piece of 2,000 runs, by a space 2,000 pieces of one run each
+    words = _generated_words(2_000)
+    text = separator.join(words) + ". المقعد. (المقعد\n"
+    lex = Lexicon(list(SEED.entries))
+    assert tokenize(text, lex, SHIPPED) == reference_tokenize(text, lex, SHIPPED)
+    runs = lex.tokenize_memos[0]
+    keys = [key for key in runs if type(key) is str]
+    assert all(len(textnorm._RUN_RE.findall(key)) == 1 for key in keys)
+    one_run_pieces = {p for p in text.replace("\n", " ").split(" ") if len(textnorm._RUN_RE.findall(p)) == 1}
+    assert len(keys) <= len(set(textnorm._RUN_RE.findall(text)) | one_run_pieces)
+    assert runs["المقعد."] == runs["المقعد"] and runs["(المقعد"] == (1, *runs["المقعد"][1:])
+
+
 def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
-    assert textnorm.MEMO_LIMIT > 18_182  # the distinct surface runs of a 25k-word vocalized text stay within a call
+    assert textnorm.MEMO_LIMIT > 20_149  # the runs and one-run pieces of a 25k-word vocalized text stay within a call
     monkeypatch.setattr(textnorm, "MEMO_LIMIT", 3)
     lex = Lexicon(list(SEED.entries))
     grammar = compile(RULES, lex)
