@@ -20,11 +20,13 @@ after the winner's trigger token.
 `compile` reduces each test to what it accepts (a stem, a class, a sense's
 subtree of `semmap.BELOW`, a flag) and indexes rules by their first atom's keys.
 What a test accepts at a token depends only on its lookup key
-(`Lexicon.lookup_keys`), as a NooJ grammar reads only the codes its
-dictionary pass attached: `apply` keeps one record per key, and visits
-only tokens that can start a rule, trying those rules in (priority desc,
-declaration) order up to the first that cannot beat the winner found:
-winners are unchanged.
+(`Lexicon.lookup_keys`: its type, widened by the next stems only where a
+stem that begins a multiword form does begin one), as a NooJ grammar reads
+only the codes its dictionary pass attached. `_type_records` keeps one
+record per key, or finds that no key of the call starts a rule, and `apply`
+then returns []; else the scan visits only tokens that can start a rule,
+trying those rules in (priority desc, declaration) order up to the first
+that cannot beat the winner found: winners are unchanged.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ CAPTURE_NAMES = ("trigger", "site", "target", "verb")
 
 MAX_GAP = 5
 _GAPS = {n: tuple((k, None) for k in range(n, -1, -1)) for n in range(1, MAX_GAP + 1)}  # a gap's options
-_CANDIDATES = itemgetter(1)  # a type record's candidate rules: see `apply`
+_CANDIDATES = itemgetter(1)  # a type record's candidate rules: see `_type_records`
 
 
 class GrammarError(ValueError):
@@ -99,7 +101,7 @@ class CompiledGrammar:
     """Rules in declaration order, with the dispatch tables `apply` reads; built once, never changed.
 
     It carries the lexicon it was compiled for, `lexicon`, and owns
-    one table of word-type records (see `apply`), filled lazily and emptied
+    one table of word-type records (see `_type_records`), filled lazily and emptied
     when it reaches `textnorm.MEMO_LIMIT` entries, and one record for past the
     last token, filled lazily too. A record holds values only, so no answer
     changes and threads may share a grammar: a race at worst works an entry
@@ -120,7 +122,7 @@ class CompiledGrammar:
         # each candidate's atoms as `_best_alignment` reads them: (a gap's options or None, atom index, atom)
         ids = count()
         self.steps = tuple(tuple((_GAPS.get(a.gap), next(ids), a) for a in rule.atoms) for rule in self.ordered)
-        self._types: dict = {}  # type key -> (lookups, candidates, options by atom index, stem): see `apply`
+        self._types: dict = {}  # type key -> (lookups, candidates, options by atom index, stem): see `_type_records`
         self._end = ((), (), {}, None)  # the record `apply` reads one past the last token, with no type
 
     def __len__(self) -> int:
@@ -357,27 +359,17 @@ def _best_alignment(steps, ai: int, recs, pos: int, options):
     return best
 
 
-def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
-    """Scan left to right, trying at each token only the rules it can start, in
-    winner order; one winner per start; resume after the winner's trigger.
-
-    `tokens` must be a `textnorm.TokenStream`, else TypeError. It keys each
-    token as `grammar.lexicon.lookup_keys` does and reads the stem column.
-    Each distinct key is looked up once a call. Its record on the grammar
-    holds its lookups, its candidate rules in winner order with their first
-    atom's options, and later atoms' options there, filled as read. Only
-    tokens with candidates are visited."""
-    if type(tokens) is not TokenStream:
-        raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
-    lexicon, stems = grammar.lexicon, tokens.stems
-    n, keys = len(stems), lexicon.lookup_keys(tokens)
-    seen = dict(zip(keys, range(n)))  # each distinct key at a token it is on
-    types, first, ordered, steps, lookup = grammar._types, grammar.first, grammar.ordered, grammar.steps, lexicon.lookup
+def _type_records(grammar: CompiledGrammar, tokens: TokenStream) -> list | None:
+    """Each token's type record, then `grammar._end`; None if no distinct key of the call has candidates. Each key
+    is looked up once a call, before that exit. A record holds, by position: its lookups; its candidates in winner
+    order, each (rule, steps, first atom's options); later atoms' options by atom index, filled as read; its stem."""
+    keys, lookup, types = grammar.lexicon.lookup_keys(tokens), grammar.lexicon.lookup, grammar._types
+    seen = dict(zip(keys, count()))  # each distinct key at a token it is on
     for key, i in seen.items():
         found = lookup(tokens, i)
         rec = types.get(key)
-        if rec is None:
-            stem = stems[i]
+        if rec is None:  # a key first met: the dispatch tables are read only here
+            stem, first, ordered, steps = tokens.stems[i], grammar.first, grammar.ordered, grammar.steps
             ranks = set(grammar.always).union(first.get(stem, ()))
             for m in found:
                 for k in (m.entry.cls, *m.entry.senses, *m.entry.flags):
@@ -388,10 +380,23 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
             )
             rec = remember(types, key, (tuple(found), cands, {}, stem))
         seen[key] = rec
-    recs = [*map(seen.get, keys), grammar._end]
+    return [*map(seen.get, keys), grammar._end] if any(map(_CANDIDATES, seen.values())) else None
+
+
+def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
+    """Scan left to right, trying at each token only the rules it can start, in
+    winner order; one winner per start; resume after the winner's trigger.
+
+    `tokens` must be a `textnorm.TokenStream`, else TypeError. Only tokens whose record (`_type_records`) has
+    candidates are visited, and a call with none returns [] before the record list is built."""
+    if type(tokens) is not TokenStream:
+        raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
+    recs = _type_records(grammar, tokens)
+    if recs is None:
+        return []
     out: list[RawMatch] = []
     resume = 0
-    for i in compress(range(n), map(_CANDIDATES, recs)):
+    for i in compress(range(len(recs) - 1), map(_CANDIDATES, recs)):
         if i < resume:
             continue
         winner, total = None, 0

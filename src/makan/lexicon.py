@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import compress, count, pairwise
+from itertools import compress, count
 from operator import itemgetter
 
 from . import semmap
@@ -166,6 +166,7 @@ class Lexicon:
         for alts in (*self._by_first.values(), *self._by_pair.values()):
             alts.sort(key=lambda t: (-len(t[0]), _CLASS_ORDER.get(t[1].cls, 2), t[1].lemma))
         self.longest = max((len(e.words) for e in entries), default=1)  # words in the longest form
+        self._starts = frozenset(first for first, _ in self._by_pair)  # stems that begin a multiword form
         self._baa = tuple(  # what a ب proclitic matches: the PREP entries ب
             LexMatch(e, 1, via_proclitic=True) for _, e, _ in self._by_first.get("ب", ()) if e.cls is LexClass.PREP
         )
@@ -182,14 +183,15 @@ class Lexicon:
         return word in self._forms
 
     def lookup_keys(self, tokens: TokenStream) -> list:
-        """Each token's lookup key, what its matches depend on: its word type (`textnorm.Word.key`), or, where
-        its stem and the next begin a multiword form, (type, the next `longest` - 1 stems). Tokens of equal keys
+        """Each token's lookup key, what its matches depend on: its word type (`textnorm.Word.key`), or, where its
+        stem (one of `_starts`) and the next begin a multiword form, (type, the next `longest` - 1 stems). Equal keys
         have equal `lookup`s. It reads the stem and word columns of a `textnorm.TokenStream`, else TypeError."""
         if type(tokens) is not TokenStream:
             raise TypeError(f"lookup_keys takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
         stems, keys = tokens.stems, list(map(_TYPE, tokens.words))
-        for i in compress(count(), map(self._by_pair.__contains__, pairwise(stems))):  # where a locution starts
-            keys[i] = (keys[i], stems[i + 1 : i + self.longest])
+        for i in compress(count(), map(self._starts.__contains__, stems)):  # where a locution may start
+            if stems[i : i + 2] in self._by_pair:
+                keys[i] = (keys[i], stems[i + 1 : i + self.longest])
         return keys
 
     def lookup(self, tokens: TokenStream, i: int) -> list[LexMatch]:

@@ -242,6 +242,8 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     """
     if not isinstance(text, str):  # else it fails inside a `str` method
         raise TypeError(f"text must be a str, not {type(text).__name__}")
+    if variants is not None and not isinstance(variants, dict):  # else a list fails only at a word it holds
+        raise TypeError(f"variants must be a dict, not {type(variants).__name__}")
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
     starts, words, at = [], [], 0  # `at`: where the piece starts in the text
     for piece in text.replace("\n", " ").split(" "):

@@ -8,15 +8,17 @@ lookup reads and its ب proclitic) and kept for later sequences. The
 normalization reference folds one character at a time and replaces variant
 words from the right; the tokenizer reference normalizes through it, splits
 every word anew and computes every boundary through one closure; the lookup
-reference tries every entry form at the token; the scoring reference scans
-all gold for each system annotation. The annotation-file references write
-through `json.dumps` with `indent=2` and read with a check per field in
-turn, each span through one parser. Kept deliberately separate from the
-program's own paths so the two can disagree.
+reference tries every entry form at the token, and the lookup-key reference
+every pair of neighbouring stems; the scoring reference scans all gold for
+each system annotation. The annotation-file references write through
+`json.dumps` with `indent=2` and read with a check per field in turn, each
+span through one parser. Kept deliberately separate from the program's own
+paths so the two can disagree.
 """
 
 import functools
 import json
+from itertools import pairwise
 
 from makan import semmap
 from makan.annotator import AnnotatedDocument, AnnotationFormatError, SpatialAnnotation
@@ -206,6 +208,20 @@ def _keys(lexicon, tokens):
         (tuple(stems[i : i + longest]), any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics))
         for i, tok in enumerate(tokens)
     ]
+
+
+def reference_lookup_keys(lexicon, tokens):
+    """Each token's lookup key by the first definition: its type, or, where the pair of its stem and the next is
+    the first two words of some multiword form, (type, the next `longest` - 1 stems), every pair of neighbouring
+    stems tried."""
+    stems, longest = [tok.stem for tok in tokens], _longest_form(lexicon)
+    pairs = {words[:2] for _, words, _ in _all_forms(lexicon) if len(words) > 1}
+    keys = [("ب", tok.stem) if any(p.kind == "preposition" and p.text == "ب" for p in tok.proclitics) else tok.stem
+            for tok in tokens]
+    for i, pair in enumerate(pairwise(stems)):
+        if pair in pairs:
+            keys[i] = (keys[i], tuple(stems[i + 1 : i + longest]))
+    return keys
 
 
 def reference_lookup(lexicon, tokens, i):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makan.annotator import annotate
-from makan.engine import GrammarError, apply, compile
+from makan.engine import GrammarError, _type_records, apply, compile
 from makan.lexicon import Lexicon, _parse_line
 from makan.semmap import PARENT
 from makan.textnorm import token_stream, tokenize
@@ -253,6 +253,37 @@ def test_equal_priority_longer_match_wins():
     assert [m.rule for m in matches] == ["long"]
     # against the brute-force enumeration as well
     assert as_tuples(matches) == oracle_apply(grammar, tokens, LL_LEX)
+
+
+def test_a_call_none_of_whose_types_starts_a_rule_returns_at_the_exit(monkeypatch):
+    grammar = compile(LL_RULES, LL_LEX)
+    tokens = tokenize("جد هو جد كتب هو", LL_LEX)  # lexicon words and noise, none of them a PREP
+    looked_up, lookup = [], Lexicon.lookup
+    monkeypatch.setattr(Lexicon, "lookup", lambda self, toks, i: looked_up.append(i) or lookup(self, toks, i))
+    assert _type_records(grammar, tokens) is None
+    looked_up.clear()
+    assert apply(grammar, tokens) == []
+    keys = LL_LEX.lookup_keys(tokens)
+    assert sorted(keys[i] for i in looked_up) == sorted(set(keys))  # each distinct key looked up once
+    assert {key: grammar._types[key][1] for key in keys} == dict.fromkeys(keys, ())  # each kept, with no candidate
+
+
+def test_a_text_whose_only_rule_start_is_its_last_token_still_matches():
+    grammar = compile("RULE r PRIO 1: trigger=[PREP] (site=[NOUN_SITE])? => DIRECTIONAL.GOAL", LL_LEX)
+    tokens = tokenize("جد هو جد اب", LL_LEX)
+    matches = apply(grammar, tokens)
+    assert [(m.span, m.captures) for m in matches] == [((3, 4), {"trigger": (3, 4)})]
+    assert as_tuples(matches) == oracle_apply(grammar, tokens, LL_LEX)
+
+
+@pytest.mark.parametrize("first", ["GAP 2", "(site=[NOUN_SITE])?"])
+@pytest.mark.parametrize("text", ["جد هو جد", "كتب", "جد اب", "اب جد هو"])
+def test_a_rule_that_starts_anywhere_keeps_every_call_past_the_exit(first, text):
+    grammar = compile(f"{LL_RULES}RULE any PRIO 20: {first} trigger=[PREP] => DIRECTIONAL.GOAL", LL_LEX)
+    assert grammar.always
+    tokens = tokenize(text, LL_LEX)
+    assert _type_records(grammar, tokens) is not None
+    assert as_tuples(apply(grammar, tokens)) == oracle_apply(grammar, tokens, LL_LEX)
 
 
 def test_one_winner_per_start_and_no_dangling_captures(bundle, suite_gold):

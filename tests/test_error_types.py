@@ -105,6 +105,20 @@ def test_tokenize_and_annotate_refuse_a_text_that_is_not_a_str_before_any_work(b
     assert lex.tokenize_memos[0] == runs
 
 
+@pytest.mark.parametrize("variants", [["x"], [], ("x",), "x", 0])
+def test_tokenize_and_annotate_refuse_variants_that_are_not_a_dict_before_any_work(bundle, variants):
+    smap, lex, grammar, _ = bundle
+    message = f"^variants must be a dict, not {type(variants).__name__}$"
+    memos = tuple(map(dict, lex.tokenize_memos))
+    for text in ("", "x جلست على المقعد"):  # a listed word or none: refused at the call either way
+        for lexicon in (None, lex):
+            with pytest.raises(TypeError, match=message):
+                tokenize(text, lexicon, variants)
+        with pytest.raises(TypeError, match=message):
+            annotate(text, lex, grammar, smap, variants)
+    assert tuple(map(dict, lex.tokenize_memos)) == memos
+
+
 @settings(max_examples=60, deadline=None)
 @given(_TSV)
 def test_lexicon_load_raises_only_lexicon_error(content):

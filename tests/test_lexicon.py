@@ -11,7 +11,7 @@ from makan.engine import compile
 from makan.lexicon import LexClass, Lexicon, LexiconError, LexMatch, _parse_line, load, seed_lexicon
 from makan.rulepack import rule_pack
 from makan.textnorm import normalize, tokenize
-from oracle import reference_lookup
+from oracle import reference_lookup, reference_lookup_keys
 
 
 def _write(tmp_path, content):
@@ -309,6 +309,26 @@ def test_lookup_equals_reference_lookup(words):
         expected = reference_lookup(lex, tokens, i)
         assert lex.lookup(tokens, i) == expected, (words, i)
         assert by_key.setdefault(key, expected) == expected, (words, i, key)
+
+
+_SEED_LEXICON = seed_lexicon()
+_SEED_WORDS = (
+    "في اتجاه قلب وسط على ضفة عن يمين يسار إلى جانب بلدة مرسى منتصف الليل "  # locution words
+    "يمينها يساري قال البيت "  # suffixed forms and noise
+    "بالبيت بوسط بجانب"  # ب proclitics
+).split()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_SHARED_WORDS + _SEED_WORDS), max_size=10))
+@example(["قال", "في"])  # a first stem as the last token
+@example(["في", "قال", "عن", "البيت", "عن"])  # first stems not followed by their second words
+@example(["بوسط", "بدار", "في", "بالبيت"])  # ب proclitics, one of them on a second word
+@example(["عن", "يمينها", "عن", "يمين", "واجهته"])  # suffixed locutions, of two words and of three
+def test_lookup_keys_equal_reference_lookup_keys(words):
+    for lex in (_SHARED_LEXICON, _SEED_LEXICON):
+        tokens = tokenize(" ".join(words), lex)
+        assert lex.lookup_keys(tokens) == reference_lookup_keys(lex, tokens), words
 
 
 def test_a_lookup_at_a_locution_start_is_worked_out_once(monkeypatch):
