@@ -10,7 +10,7 @@ from .annotator import (
 )
 from .engine import CompiledGrammar, GrammarError, RawMatch, apply, compile
 from .evaluate import EvalReport, MatchMode, error_report, f_measure, score, split
-from .lexicon import LexClass, LexEntry, Lexicon, LexiconError, load, load_variant_table, seed_lexicon
+from .lexicon import LexClass, LexEntry, Lexicon, LexiconError, load, seed_lexicon
 from .rulepack import load_default_resources, rule_pack
 from .semmap import resolve, subsumes, top_level
 from .textnorm import OffsetSpan, Token, normalize, tokenize
@@ -37,7 +37,6 @@ __all__ = [
     "f_measure",
     "load",
     "load_default_resources",
-    "load_variant_table",
     "normalize",
     "read_annotations",
     "resolve",

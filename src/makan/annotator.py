@@ -89,7 +89,7 @@ def annotate(
     lexicon: Lexicon,
     grammar: engine.CompiledGrammar,
     smap: Mapping[str, str | None],
-    variants: dict[str, str] | None = None,
+    variants: dict | None = None,  # None or {}, only for the benchmark harness's call shape: see `tokenize`
     doc_id: str = "",
 ) -> AnnotatedDocument:
     """Run the full cascade over `text`, with the lexicon `grammar` was compiled for, into standoff annotations.

@@ -40,9 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lexicon TSV (repeatable; default: shipped seed lexicon)")
         p.add_argument("--rules", action="append", default=[], metavar="PATH",
                        help="rule pack file (repeatable; default: shipped pack)")
-        p.add_argument("--variants", metavar="PATH", default=None,
-                       help="variant table TSV, variant<TAB>canonical, each variant on one row only "
-                            "(default: shipped table; an empty PATH is a missing file)")
 
     p_ann = sub.add_parser("annotate", help="annotate UTF-8 text files")
     add_resource_flags(p_ann)
@@ -56,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("gold_dir", metavar="GOLD_DIR")
     p_eval.add_argument("system_dir", metavar="SYSTEM_DIR")
 
-    p_check = sub.add_parser("check", help="validate lexicon, rules, guards and variant table")
+    p_check = sub.add_parser("check", help="validate lexicon, rules and guards")
     add_resource_flags(p_check)
 
     p_split = sub.add_parser("split", help="deterministic 75/25 corpus split")
@@ -68,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_annotate(args) -> int:
-    smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
+    smap, lexicon, grammar, _ = rulepack.load_resources(args.lexicon, args.rules)
     # Read every input before writing: a bad or clashing one leaves no output.
     inputs: dict[str, tuple[Path, str]] = {}
     out_dir = Path(args.out)
@@ -88,7 +85,7 @@ def cmd_annotate(args) -> int:
         inputs[path.stem] = (path, text)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, (_, text) in inputs.items():
-        doc = annotate(text, lexicon, grammar, smap, variants=variants, doc_id=stem)
+        doc = annotate(text, lexicon, grammar, smap, doc_id=stem)
         write_annotations(doc, out_dir / f"{stem}.json")
     return EXIT_OK
 
@@ -126,11 +123,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    smap, lexicon, grammar, variants = rulepack.load_resources(args.lexicon, args.rules, args.variants)
-    print(
-        f"ok: {len(lexicon.entries)} lexicon entries, {len(grammar)} rules, "
-        f"{len(variants)} variant mappings, {len(smap)} category nodes"
-    )
+    smap, lexicon, grammar, _ = rulepack.load_resources(args.lexicon, args.rules)
+    print(f"ok: {len(lexicon.entries)} lexicon entries, {len(grammar)} rules, {len(smap)} category nodes")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Pattern DSL compiled to deterministic matchers applied as a prioritized cascade.
 
-Rule syntax (one statement per rule, each begun by the reserved word `RULE`; a line whose first non-blank
-character is `#` is a comment, and a `#` anywhere else is refused):
+Rule syntax (one statement per rule, each begun by the reserved word `RULE`; lines end at "\n" alone, a line
+whose first non-blank character is `#` is a comment, and a `#` anywhere else is refused):
 
     rule  := "RULE" name "PRIO" int ":" atom+ "=>" path ("GUARD" name ("," name)*)?
     atom  := "(" inner ")?" | inner | "GAP" int
@@ -140,7 +140,7 @@ _Tok = namedtuple("_Tok", "text line col")
 
 def _lex(source: str) -> list[_Tok]:
     toks = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(source.split("\n"), start=1):  # as `lexicon._rows` splits; a `\r` is whitespace
         if raw.lstrip().startswith("#"):  # a comment is a whole line
             continue
         for m in _TOKEN_RE.finditer(raw):

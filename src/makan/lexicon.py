@@ -2,8 +2,10 @@
 
 Entries are read from a flat TSV (`lemma<TAB>class<TAB>senses<TAB>flags<TAB>attributes`,
 the last three optional), validated against the semantic map, and indexed for
-longest-first multiword lookup over token stems. Every resource file, rule
-and variant files included, is read here (`read_resource`).
+longest-first multiword lookup over token stems. A spelling variant is a row
+of its own, as in a NooJ dictionary, copying its canonical form's class,
+senses, flags and attributes. Every resource file, the rule files included,
+is read here (`read_resource`).
 """
 
 from __future__ import annotations
@@ -266,42 +268,6 @@ def load(paths) -> Lexicon:
     """Load and validate a lexicon TSV, or a list of them as one lexicon; a LexiconError names the file and line."""
     paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
     return Lexicon([_parse_line(columns, f"{path}:{lineno}") for path in paths for lineno, columns in _rows(path)])
-
-
-def load_variant_table(path) -> dict[str, str]:
-    """Load a TSV variant table: `variant<TAB>canonical`, read as every resource file is (`read_resource`).
-
-    Both columns are normalized on load, may not normalize to nothing and
-    are each one word (one `_WORD_RE` match); a canonical form may have no
-    more letters than its variant and may not itself be listed as a variant
-    (the table must be idempotent), and no variant is listed twice. Every
-    failure is a LexiconError naming the file and line.
-    """
-    table: dict[str, str] = {}
-    first: dict[str, int] = {}  # variant -> the line that lists it
-    for lineno, parts in _rows(path):
-        where = f"{path}:{lineno}"
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise LexiconError(f"{where}: expected `variant<TAB>canonical`")
-        (variant, _), (canonical, _) = map(normalize, parts)
-        if not (variant and canonical):
-            raise LexiconError(f"{where}: {parts[1 if variant else 0]!r} normalizes to nothing")
-        if not _WORD_RE.fullmatch(variant):  # else it never applies: variants replace single words
-            raise LexiconError(f"{where}: variant {parts[0]!r} is not one word")
-        if not _WORD_RE.fullmatch(canonical):  # else one source word would become several tokens
-            raise LexiconError(f"{where}: canonical form {parts[1]!r} is not one word")
-        if len(canonical) > len(variant):  # else two of its letters would map onto one source letter
-            raise LexiconError(f"{where}: canonical form {parts[1]!r} has more letters than variant {parts[0]!r}")
-        if variant in first:  # else the later row would silently win
-            raise LexiconError(f"{where}: variant {parts[0]!r} is already listed on line {first[variant]}")
-        table[variant], first[variant] = canonical, lineno
-    for variant, canonical in table.items():
-        if canonical in table:
-            raise LexiconError(
-                f"{path}:{first[variant]}: variant table is not idempotent: {canonical!r} is also a variant,"
-                f" on line {first[canonical]}"
-            )
-    return table
 
 
 def seed_lexicon() -> Lexicon:

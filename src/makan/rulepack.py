@@ -11,21 +11,19 @@ def rule_pack_path():
     return resources.files("makan").joinpath("resources/spatial.rules")
 
 
-def variants_path():
-    return resources.files("makan").joinpath("resources/variants.tsv")
-
-
 def rule_pack() -> str:
     """The shipped rule DSL source."""
     return lexicon_mod.read_resource(rule_pack_path())
 
 
-def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
-    """(semantic map, lexicon, compiled rules, variant table), each validated as it is built.
+def load_resources(lexicon_paths=(), rule_paths=()):
+    """(semantic map, lexicon, compiled rules, {}), each validated as it is built.
 
     Empty arguments take the shipped files; several lexicon or rule files make
     one lexicon or one rule source. Every resource fault is a LexiconError or
-    a GrammarError.
+    a GrammarError. A spelling variant is a lexicon row: the last value, a new
+    empty dict each call, stays only for the call shape of the benchmark
+    harness, which unpacks four values and passes it on as `variants`.
     """
     lexicon = lexicon_mod.load(list(lexicon_paths) or [lexicon_mod.seed_lexicon_path()])
     rule_paths = list(rule_paths) or [rule_pack_path()]
@@ -35,14 +33,13 @@ def load_resources(lexicon_paths=(), rule_paths=(), variants_file=None):
     except engine.GrammarError as exc:
         line, path = exc.line, None  # a line of the joined source -> its file and own line
         for path, text in zip(rule_paths, texts):
-            if line is None or line <= (n := len((text + "\n").splitlines())):
+            if line is None or line <= (n := text.count("\n") + 1):
                 break
             line -= n
         raise engine.GrammarError(exc.message, line, exc.col, path) from None
-    table = lexicon_mod.load_variant_table(variants_path() if variants_file is None else variants_file)
-    return semmap.PARENT, lexicon, grammar, table
+    return semmap.PARENT, lexicon, grammar, {}
 
 
 def load_default_resources():
-    """(semantic map, seed lexicon, compiled rule pack, variant table)."""
+    """(semantic map, seed lexicon, compiled rule pack, {}): see `load_resources`."""
     return load_resources()

@@ -224,7 +224,7 @@ def _split_clitics(word: str, lexicon) -> tuple[list[tuple[str, int, int]], int]
     return cuts, pos
 
 
-def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) -> TokenStream:
+def tokenize(text: str, lexicon=None, variants: dict | None = None) -> TokenStream:
     """Segment text into a stream of tokens with clitic decomposition; no `Token` is built until one is read.
 
     Proclitic spans and the stem span partition each token span left to
@@ -232,33 +232,29 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
     into pieces on " " and "\n". Each surface run and each word is worked out
     once and kept in the lexicon's memo tables (`Lexicon.tokenize_memos`;
     without a lexicon, fresh tables each call), as is each piece of one run,
-    so a piece met before costs one table read and no key spans two runs; a
-    run whose word is in `variants` is kept in the run table under (run,
-    canonical form), all that its record depends on, so a caller who changes
-    that table between calls gets the answer for the table as it stands. A
-    run meeting a variant whose canonical form is not one word with no more
-    letters, as a table file (`lexicon.load_variant_table`) requires, raises
-    ValueError before anything is stored, so on every call that meets it.
+    so a piece met before costs one table read and no key spans two runs.
+    A spelling variant is a lexicon row of its own, so a token's stem is
+    always its own spelling.
     """
     if not isinstance(text, str):  # else it fails inside a `str` method
         raise TypeError(f"text must be a str, not {type(text).__name__}")
-    if variants is not None and not isinstance(variants, dict):  # else a list fails only at a word it holds
+    # `variants` stays only for the call shape of the benchmark harness, which passes the empty dict that
+    # `rulepack.load_resources` returns; it goes with `annotate`'s `smap` once one resource bundle replaces both.
+    if variants is not None and not isinstance(variants, dict):  # a wrong type, not a table: named as such
         raise TypeError(f"variants must be a dict, not {type(variants).__name__}")
+    if variants:
+        raise ValueError("a variant table is no longer read: give each spelling its own lexicon row")
     runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
     starts, words, at = [], [], 0  # `at`: where the piece starts in the text
     for piece in text.replace("\n", " ").split(" "):
         record = runs.get(piece)
         if record is None:  # a piece first met, or one never kept: it holds several runs or none
-            for start, word, w in _piece_records(piece, lexicon, runs, splits):
-                if variants and word in variants:
-                    w = _run_record(_RUN_RE.match(piece, start)[0], variants[word], lexicon, runs, splits)[2]
+            for start, w in _piece_records(piece, lexicon, runs, splits):
                 if w is not None:
                     starts.append(at + start)
                     words.append(w)
         else:  # a piece of one run met before: the same steps unrolled, as a loop over one record costs a fifth
-            start, word, w = record
-            if variants and word in variants:
-                w = _run_record(_RUN_RE.match(piece, start)[0], variants[word], lexicon, runs, splits)[2]
+            start, w = record
             if w is not None:
                 starts.append(at + start)
                 words.append(w)
@@ -267,21 +263,20 @@ def tokenize(text: str, lexicon=None, variants: dict[str, str] | None = None) ->
 
 
 def _piece_records(piece: str, lexicon, runs: dict, splits: dict) -> list:
-    """The records of a piece the run table does not hold, each (start of a run in the piece, word, `Word`), kept
-    under each run and, for a piece of one run, under the piece too."""
-    records = [(m.start(), *_run_record(m[0], None, lexicon, runs, splits)[1:]) for m in _RUN_RE.finditer(piece)]
+    """The records of a piece the run table does not hold, each (start of a run in the piece, `Word`), kept under
+    each run and, for a piece of one run, under the piece too."""
+    records = [(m.start(), _run_word(m[0], lexicon, runs, splits)) for m in _RUN_RE.finditer(piece)]
     if len(records) == 1:
         remember(runs, piece, records[0])
     return records
 
 
-def _run_record(run: str, canonical: str | None, lexicon, runs: dict, splits: dict) -> tuple:
-    """The record (0, word, `Word`) of a run, kept under the run, or of a run read as `canonical` under the pair."""
-    key = run if canonical is None else (run, canonical)
-    record = runs.get(key)
+def _run_word(run: str, lexicon, runs: dict, splits: dict):
+    """The `Word` of a run (None for marks alone), its record (0, `Word`) kept under the run."""
+    record = runs.get(run)
     if record is None:
-        record = remember(runs, key, (0, *_normalized_word(run, lexicon, canonical, splits)))
-    return record
+        record = remember(runs, run, (0, _normalized_word(run, lexicon, splits)))
+    return record[1]
 
 
 def remember(table: dict, key, value):
@@ -292,25 +287,19 @@ def remember(table: dict, key, value):
     return value
 
 
-def _normalized_word(run: str, lexicon, canonical: str | None, splits: dict[str, tuple]) -> tuple:
-    """(word, record) of a surface run through `normalize`'s offset map: `word` is the one word the run normalizes
-    to, as the split table keeps it so that equal words share one string, and its record a `Word`; ("", None) for
-    a run of marks alone. Given a `canonical` form, the run's word, a variant, is replaced by it, its last letter
-    mapped onto the word's last letter."""
+def _normalized_word(run: str, lexicon, splits: dict[str, tuple]):
+    """The `Word` of a surface run through `normalize`'s offset map, None for a run of marks alone. The split table
+    keeps each word's split, so that equal words share one stem string."""
     word, omap = normalize(run)
     if not word:
-        return word, None
-    if canonical is not None:
-        if not (_WORD_RE.fullmatch(canonical) and len(canonical) <= len(word)):  # else two letters share one
-            raise ValueError(f"canonical form {canonical!r} of variant {word!r} is not one word no longer than it")
-        word, omap = canonical, omap[: len(canonical) - 1] + omap[-1:]
-    split = splits.get(word)  # (word, cuts as (kind, start, end, text), stem start, stem, type key)
-    if split is None:  # equal words share one split, so one word and one stem string
+        return None
+    split = splits.get(word)  # (cuts as (kind, start, end, text), stem start, stem, type key)
+    if split is None:
         cuts, stem_start = _split_clitics(word, lexicon)
         cuts = tuple((kind, cs, ce, word[cs:ce]) for kind, cs, ce in cuts)
         stem = word[stem_start:]
-        split = remember(splits, word, (word, cuts, stem_start, stem, _type_key(stem, cuts)))
-    word, cuts, stem_start, stem, key = split
+        split = remember(splits, word, (cuts, stem_start, stem, _type_key(stem, cuts)))
+    cuts, stem_start, stem, key = split
     ws, we = omap[0], omap[-1] + 1  # cuts and the stem start lie inside the word: only the end needs `+ 1`
     cuts = tuple([Cut(kind, omap[cs], omap[ce], ctext) for kind, cs, ce, ctext in cuts])
-    return word, Word(ws, we, run[ws:we], cuts, omap[stem_start], stem, key)
+    return Word(ws, we, run[ws:we], cuts, omap[stem_start], stem, key)

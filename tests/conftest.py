@@ -9,7 +9,7 @@ from makan import annotate, load_default_resources, read_annotations
 
 @pytest.fixture(scope="session")
 def bundle():
-    """(semantic map, seed lexicon, compiled rule pack, variant table)."""
+    """(semantic map, seed lexicon, compiled rule pack, {})."""
     return load_default_resources()
 
 
@@ -23,19 +23,19 @@ def suite_gold():
 
 @pytest.fixture(scope="session")
 def suite_system(bundle, suite_gold):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     return [
-        annotate(d.text, lex, grammar, smap, variants=variants, doc_id=d.doc_id)
+        annotate(d.text, lex, grammar, smap, doc_id=d.doc_id)
         for d in suite_gold
     ]
 
 
 @pytest.fixture(scope="session")
 def run(bundle):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
 
     def _run(text):
-        return annotate(text, lex, grammar, smap, variants=variants, doc_id="t")
+        return annotate(text, lex, grammar, smap, doc_id="t")
 
     return _run
 

@@ -5,8 +5,8 @@ directly from the rule structure, over the lookup reference's matches, and
 filters by the published winner ordering; what each atom's tests accept at a
 word, and the word's lookups, are worked out once per word (the stems a
 lookup reads and its ب proclitic) and kept for later sequences. The
-normalization reference folds one character at a time and replaces variant
-words from the right; the tokenizer reference normalizes through it, splits
+normalization reference folds one character at a time; the tokenizer
+reference normalizes through it, splits
 every word anew and computes every boundary through one closure; the lookup
 reference tries every entry form at the token, and the lookup-key reference
 every pair of neighbouring stems; the scoring reference scans all gold for
@@ -128,12 +128,8 @@ def as_tuples(raw_matches):
     return [(m.rule, m.span, m.captures, m.output, m.evidence, m.following) for m in raw_matches]
 
 
-def reference_normalize(text, variants=None):
-    """(normalized text, offset map) built one character at a time, then each variant word replaced whole.
-
-    A replacement's characters come from the word's characters in turn, its
-    last from the word's last, so a span still ends on the word's end.
-    """
+def reference_normalize(text):
+    """(normalized text, offset map) built one character at a time."""
     out: list[str] = []
     omap: list[int] = []
     for i, ch in enumerate(text):
@@ -141,19 +137,12 @@ def reference_normalize(text, variants=None):
             continue
         out.append(_FOLD.get(ch, ch))
         omap.append(i)
-    norm = "".join(out)
-    for m in reversed(list(_WORD_RE.finditer(norm)) if variants else ()):  # from the right: earlier offsets hold
-        repl = variants.get(m.group())
-        if repl is not None:
-            a, b = m.span()
-            src = [omap[a + min(j, b - a - 1)] for j in range(len(repl) - 1)] + [omap[b - 1]]
-            norm, omap = norm[:a] + repl + norm[b:], omap[:a] + src + omap[b:]
-    return norm, omap
+    return "".join(out), omap
 
 
-def reference_tokenize(text, lexicon=None, variants=None):
+def reference_tokenize(text, lexicon=None):
     """Tokens built word by word: clitics split for every occurrence, boundaries through `bound`."""
-    norm, omap = reference_normalize(text, variants)
+    norm, omap = reference_normalize(text)
     tokens = []
     for wmatch in _WORD_RE.finditer(norm):
         word = wmatch.group()

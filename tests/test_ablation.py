@@ -1,8 +1,11 @@
-"""Every shipped rule, guard and lexicon flag is needed by gold: without it, some gold document is annotated otherwise.
+"""Every shipped rule, guard and lexicon flag, and each spelling-variant row, is needed by gold: without it, some gold
+document is annotated otherwise.
 
-The gold set is the shipped suite plus `tests/gold/`, which holds بين sentences that show what the
+The gold set is the shipped suite plus `tests/gold/`. There the b documents are بين sentences that show what the
 PLURAL_SITE guard is for: a site flagged PLURAL (a sound, broken or dual plural) or followed by a
-coordination passes; a singular, also one that ends as a plural or dual would, gives nothing. They stay out of the shipped suite, from which the benchmark builds every workload.
+coordination passes; a singular, also one that ends as a plural or dual would, gives nothing. The v document
+holds a spelling variant of لوار that the suite does not. They stay out of the shipped suite, from which the
+benchmark builds every workload.
 """
 
 import dataclasses
@@ -36,9 +39,9 @@ def _without_guard(name):
 
 def _annotations(docs, bundle, grammar):
     """Each document's annotations, less the name of the rule that made them."""
-    smap, _, _, variants = bundle
+    smap = bundle[0]
     return [
-        [a._replace(rule=None) for a in annotate(d.text, grammar.lexicon, grammar, smap, variants=variants).annotations]
+        [a._replace(rule=None) for a in annotate(d.text, grammar.lexicon, grammar, smap).annotations]
         for d in docs
     ]
 
@@ -73,4 +76,13 @@ def test_stripping_a_flag_from_every_entry_changes_some_gold_document(bundle, go
     entries = bundle[1].entries
     assert any(flag in e.flags for e in entries)  # some shipped entry carries it
     lexicon = Lexicon([dataclasses.replace(e, flags=e.flags - {flag}) for e in entries])
+    assert _annotations(gold, bundle, compile(_SOURCE, lexicon)) != shipped
+
+
+@pytest.mark.parametrize("lemma", ["لواريه", "لوارية"])
+def test_removing_a_spelling_variant_row_changes_some_gold_document(bundle, gold, shipped, lemma):
+    entries = bundle[1].entries
+    kept = [e for e in entries if e.lemma != lemma]
+    assert len(kept) == len(entries) - 1  # the row was there to remove
+    lexicon = Lexicon(kept)
     assert _annotations(gold, bundle, compile(_SOURCE, lexicon)) != shipped

@@ -98,7 +98,7 @@ def test_guard_suite(run):
 
 
 def test_property_suites(bundle, suite_gold, suite_system, run):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
 
     # normalization idempotence and offset round-trip over the shipped suite
     for doc in suite_gold:
@@ -106,7 +106,7 @@ def test_property_suites(bundle, suite_gold, suite_system, run):
         assert normalize(once)[0] == once
         assert len(omap) == len(once)
         pos = 0
-        for tok in tokenize(doc.text, lex, variants):
+        for tok in tokenize(doc.text, lex):
             assert doc.text[tok.span.start : tok.span.end] == tok.surface
             assert tok.span.start >= pos
             pos = tok.span.end

@@ -39,12 +39,12 @@ def test_support_example(run):
 
 def test_a_target_capture_is_reported_and_widens_the_span(bundle):
     # no shipped rule captures a target; this one takes the noun before the trigger
-    smap, lex, _, variants = bundle
+    smap, lex, _, _ = bundle
     grammar = compile(
         "RULE t PRIO 50: target=[NOUN_TARGET] trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT",
         lex,
     )
-    doc = annotate("وضعت الكتاب على المقعد.", lex, grammar, smap, variants)
+    doc = annotate("وضعت الكتاب على المقعد.", lex, grammar, smap)
     assert [(a.span, a.trigger, a.site, a.target) for a in doc.annotations] == [
         (OffsetSpan(5, 22), OffsetSpan(12, 15), OffsetSpan(16, 22), OffsetSpan(5, 11))
     ]
@@ -59,6 +59,21 @@ def test_periphery_locution_beats_generic_support(run):
     doc = run("سرت طويلاً على ضفة اللواريه")
     assert [a.category for a in doc.annotations] == ["TOPOLOGICAL.PERIPHERY"]
     assert doc.annotations[0].trigger.slice(doc.text) == "على ضفة"
+
+
+@pytest.mark.parametrize("template", ["سرت على ضفة {}", "عاد إلى {}"])
+@pytest.mark.parametrize(
+    "variant, canonical",
+    [("سين", "سان"), ("السين", "السان"), ("لواريه", "لوار"), ("اللواريه", "اللوار"), ("لوارية", "لوار"),
+     ("اللوارية", "اللوار"), ("واللواريه", "واللوار")],
+)
+def test_a_spelling_variant_gets_the_annotations_of_its_canonical_spelling(run, template, variant, canonical):
+    # each spelling is a lexicon row, so a proclitic may come before it too; the site ends on its own word
+    got, want = run(template.format(variant)), run(template.format(canonical))
+    assert want.annotations and got.text.endswith(variant)
+    assert [(a.category, a.trigger, a.site.start, a.site.end, a.rule) for a in got.annotations] == [
+        (a.category, a.trigger, a.site.start, len(got.text), a.rule) for a in want.annotations
+    ]
 
 
 def test_medium_annotation_splits_token(run):
@@ -85,8 +100,8 @@ def test_custom_lexicon_attributes_reach_only_the_annotations_they_trigger(tmp_p
     lexicon = tmp_path / "lexicon.tsv"
     attributes = '{"axis": "up", "rank": 2, "weight": 0.5, "note": null}'
     lexicon.write_text(seed.replace(row, f"{row}\t{attributes}"), encoding="utf-8")
-    smap, lex, grammar, variants = load_resources([lexicon])
-    doc = annotate("جلست المرأة على المقعد والكتاب فوق المقعد", lex, grammar, smap, variants=variants)
+    smap, lex, grammar, _ = load_resources([lexicon])
+    doc = annotate("جلست المرأة على المقعد والكتاب فوق المقعد", lex, grammar, smap)
     by_trigger = {a.trigger.slice(doc.text): a.attributes for a in doc.annotations}
     assert by_trigger == {"على": {}, "فوق": {"axis": "up", "rank": 2, "weight": 0.5, "note": None}}
     assert [a.get("attributes") for a in json.loads(document_to_json(doc))["annotations"]] == [None, by_trigger["فوق"]]
@@ -95,8 +110,8 @@ def test_custom_lexicon_attributes_reach_only_the_annotations_they_trigger(tmp_p
 def test_no_attribute_comes_from_a_rule_name(tmp_path):
     rules = tmp_path / "named.rules"
     rules.write_text("RULE dir_medium PRIO 1: trigger=[SENSE TOPOLOGICAL.SUPPORT] site=[NOUN_SITE] => TOPOLOGICAL.SUPPORT")
-    smap, lex, grammar, variants = load_resources(rule_paths=[rules])
-    (ann,) = annotate("جلست على المقعد", lex, grammar, smap, variants=variants).annotations
+    smap, lex, grammar, _ = load_resources(rule_paths=[rules])
+    (ann,) = annotate("جلست على المقعد", lex, grammar, smap).annotations
     assert (ann.rule, ann.attributes) == ("dir_medium", {})
 
 
@@ -493,12 +508,11 @@ def test_read_rejects_mistyped_annotation_field(field, value):
 
 
 def test_annotate_never_crashes_on_arbitrary_text(run, bundle, suite_gold):
-    # Suite sentences with words marked (harakat, tatweel) or swapped for lexicon, suite and variant-table words
-    # behind proclitics make annotations: `_convert` builds their spans without `OffsetSpan`'s check, so each must
-    # still pass it.
-    lex, variants = bundle[1], bundle[3]
+    # Suite sentences with words marked (harakat, tatweel) or swapped for lexicon and suite words behind proclitics
+    # make annotations: `_convert` builds their spans without `OffsetSpan`'s check, so each must still pass it.
+    lex = bundle[1]
     suite_words = {w for d in suite_gold for w in _WORD_RE.findall(normalize(d.text)[0])}
-    vocabulary = sorted(lex._forms | suite_words | variants.keys() | set(variants.values()))
+    vocabulary = sorted(lex._forms | suite_words)
     sentences = [d.text for d in suite_gold]
 
     @settings(max_examples=200, deadline=None)
@@ -513,15 +527,6 @@ def test_annotate_never_crashes_on_arbitrary_text(run, bundle, suite_gold):
                     assert 0 <= span.start < span.end <= len(text)
 
     _fuzz()
-
-
-def test_a_medium_trigger_that_a_variant_maps_onto_no_letter_is_refused(bundle):
-    # ط would read as بالطائرة: its ب and the ا after it would both map to the one source letter, so a canonical
-    # form with more letters than its variant is refused where the word is made
-    smap, lex, grammar, _ = bundle
-    message = "canonical form 'بالطائرة' of variant 'ط' is not one word no longer than it"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        annotate("عاد ط", lex, grammar, smap, variants={"ط": "بالطائرة"})
 
 
 def test_multi_sentence_document(run, suite_gold):
@@ -570,10 +575,10 @@ def test_parallel_annotation_matches_serial(bundle, suite_gold):
 
     from makan import annotate
 
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
 
     def work(doc):
-        return annotate(doc.text, lex, grammar, smap, variants=variants, doc_id=doc.doc_id)
+        return annotate(doc.text, lex, grammar, smap, doc_id=doc.doc_id)
 
     jobs = list(suite_gold) * 3
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -584,31 +589,31 @@ def test_parallel_annotation_matches_serial(bundle, suite_gold):
 def test_annotate_rejects_mismatched_map(bundle):
     from makan import annotate
 
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     tiny = {"SPATIAL": None}
     with pytest.raises(ValueError, match="does not resolve"):
-        annotate("جلست المرأة على المقعد.", lex, grammar, tiny, variants=variants)
+        annotate("جلست المرأة على المقعد.", lex, grammar, tiny)
 
 
 def test_annotate_rejects_mismatched_map_on_text_without_a_match(bundle):
     from makan import annotate
 
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     tiny = {"SPATIAL": None}
     with pytest.raises(ValueError, match="does not resolve"):
-        annotate("", lex, grammar, tiny, variants=variants)
+        annotate("", lex, grammar, tiny)
 
 
 @pytest.mark.parametrize("doc_id", [3, None, b"d"])
 def test_annotate_refuses_a_doc_id_that_is_not_a_str_before_any_work(bundle, doc_id):
     from makan import annotate
 
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     message = f"^doc_id must be a str, not {type(doc_id).__name__}$"
     with pytest.raises(TypeError, match=message):
-        annotate("جلست المرأة على المقعد.", lex, grammar, smap, variants=variants, doc_id=doc_id)
+        annotate("جلست المرأة على المقعد.", lex, grammar, smap, doc_id=doc_id)
     with pytest.raises(TypeError, match=message):  # ahead of the map check, so before any work
-        annotate("", lex, grammar, {"SPATIAL": None}, variants=variants, doc_id=doc_id)
+        annotate("", lex, grammar, {"SPATIAL": None}, doc_id=doc_id)
 
 
 def test_annotate_leaves_no_cyclic_garbage(run, suite_gold):
@@ -648,9 +653,9 @@ def test_annotate_runs_with_the_collector_paused_and_leaves_it_as_it_was(monkeyp
 @pytest.mark.parametrize("fault", ["variant", "lexicon"])
 def test_annotate_that_raises_leaves_the_collector_as_it_was(bundle, enabled, fault):
     smap, lex, grammar, _ = bundle
-    if fault == "variant":  # raised by `tokenize`, inside the pause
-        lexicon, variants = lex, {"سانجيرمان": "سان جيرمان"}
-        message = "canonical form 'سان جيرمان' of variant 'سانجيرمان'"
+    if fault == "variant":  # a variant table, no longer read: raised by `tokenize`, inside the pause
+        lexicon, variants = lex, {"سين": "سان"}
+        message = "give each spelling its own lexicon row"
     else:  # an equal copy is another lexicon, refused before the pause
         lexicon, variants = Lexicon(list(lex.entries)), None
         message = "lexicon other than the one it was compiled for"
@@ -658,7 +663,7 @@ def test_annotate_that_raises_leaves_the_collector_as_it_was(bundle, enabled, fa
     try:
         (gc.enable if enabled else gc.disable)()
         with pytest.raises(ValueError, match=re.escape(message)):
-            annotate("عاد إلى سانجيرمان", lexicon, grammar, smap, variants)
+            annotate("عاد إلى سين", lexicon, grammar, smap, variants)
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
@@ -690,7 +695,7 @@ def test_two_threads_annotating_at_once_leave_the_collector_on(run, suite_gold):
 
 
 def test_annotating_with_two_lexicons_in_turn_leaves_no_cyclic_garbage(bundle, suite_gold):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     _, other, other_grammar, _ = load_resources()  # a second lexicon and its own grammar: a second set of memo tables
     gone = weakref.ref(other)
     gc.collect()
@@ -698,7 +703,7 @@ def test_annotating_with_two_lexicons_in_turn_leaves_no_cyclic_garbage(bundle, s
     try:
         for doc in suite_gold:
             for lexicon, g in ((lex, grammar), (other, other_grammar), (lex, grammar)):
-                annotate(doc.text, lexicon, g, smap, variants)
+                annotate(doc.text, lexicon, g, smap)
         del other, other_grammar
         assert gone() is None  # no cycle holds the lexicon: it went with its grammar, and the tables of both
         assert gc.collect() == 0
@@ -742,9 +747,9 @@ def test_annotation_spans_cover_captures(suite_system):
 def test_no_annotation_survives_inside_vetoed_scope(bundle, suite_system, suite_gold):
     # post-condition audit: re-run the raw cascade and re-check every
     # emitted annotation against its rule's guards
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     for doc in suite_gold:
-        tokens = tokenize(doc.text, lex, variants)
+        tokens = tokenize(doc.text, lex)
         for match in apply(grammar, tokens):
             vetoed, _ = guards.run_guards(tokens, match)
             emitted = [

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import stat
 from importlib import resources
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from makan import cli
 from makan.cli import build_parser, cmd_annotate, cmd_eval, main
 from makan.lexicon import LexiconError, seed_lexicon_path
-from makan.rulepack import rule_pack_path, variants_path
+from makan.rulepack import rule_pack_path
 
 
 @pytest.fixture()
@@ -62,6 +63,16 @@ def test_annotate_empty_input_file(tmp_path):
 def test_usage_error_exits_one():
     assert main(["annotate"]) == 1
     assert main(["definitely-not-a-command"]) == 1
+
+
+@pytest.mark.parametrize("command", [["check"], ["annotate", "--out", "out", "a.txt"]])
+def test_the_removed_variants_option_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # spelling variants are lexicon rows: no variant table is read
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("عاد إلى سين", encoding="utf-8")
+    assert main([*command, "--variants", "x"]) == 1
+    assert "unrecognized arguments: --variants x" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
 
 def _materialize_suite(tmp_path, suite_gold):
@@ -165,12 +176,10 @@ def test_an_output_path_of_the_wrong_kind_exits_two_naming_it(tmp_path, monkeypa
 
 def test_check_shipped_resources_clean(capsys):
     assert main(["check"]) == 0
-    assert "ok:" in capsys.readouterr().out
+    assert re.fullmatch(r"ok: \d+ lexicon entries, \d+ rules, \d+ category nodes\n", capsys.readouterr().out)
 
 
-@pytest.mark.parametrize(
-    "option, shipped", [("--lexicon", seed_lexicon_path), ("--rules", rule_pack_path), ("--variants", variants_path)]
-)
+@pytest.mark.parametrize("option, shipped", [("--lexicon", seed_lexicon_path), ("--rules", rule_pack_path)])
 def test_check_loads_a_resource_saved_with_a_leading_byte_order_mark(tmp_path, capsys, option, shipped):
     assert main(["check"]) == 0
     expected = capsys.readouterr().out
@@ -215,31 +224,32 @@ def test_check_names_the_rule_file_and_its_own_line(tmp_path, capsys):
     assert "NOPE.PATH" in err and f"({two}, line 3, col 1)" in err
 
 
-def test_annotate_rejects_variant_that_normalizes_to_nothing(tmp_path, suite_texts, capsys):
-    table = tmp_path / "variants.tsv"
-    table.write_text("# comment\nسين\tَ\n", encoding="utf-8")
-    out = tmp_path / "out"
-    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
-    assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
-    assert f"{table}:2" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_texts, capsys):
-    table = tmp_path / "variants.tsv"
-    out = tmp_path / "out"
-    inputs = sorted(str(p) for p in suite_texts.glob("*.txt"))
-    for row, what in (("سانجيرمان\tسان جيرمان", "canonical form"), ("سان جيرمان\tسانجيرمان", "variant")):
-        table.write_text(row + "\n", encoding="utf-8")
-        assert main(["annotate", "--variants", str(table), "--out", str(out), *inputs]) == 2
-        assert f"{table}:1: {what} 'سان جيرمان' is not one word" in capsys.readouterr().err
-        assert not out.exists()
+def test_check_counts_rule_lines_at_newlines_only(tmp_path, capsys):
+    # a U+2028 inside a comment leaves the rest of its line a comment: the pack keeps its own rules
+    assert main(["check"]) == 0
+    shipped = capsys.readouterr().out
+    note = tmp_path / "note.rules"
+    note.write_text("# see the note\u2028RULE x PRIO 99: trigger=[LIT على] => DIRECTIONAL\n", encoding="utf-8")
+    assert main(["check", "--rules", str(rule_pack_path()), "--rules", str(note)]) == 0
+    assert capsys.readouterr() == (shipped, "")
+    # a form feed ends no line: the second rule is on line 2
+    feed = tmp_path / "feed.rules"
+    feed.write_text(
+        "RULE a PRIO 1: trigger=[PREP] => TOPOLOGICAL\f\nRULE b PRIO 1: trigger=[PREP] => NOPE\n", encoding="utf-8"
+    )
+    assert main(["check", "--rules", str(feed)]) == 2
+    assert f"({feed}, line 2, col 1)" in capsys.readouterr().err
+    # and a fault in a later file is placed by the lines of the files before it
+    bad = tmp_path / "bad.rules"
+    bad.write_text("RULE c PRIO 1: trigger=[PREP] => NOPE\n", encoding="utf-8")
+    feed.write_text("RULE a PRIO 1: trigger=[PREP] => TOPOLOGICAL\f\n", encoding="utf-8")
+    assert main(["check", "--rules", str(feed), "--rules", str(bad)]) == 2
+    assert f"({bad}, line 1, col 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "option, content, message",
     [
-        ("--variants", "سين\tسان\nسِين\tسن\n", "{path}:2: variant 'سِين' is already listed on line 1"),
         ("--lexicon", 'ب\tPREP\tTOPOLOGICAL.SUPPORT\t\t{"medium": true, "medium": false}\n',
          "{path}:1: attribute 'medium' is given twice"),
         # every lexicon fault names its row, whether the row alone or the whole lexicon shows it
@@ -249,7 +259,6 @@ def test_annotate_rejects_a_canonical_variant_form_of_two_words(tmp_path, suite_
         ("--lexicon", "# c\nعلى\tPREP\tTOPOLOGICAL.SUPPORT\tNOPE_FLAG\n", "{path}:2: unknown flag NOPE_FLAG"),
         ("--lexicon", "على\tPREP\tTOPOLOGICAL.SUPPORT\n\nعلى\tPREP\tDIRECTIONAL.GOAL\n",
          "{path}:3: duplicate entry (علي, PREP), first at {path}:1"),
-        ("--variants", None, "resource file not found: {path}"),  # an empty path, never the shipped table
         ("--lexicon", None, "resource file not found: {path}"),
         ("--rules", None, "resource file not found: {path}"),
     ],
@@ -279,8 +288,6 @@ def test_check_accepts_explicit_shipped_paths(capsys):
             str(seed_lexicon_path()),
             "--rules",
             str(rule_pack_path()),
-            "--variants",
-            str(variants_path()),
         ]
     )
     assert code == 0
@@ -394,7 +401,7 @@ def test_annotate_rejects_non_utf8_input_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--lexicon", "--rules", "--variants"])
+@pytest.mark.parametrize("flag", ["--lexicon", "--rules"])
 def test_annotate_rejects_non_utf8_resource(tmp_path, suite_texts, capsys, flag):
     bad = tmp_path / "resource"
     bad.write_bytes("على\tPREP".encode("cp1256"))

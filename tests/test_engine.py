@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from makan.annotator import annotate
 from makan.engine import GrammarError, _type_records, apply, compile
 from makan.lexicon import Lexicon, _parse_line
+from makan.rulepack import rule_pack
 from makan.semmap import PARENT
 from makan.textnorm import token_stream, tokenize
 from oracle import as_tuples, oracle_apply
@@ -156,6 +157,22 @@ def test_compile_error_carries_location():
         compile(src, GOAL_LEX)
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\f", "\v", "\x1c", "\x1d", "\x1e", "\r"])
+def test_rule_source_lines_end_at_newlines_only(separator):
+    # any other line break is whitespace inside its line: a comment stays a comment, and a fault names its own line
+    live = "RULE x PRIO 99: trigger=[PREP] => DIRECTIONAL"
+    assert len(compile(f"# see the note{separator}{live}", GOAL_LEX)) == 0
+    with pytest.raises(GrammarError, match=r"^rule b: unresolved output path NOPE \(line 2, col 1\)$"):
+        compile(f"RULE a PRIO 1: trigger=[PREP] => TOPOLOGICAL{separator}\nRULE b PRIO 1: trigger=[PREP] => NOPE", GOAL_LEX)
+
+
+def test_a_shipped_pack_with_crlf_line_ends_compiles_to_the_same_rules(bundle):
+    lex, grammar = bundle[1], bundle[2]
+    source = rule_pack()
+    assert "\r" not in source and len(grammar) > 0
+    assert compile(source.replace("\n", "\r\n"), lex).rules == grammar.rules
+
+
 def test_compile_rejects_stray_character():
     src = "RULE r PRIO 1: (trigger=[PREP] ) => DIRECTIONAL.GOAL"
     with pytest.raises(GrammarError, match="unexpected character"):
@@ -287,9 +304,9 @@ def test_a_rule_that_starts_anywhere_keeps_every_call_past_the_exit(first, text)
 
 
 def test_one_winner_per_start_and_no_dangling_captures(bundle, suite_gold):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     for doc in suite_gold:
-        tokens = tokenize(doc.text, lex, variants)
+        tokens = tokenize(doc.text, lex)
         matches = apply(grammar, tokens)
         starts = [m.span[0] for m in matches]
         assert len(starts) == len(set(starts))
@@ -464,6 +481,6 @@ _POOL = (
 @example(["الطائرة", "عاد", "بالطائرة"])  # one stem with and without a ب proclitic, in both orders
 @example(["بالطائرة", "عاد", "الطائرة"])
 def test_shipped_grammar_equals_oracle_on_random_sequences(bundle, words):
-    smap, lex, grammar, variants = bundle
-    tokens = tokenize(" ".join(words), lex, variants)
+    smap, lex, grammar, _ = bundle
+    tokens = tokenize(" ".join(words), lex)
     assert as_tuples(apply(grammar, tokens)) == oracle_apply(grammar, tokens, lex)

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from makan.annotator import AnnotationFormatError, annotate, read_annotations
 from makan.engine import GrammarError, compile
-from makan.lexicon import LexiconError, load, load_variant_table, read_resource, seed_lexicon_path
-from makan.rulepack import load_resources, rule_pack_path, variants_path
+from makan.lexicon import LexiconError, load, read_resource, seed_lexicon_path
+from makan.rulepack import load_resources, rule_pack_path
 from makan.textnorm import tokenize
 from oracle import reference_read_annotations
 
@@ -29,7 +29,7 @@ _DSL_WORDS = [
     "BOGUS.PATH", "PLURAL", "NEG_SCOPE", "NOPE", "r", "q", "0", "1", "9", "على", "#", "\n", "\t",
 ]
 
-# Lexicon and variant lines are built from their own separators, classes,
+# Lexicon lines are built from their own separators, classes,
 # senses, flags and attribute JSON, plus a few Arabic letters and diacritics;
 # one piece opens a valid line up to its attributes column.
 _TSV_PIECES = st.sampled_from(
@@ -92,16 +92,16 @@ def test_compile_refuses_a_source_that_is_not_a_str_or_a_lexicon_that_is_not_a_l
 
 @pytest.mark.parametrize("text", [3, b"\xd8\xb9\xd9\x84\xd9\x89", None])
 def test_tokenize_and_annotate_refuse_a_text_that_is_not_a_str_before_any_work(bundle, text):
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     message = f"^text must be a str, not {type(text).__name__}$"
     runs = dict(lex.tokenize_memos[0])
     for lexicon in (None, lex):
         with pytest.raises(TypeError, match=message):
-            tokenize(text, lexicon, variants)
+            tokenize(text, lexicon)
     with pytest.raises(TypeError, match=message):
-        annotate(text, lex, grammar, smap, variants)
+        annotate(text, lex, grammar, smap)
     with pytest.raises(TypeError, match=message):  # ahead of the map check, so before any work
-        annotate(text, lex, grammar, {"SPATIAL": None}, variants)
+        annotate(text, lex, grammar, {"SPATIAL": None})
     assert lex.tokenize_memos[0] == runs
 
 
@@ -119,23 +119,38 @@ def test_tokenize_and_annotate_refuse_variants_that_are_not_a_dict_before_any_wo
     assert tuple(map(dict, lex.tokenize_memos)) == memos
 
 
+def test_tokenize_and_annotate_refuse_a_variant_table_before_any_work(bundle):
+    # a spelling variant is a lexicon row; the parameter stays only for the benchmark harness's empty dict
+    smap, lex, grammar, _ = bundle
+    memos = tuple(map(dict, lex.tokenize_memos))
+    for text in ("", "عاد إلى سين"):  # a listed word or none: refused at the call either way
+        for lexicon in (None, lex):
+            with pytest.raises(ValueError, match="give each spelling its own lexicon row"):
+                tokenize(text, lexicon, {"سين": "سان"})
+        with pytest.raises(ValueError, match="give each spelling its own lexicon row"):
+            annotate(text, lex, grammar, smap, variants={"سين": "سان"})
+    assert tuple(map(dict, lex.tokenize_memos)) == memos
+
+
+def test_no_variant_table_and_an_empty_one_give_equal_output(bundle, suite_gold):
+    smap, lex, grammar, empty = bundle
+    assert empty == {} and load_resources()[3] == {} and load_resources()[3] is not load_resources()[3]
+    for doc in suite_gold:
+        for lexicon in (None, lex):
+            assert tokenize(doc.text, lexicon, None) == tokenize(doc.text, lexicon, {})
+        assert annotate(doc.text, lex, grammar, smap, None) == annotate(doc.text, lex, grammar, smap, {})
+
+
 @settings(max_examples=60, deadline=None)
 @given(_TSV)
 def test_lexicon_load_raises_only_lexicon_error(content):
     _with_file(content, lambda path: _raises_only(LexiconError, load, path))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_TSV)
-def test_variant_table_raises_only_lexicon_error(content):
-    _with_file(content, lambda path: _raises_only(LexiconError, load_variant_table, path))
-
-
 # Each shipped resource file: how `load_resources` takes it in place of the shipped one, and how its faults name a line.
 _RESOURCES = {
     "lexicon.tsv": (seed_lexicon_path(), lambda path: {"lexicon_paths": [path]}, "{path}:{line}"),
     "spatial.rules": (rule_pack_path(), lambda path: {"rule_paths": [path]}, "({path}, line {line}, col"),
-    "variants.tsv": (variants_path(), lambda path: {"variants_file": path}, "{path}:{line}"),
 }
 
 

@@ -8,8 +8,8 @@ from makan.textnorm import OffsetSpan, tokenize
 
 
 def _raw_matches(bundle, text):
-    smap, lex, grammar, variants = bundle
-    tokens = tokenize(text, lex, variants)
+    smap, lex, grammar, _ = bundle
+    tokens = tokenize(text, lex)
     return tokens, apply(grammar, tokens)
 
 
@@ -106,14 +106,14 @@ def test_plural_site_guard_blocks_singular(bundle, run):
 
 
 def test_plural_site_guard_vetoes_a_missing_site_and_passes_a_plural_site(bundle):
-    smap, lex, _, variants = bundle
+    smap, lex, _, _ = bundle
     source = "RULE d PRIO 1: trigger=[LIT بين] (site=[NOUN_SITE])? => TOPOLOGICAL.INCLUSION.DISTRIBUTION GUARD PLURAL_SITE"
     grammar = compile(source, lex)
-    tokens = tokenize("بين", lex, variants)
+    tokens = tokenize("بين", lex)
     (alone,) = apply(grammar, tokens)
     assert alone.captures.get("site") is None and guards.guard_plural_site(tokens, alone) is True
-    assert annotate("بين", lex, grammar, smap, variants).annotations == ()
-    doc = annotate("بين المشيعين", lex, grammar, smap, variants)  # the site's entry is flagged PLURAL
+    assert annotate("بين", lex, grammar, smap).annotations == ()
+    doc = annotate("بين المشيعين", lex, grammar, smap)  # the site's entry is flagged PLURAL
     assert [a.span for a in doc.annotations] == [OffsetSpan(0, 12)]
 
 
@@ -170,8 +170,8 @@ def test_unknown_guard_name_raises(bundle):
 @pytest.mark.parametrize("entry", ["apply", "lookup", "lookup_keys", "run_guards"])
 @pytest.mark.parametrize("container", [list, tuple])
 def test_matcher_entry_points_refuse_a_plain_sequence_of_tokens(bundle, entry, container):
-    smap, lex, grammar, variants = bundle
-    stream = tokenize("ذهبت إلى البيت", lex, variants)
+    smap, lex, grammar, _ = bundle
+    stream = tokenize("ذهبت إلى البيت", lex)
     match = apply(grammar, stream)[0]
     tokens = container(stream)
     call = {

@@ -344,7 +344,7 @@ def test_a_lookup_at_a_locution_start_is_worked_out_once(monkeypatch):
 
 def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construction(bundle):
     # An int past the interpreter's digit limit for str conversion (Python 3.11+) cannot be written; 3.10 has no limit.
-    smap, lex, grammar, variants = bundle
+    smap, lex, grammar, _ = bundle
     entries = [replace(e, attributes=(("n", 10**5000),)) if e.lemma == "فوق" else e for e in lex.entries]
     try:
         big = Lexicon(entries)
@@ -352,5 +352,5 @@ def test_an_attribute_the_annotation_writer_cannot_write_is_rejected_at_construc
         (source,) = {e.source for e in lex.entries if e.lemma == "فوق"}
         assert re.fullmatch(r".*lexicon\.tsv:\d+", source) and str(exc).startswith(f"{source}: attribute 'n'")
         return
-    doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big), smap, variants)
+    doc = annotate("الكتاب فوق المقعد", big, compile(rule_pack(), big), smap)
     assert json.loads(document_to_json(doc))["annotations"][0]["attributes"] == {"n": 10**5000}
