@@ -76,6 +76,14 @@ def test_a_spelling_variant_gets_the_annotations_of_its_canonical_spelling(run, 
     ]
 
 
+def test_a_variant_behind_a_proclitic_is_annotated(run):
+    # the one output change from making variants lexicon rows: a whole-word table missed واللواريه
+    doc = run("سرت على ضفة واللواريه")
+    assert [(a.rule, a.category, a.trigger, a.site) for a in doc.annotations] == [
+        ("topo_periph", "TOPOLOGICAL.PERIPHERY", OffsetSpan(4, 11), OffsetSpan(12, 21))
+    ]
+
+
 def test_medium_annotation_splits_token(run):
     doc = run("غادر أخي رامي بالباخرة، لكنه عاد بالطائرة بعد نحو أسبوعين")
     assert [a.category for a in doc.annotations] == ["DIRECTIONAL.PATH", "DIRECTIONAL.PATH"]
