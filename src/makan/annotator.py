@@ -49,7 +49,7 @@ class AnnotatedDocument:
 
 
 def _convert(match: engine.RawMatch, tokens, alternates: list[str]) -> SpatialAnnotation:
-    """The annotation of a match that passed its guards, read off the stream's run starts and word records.
+    """The annotation of a match that passed its guards, read off the stream's starts and word records.
 
     `tokenize` makes each record with 0 <= start < end, cuts and a stem start inside the word at rising offsets, and a
     stream's words in order, so each span is valid as built and skips `OffsetSpan`'s check."""
@@ -104,6 +104,8 @@ def annotate(
     for name, value in (("text", text), ("doc_id", doc_id)):  # else doc_id fails only when the document is written
         if not isinstance(value, str):
             raise TypeError(f"{name} must be a str, not {type(value).__name__}")
+    if not isinstance(grammar, engine.CompiledGrammar):  # else it fails reading `grammar.lexicon`
+        raise TypeError(f"grammar must be a CompiledGrammar, not {type(grammar).__name__}")
     if lexicon is not grammar.lexicon:
         raise ValueError("the grammar is applied with a lexicon other than the one it was compiled for")
     # The grammar was validated against the one map; another map must hold every rule output.

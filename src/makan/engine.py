@@ -389,6 +389,8 @@ def apply(grammar: CompiledGrammar, tokens: TokenStream) -> list[RawMatch]:
 
     `tokens` must be a `textnorm.TokenStream`, else TypeError. Only tokens whose record (`_type_records`) has
     candidates are visited, and a call with none returns [] before the record list is built."""
+    if not isinstance(grammar, CompiledGrammar):  # else it fails reading `grammar.lexicon`
+        raise TypeError(f"apply's grammar must be a CompiledGrammar, not {type(grammar).__name__}")
     if type(tokens) is not TokenStream:
         raise TypeError(f"apply takes a TokenStream, not {type(tokens).__name__}: see textnorm.token_stream")
     recs = _type_records(grammar, tokens)

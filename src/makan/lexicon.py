@@ -129,7 +129,8 @@ class Lexicon:
     It owns memo tables, filled lazily and each emptied when it reaches
     `textnorm.MEMO_LIMIT` entries: `lookup`'s matches of each lookup key
     (see `lookup_keys`); and for `textnorm.tokenize`, surface run or piece
-    of one run -> its record, and word -> clitic split.
+    of one run -> its `Word` counted from the key's start (() for marks
+    alone), and word -> clitic split.
     Each follows from the entries alone and holds values only, so threads
     may share a lexicon, tokenizing and annotating at once: a race at worst
     works an entry out twice.

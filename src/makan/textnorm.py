@@ -37,9 +37,10 @@ COORD_PROCLITICS = ("و", "ف")
 PREP_PROCLITICS = ("ب", "ل", "ك")
 ARTICLE = "ال"
 
-# Entries a word-type memo table holds before it is emptied: above the 20,149
-# distinct surface runs and one-run pieces of a 25k-word fully vocalized text,
-# so that reuse within a call survives on such a text.
+# Entries a word-type memo table holds before it is emptied: above the 20,037
+# to 20,171 distinct surface runs and one-run pieces of a 25k-word fully
+# vocalized text (the benchmark's at seeds 1, 3 and 17), so that reuse within
+# a call survives on such a text.
 MEMO_LIMIT = 1 << 15
 
 
@@ -100,14 +101,14 @@ class Token:
     stem: str                 # normalized residue
 
 
-# A surface run's word record, its offsets into the run: the stem runs from `stem_start` to `end`, `key` is the
-# word's type (see `_type_key`) and each proclitic cut is a `Cut`.
+# The word record of a surface run, its offsets counted from the start of the run or of a piece that holds it: the
+# stem runs from `stem_start` to `end`, `key` is the word's type (see `_type_key`) and each proclitic cut is a `Cut`.
 Word = namedtuple("Word", "start end surface cuts stem_start stem key")
 Cut = namedtuple("Cut", "kind start end text")
 
 
 def _token(r0: int, word: Word) -> Token:
-    """The token of a word record (see `_normalized_word`) in the surface run at `r0`."""
+    """The token of a word record (see `_normalized_word`) whose offsets count from `r0`."""
     ws, we, surface, cuts, stem_start, stem, _ = word
     span = OffsetSpan(r0 + ws, r0 + we)
     proclitics = tuple([Proclitic(OffsetSpan(r0 + cs, r0 + ce), kind, ctext) for kind, cs, ce, ctext in cuts])
@@ -117,8 +118,9 @@ def _token(r0: int, word: Word) -> Token:
 class TokenStream(Sequence):
     """`tokenize`'s immutable sequence of `Token`s as columns; it equals any sequence of equal `Token`s.
 
-    `starts[i]` is the offset of token i's surface run and `words[i]` its `Word`, shared by every token of
-    that run; `stems` is read off the records. An index builds a `Token`, a slice a list.
+    `words[i]` is token i's `Word` and `starts[i]` the offset its offsets count from: the start of its piece, or of
+    its run in a piece of several runs. Tokens of one run, or of one piece, share one `Word`; `stems` is read off
+    the records. An index builds a `Token`, a slice a list.
     """
 
     __slots__ = ("starts", "words", "stems")
@@ -185,6 +187,8 @@ def normalize(text: str) -> tuple[str, list[int]]:
     The offset map has one entry per output character giving the index of the
     original character it came from; it is total over output indices.
     """
+    if not isinstance(text, str):  # else it fails inside `translate`, naming no argument
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
     norm = text.translate(_TABLE)
     omap = list(range(len(text))) if len(norm) == len(text) else [i for i, ch in enumerate(text) if ch not in _REMOVED]
     return norm, omap
@@ -231,31 +235,33 @@ def tokenize(text: str, lexicon=None, variants: dict | None = None) -> TokenStre
     right; unsegmentable words become single-stem tokens. The text is cut
     into pieces on " " and "\n". Each surface run and each word is worked out
     once and kept in the lexicon's memo tables (`Lexicon.tokenize_memos`;
-    without a lexicon, fresh tables each call), as is each piece of one run,
-    so a piece met before costs one table read and no key spans two runs.
+    without a lexicon, fresh tables each call), as is each piece of one run:
+    the run table maps each to its `Word`, counted from the key's start, or
+    to () for marks alone. So a piece met before costs one table read, its
+    token starts at the piece, and no key spans two runs.
     A spelling variant is a lexicon row of its own, so a token's stem is
     always its own spelling.
     """
     if not isinstance(text, str):  # else it fails inside a `str` method
         raise TypeError(f"text must be a str, not {type(text).__name__}")
+    memos = ({}, {}) if lexicon is None else getattr(lexicon, "tokenize_memos", None)
+    if memos is None:  # `lexicon` imports this module, so a `Lexicon` is known here by the tables it owns
+        raise TypeError(f"lexicon must be a Lexicon or None, not {type(lexicon).__name__}")
     # `variants` stays only for the call shape of the benchmark harness, which passes the empty dict that
     # `rulepack.load_resources` returns; it goes with `annotate`'s `smap` once one resource bundle replaces both.
     if variants is not None and not isinstance(variants, dict):  # a wrong type, not a table: named as such
         raise TypeError(f"variants must be a dict, not {type(variants).__name__}")
     if variants:
         raise ValueError("a variant table is no longer read: give each spelling its own lexicon row")
-    runs, splits = ({}, {}) if lexicon is None else lexicon.tokenize_memos
+    runs, splits = memos
     starts, words, at = [], [], 0  # `at`: where the piece starts in the text
     for piece in text.replace("\n", " ").split(" "):
-        record = runs.get(piece)
-        if record is None:  # a piece first met, or one never kept: it holds several runs or none
+        w = runs.get(piece)
+        if w:  # a piece of one run met before, its `Word` counted from the piece's start
+            starts.append(at)
+            words.append(w)
+        elif w is None:  # a piece first met, or one never kept: it holds several runs or none
             for start, w in _piece_records(piece, lexicon, runs, splits):
-                if w is not None:
-                    starts.append(at + start)
-                    words.append(w)
-        else:  # a piece of one run met before: the same steps unrolled, as a loop over one record costs a fifth
-            start, w = record
-            if w is not None:
                 starts.append(at + start)
                 words.append(w)
         at += len(piece) + 1
@@ -263,20 +269,27 @@ def tokenize(text: str, lexicon=None, variants: dict | None = None) -> TokenStre
 
 
 def _piece_records(piece: str, lexicon, runs: dict, splits: dict) -> list:
-    """The records of a piece the run table does not hold, each (start of a run in the piece, `Word`), kept under
-    each run and, for a piece of one run, under the piece too."""
+    """The records of a piece the run table does not hold, each (an offset in the piece, a `Word` counted from it),
+    none for a run of marks alone. A piece of one run is kept with its run's `Word` counted from the piece's start,
+    and gives that as its one record; a piece of several runs gives each run's start and `Word`."""
     records = [(m.start(), _run_word(m[0], lexicon, runs, splits)) for m in _RUN_RE.finditer(piece)]
-    if len(records) == 1:
-        remember(runs, piece, records[0])
-    return records
+    if len(records) != 1:
+        return [record for record in records if record[1]]
+    start, w = records[0]
+    if start and w:  # the run lies inside the piece: every offset moves by its start
+        ws, we, surface, cuts, stem_start, stem, key = w
+        cuts = tuple([Cut(kind, cs + start, ce + start, ctext) for kind, cs, ce, ctext in cuts])
+        w = Word(ws + start, we + start, surface, cuts, stem_start + start, stem, key)
+    remember(runs, piece, w)
+    return [(0, w)] if w else []
 
 
 def _run_word(run: str, lexicon, runs: dict, splits: dict):
-    """The `Word` of a run (None for marks alone), its record (0, `Word`) kept under the run."""
-    record = runs.get(run)
-    if record is None:
-        record = remember(runs, run, (0, _normalized_word(run, lexicon, splits)))
-    return record[1]
+    """The `Word` of a run, counted from its start, or () for marks alone; kept under the run."""
+    w = runs.get(run)
+    if w is None:
+        w = remember(runs, run, _normalized_word(run, lexicon, splits) or ())
+    return w
 
 
 def remember(table: dict, key, value):

@@ -247,6 +247,30 @@ def test_check_counts_rule_lines_at_newlines_only(tmp_path, capsys):
     assert f"({bad}, line 1, col 1)" in capsys.readouterr().err
 
 
+def test_check_refuses_a_rule_whose_required_atom_no_entry_meets(tmp_path, capsys):
+    # an atom that no entry of this lexicon meets is kept where it is optional, or where a literal stands beside it
+    lexicon = tmp_path / "small.tsv"
+    lexicon.write_text("على\tPREP\tTOPOLOGICAL.SUPPORT\nبيت\tNOUN_SITE\n", encoding="utf-8")
+    live = tmp_path / "live.rules"
+    live.write_text(
+        "RULE live PRIO 1: trigger=[PREP] (site=[PLACE_NAME])? GAP 2 target=[LIT كتاب | FLAG PLURAL] => TOPOLOGICAL\n",
+        encoding="utf-8",
+    )
+    assert main(["check", "--lexicon", str(lexicon), "--rules", str(live)]) == 0
+    assert capsys.readouterr().out == "ok: 2 lexicon entries, 1 rules, 21 category nodes\n"
+    # the class and the flag are known, but no entry of this lexicon carries either: named in the file after `live`
+    dead = tmp_path / "dead.rules"
+    dead.write_text("\nRULE late PRIO 1: trigger=[PREP]\n  site=[PLACE_NAME | FLAG PLURAL] => TOPOLOGICAL\n",
+                    encoding="utf-8")
+    assert main(["check", "--lexicon", str(lexicon), "--rules", str(live), "--rules", str(dead)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"validation error: rule late: no lexicon entry meets [PLACE_NAME | FLAG PLURAL], so it can never fire "
+        f"({dead}, line 2, col 1)\n",
+    )
+    assert main(["check", "--rules", str(dead)]) == 0  # the shipped lexicon has both
+
+
 @pytest.mark.parametrize(
     "option, content, message",
     [
@@ -261,6 +285,10 @@ def test_check_counts_rule_lines_at_newlines_only(tmp_path, capsys):
          "{path}:3: duplicate entry (علي, PREP), first at {path}:1"),
         ("--lexicon", None, "resource file not found: {path}"),
         ("--rules", None, "resource file not found: {path}"),
+        # no shipped lexicon entry carries this sense, so its rule can never fire
+        ("--rules", "# c\nRULE dead PRIO 1: trigger=[SENSE DIRECTIONAL.CARDINAL] => DIRECTIONAL.CARDINAL\n",
+         "rule dead: no lexicon entry meets [SENSE DIRECTIONAL.CARDINAL], so it can never fire "
+         "({path}, line 2, col 1)"),
     ],
 )
 def test_a_refused_resource_exits_two_from_check_and_annotate_and_writes_nothing(

@@ -13,14 +13,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from makan import engine
 from makan.annotator import AnnotationFormatError, annotate, read_annotations
 from makan.engine import GrammarError, compile
 from makan.lexicon import LexiconError, load, read_resource, seed_lexicon_path
 from makan.rulepack import load_resources, rule_pack_path
-from makan.textnorm import tokenize
+from makan.textnorm import normalize, tokenize
 from oracle import reference_read_annotations
 
 _DSL_WORDS = [
@@ -105,6 +106,33 @@ def test_tokenize_and_annotate_refuse_a_text_that_is_not_a_str_before_any_work(b
     assert lex.tokenize_memos[0] == runs
 
 
+@pytest.mark.parametrize("text", [3, b"\xd8\xb9\xd9\x84\xd9\x89", None])
+def test_normalize_refuses_a_text_that_is_not_a_str(text):
+    with pytest.raises(TypeError, match=f"^text must be a str, not {type(text).__name__}$"):
+        normalize(text)
+
+
+@pytest.mark.parametrize("lexicon", [{}, [], "x", 0])
+def test_tokenize_refuses_a_lexicon_that_is_neither_a_lexicon_nor_none_before_any_work(lexicon):
+    for text in ("", "x جلست على المقعد"):
+        with pytest.raises(TypeError, match=f"^lexicon must be a Lexicon or None, not {type(lexicon).__name__}$"):
+            tokenize(text, lexicon)
+
+
+@pytest.mark.parametrize("grammar", [None, "rules", "lexicon"])
+def test_annotate_and_apply_refuse_a_grammar_that_is_not_a_compiled_grammar_before_any_work(bundle, grammar):
+    smap, lex, _, _ = bundle
+    grammar = lex if grammar == "lexicon" else grammar  # a lexicon in the grammar's place
+    name = type(grammar).__name__
+    memos = tuple(map(dict, lex.tokenize_memos))
+    with pytest.raises(TypeError, match=f"^grammar must be a CompiledGrammar, not {name}$"):
+        annotate("x جلست على المقعد", lex, grammar, smap)
+    assert tuple(map(dict, lex.tokenize_memos)) == memos
+    tokens = tokenize("x جلست على المقعد", lex)
+    with pytest.raises(TypeError, match=f"^apply's grammar must be a CompiledGrammar, not {name}$"):
+        engine.apply(grammar, tokens)
+
+
 @pytest.mark.parametrize("variants", [["x"], [], ("x",), "x", 0])
 def test_tokenize_and_annotate_refuse_variants_that_are_not_a_dict_before_any_work(bundle, variants):
     smap, lex, grammar, _ = bundle
@@ -185,8 +213,16 @@ def _mutated_resource(draw):
     return name, "\n".join(lines), i + 1
 
 
+def _commented_out(row: str):
+    """("lexicon.tsv", the shipped lexicon with `row` made a comment, its line): as a stray "#" put first makes it."""
+    lines = read_resource(seed_lexicon_path()).split("\n")
+    line = lines.index(row) + 1
+    return "lexicon.tsv", "\n".join(lines[: line - 1] + ["#" + row] + lines[line:]), line
+
+
 @settings(max_examples=200, deadline=None)
 @given(_mutated_resource())
+@example(_commented_out("على\tPREP\tTOPOLOGICAL.SUPPORT;DIRECTIONAL.GAZE"))  # the one entry of its sense
 def test_a_mutated_resource_row_loads_or_its_fault_names_the_file_and_the_row(mutated):
     name, text, line = mutated
     _, argument, location = _RESOURCES[name]
@@ -195,8 +231,15 @@ def test_a_mutated_resource_row_loads_or_its_fault_names_the_file_and_the_row(mu
         path.write_text(text, encoding="utf-8")
         try:
             load_resources(**argument(path))
-        except (LexiconError, GrammarError) as exc:  # a repeat names its first row too, after the line's own
-            assert re.search(re.escape(location.format(path=path, line=line)) + r"(?!\d)", str(exc)), str(exc)
+        except (LexiconError, GrammarError) as exc:
+            if name == "lexicon.tsv" and text.split("\n")[line - 1].startswith("#"):
+                # a row made a comment is no fault of its own: the one it can bring about is a rule that no entry left
+                # lets fire, named at its line in the shipped pack
+                dead = r"rule \w+: no lexicon entry meets \[.+\], so it can never fire"
+                pack = re.escape(str(rule_pack_path()))
+                assert re.fullmatch(rf"{dead} \({pack}, line \d+, col 1\)", str(exc)), str(exc)
+            else:  # a repeat names its first row too, after the line's own
+                assert re.search(re.escape(location.format(path=path, line=line)) + r"(?!\d)", str(exc)), str(exc)
 
 
 @settings(max_examples=150, deadline=None)

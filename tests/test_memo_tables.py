@@ -1,6 +1,6 @@
 """Word-type memo tables kept across calls give the answers of freshly built resources.
 
-`tokenize` keeps surface run or piece of one run -> record and word -> split
+`tokenize` keeps surface run or piece of one run -> `Word` and word -> split
 on the lexicon (fresh tables each call without one), `Lexicon.lookup` keeps a
 word type's matches, and `apply` keeps a word type's record (lookups,
 candidate rules, atom options) on the grammar, which is applied with the one
@@ -121,7 +121,34 @@ def test_the_run_table_keeps_one_run_a_key(separator):
     assert all(len(textnorm._RUN_RE.findall(key)) == 1 for key in keys)
     one_run_pieces = {p for p in text.replace("\n", " ").split(" ") if len(textnorm._RUN_RE.findall(p)) == 1}
     assert len(keys) <= len(set(textnorm._RUN_RE.findall(text)) | one_run_pieces)
-    assert runs["المقعد."] == runs["المقعد"] and runs["(المقعد"] == (1, *runs["المقعد"][1:])
+    # a piece that begins with its run holds the run's very `Word`; one behind a "(" holds it counted from the "("
+    word = runs["المقعد"]
+    assert runs["المقعد."] is word and word.cuts
+    cuts = tuple(cut._replace(start=cut.start + 1, end=cut.end + 1) for cut in word.cuts)
+    shifted = word._replace(start=word.start + 1, end=word.end + 1, cuts=cuts, stem_start=word.stem_start + 1)
+    assert runs["(المقعد"] == shifted
+
+
+@pytest.mark.parametrize("separator", [" ", "\n", "\t"])
+def test_one_run_pieces_behind_punctuation_and_pieces_of_marks_alone_tokenize_cold_and_warm(separator):
+    # behind a "(" or a "«" a run's `Word` is kept counted from the piece's start, proclitic cuts included; a mark
+    # alone, bare or behind punctuation, makes no token
+    pieces = ["(والمقعد", "«على»", "ـ", "َ", "(ـ", "«َ»", "وبالبيتِ.", "(وبالبيتِ)", "المقعد", "(المقعد)", "ـَ."]
+    texts = [separator.join(pieces), separator.join(reversed(pieces)), "(" + separator.join(pieces) + ")"]
+    lex = Lexicon(list(SEED.entries))
+    for text in texts * 2:  # each text on a cold table, then each again on the warm one
+        assert tokenize(text, lex) == reference_tokenize(text, lex)
+        assert tokenize(text) == reference_tokenize(text)
+
+
+def test_a_piece_met_again_behind_a_parenthesis_gives_the_same_annotation_one_past_it():
+    # the second "(المقعد)" is read from the run table: its `Word` counted from the "(" gives the site's offsets
+    text = "جلست على (المقعد) ثم جلست على (المقعد)"
+    lex = Lexicon(list(SEED.entries))
+    doc = annotate(text, lex, compile(RULES, lex), SMAP)
+    opens = [i for i, ch in enumerate(text) if ch == "("]
+    assert [a.site.start for a in doc.annotations] == [i + 1 for i in opens]
+    assert [a.site.slice(text) for a in doc.annotations] == ["المقعد"] * 2
 
 
 def test_a_full_table_is_emptied_and_answers_stay_the_same(monkeypatch):
